@@ -49,12 +49,12 @@ def test_ir_sweep_matches_eager_at_scale(benchmark, write_result):
     padded = np.pad(rng.normal(size=GRID), h)
 
     out_ir, ev_ir = compiled.apply_simulated(padded)
-    out_eager, ev_eager = compiled.apply_simulated(padded, oracle=True)
+    out_eager, ev_eager = compiled.apply_simulated(padded, backend="oracle")
     assert np.array_equal(out_ir, out_eager)
     assert ev_ir == ev_eager
 
     t_ir = _time(lambda: compiled.apply_simulated(padded))
-    t_eager = _time(lambda: compiled.apply_simulated(padded, oracle=True))
+    t_eager = _time(lambda: compiled.apply_simulated(padded, backend="oracle"))
     t_lower = _time(
         lambda: compile_stencil(k.weights, cache=None), repeat=5
     )

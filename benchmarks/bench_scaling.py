@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.report import format_table
-from repro.parallel import SimulatedCluster
+from repro.parallel import ClusterRuntime, distribute
 from repro.stencil.kernels import get_kernel
 
 DEVICES = (1, 2, 4, 8, 16)
@@ -29,7 +29,7 @@ def test_strong_scaling(benchmark, write_result):
 
     def sweep():
         return {
-            n: SimulatedCluster(w, (4096, 4096), _mesh(n)).timings()
+            n: ClusterRuntime(distribute(w, (4096, 4096), _mesh(n))).timings()
             for n in DEVICES
         }
 
@@ -73,17 +73,15 @@ def test_temporal_scaling(benchmark, write_result):
     """
     import numpy as np
 
-    from repro.parallel import run_temporal_blocked
-
     w = get_kernel("Box-2D9P").weights
     blocks = (1, 2, 4, 8)
     shards = (4, 16)
 
     def sweep():
         return {
-            (n, k): SimulatedCluster(w, (4096, 4096), _mesh(n)).timings(
-                steps=16, block_steps=k
-            )
+            (n, k): ClusterRuntime(
+                distribute(w, (4096, 4096), _mesh(n))
+            ).timings(steps=16, block_steps=k)
             for n in shards
             for k in blocks
         }
@@ -105,17 +103,17 @@ def test_temporal_scaling(benchmark, write_result):
     # measured: execute a small grid, count rounds and bytes per config
     rng = np.random.default_rng(7)
     x = rng.normal(size=(256, 256))
-    cluster = SimulatedCluster(w, (256, 256), (2, 2))
+    cluster = ClusterRuntime(distribute(w, (256, 256), (2, 2)))
     measured = {}
     base = None
     for k in blocks:
-        out, exchanged = run_temporal_blocked(cluster, x, 8, k)
-        result = cluster.runtime.last_result
-        measured[k] = (result.rounds, exchanged)
+        result = cluster.run(x, 8, block_steps=k)
+        measured[k] = (result.rounds, result.exchanged_bytes)
         if base is None:
-            base = out
+            base = result.field
         else:
-            assert np.array_equal(out, base)  # temporal runs stay bit-exact
+            # temporal runs stay bit-exact
+            assert np.array_equal(result.field, base)
     rows.append(["", "", "", "", ""])
     rows.append(["measured 4", "block_steps", "exchanges", "halo bytes", ""])
     for k, (rounds, exchanged) in measured.items():
@@ -217,7 +215,8 @@ def test_weak_scaling(benchmark, write_result):
         out = {}
         for n in (1, 4, 16):
             p, q = _mesh(n)
-            out[n] = SimulatedCluster(w, (1024 * p, 1024 * q), (p, q)).timings()
+            plan = distribute(w, (1024 * p, 1024 * q), (p, q))
+            out[n] = ClusterRuntime(plan).timings()
         return out
 
     timings = benchmark.pedantic(sweep, rounds=1, iterations=1)

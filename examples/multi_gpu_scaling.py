@@ -11,7 +11,7 @@ Run:  python examples/multi_gpu_scaling.py
 import numpy as np
 
 from repro import get_kernel, reference_iterate
-from repro.parallel import SimulatedCluster
+from repro.parallel import ClusterRuntime, distribute
 
 GRID = 144
 STEPS = 6
@@ -30,15 +30,15 @@ def main() -> None:
 
     base = None
     for mesh in MESHES:
-        cluster = SimulatedCluster(
-            kernel.weights, (GRID, GRID), mesh, boundary="periodic"
+        cluster = ClusterRuntime(
+            distribute(kernel.weights, (GRID, GRID), mesh, boundary="periodic")
         )
-        out = cluster.run(x0, STEPS)
+        out = cluster.run(x0, STEPS).field
         err = np.abs(out - ref).max()
         assert err < 1e-9, err
 
-        timing = SimulatedCluster(
-            kernel.weights, (8192, 8192), mesh, boundary="periodic"
+        timing = ClusterRuntime(
+            distribute(kernel.weights, (8192, 8192), mesh, boundary="periodic")
         ).timings(steps=1)
         if base is None:
             base = timing

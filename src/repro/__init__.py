@@ -79,7 +79,7 @@ from repro.runtime import (
 from repro.tcu import Device, EventCounters
 from repro.perf import A100, gstencil_per_second
 from repro.core.autotune import autotune_2d
-from repro.parallel import SimulatedCluster, SimulatedCluster3D
+from repro.parallel import ClusterRuntime, distribute
 from repro.precision import TCStencilFP16, precision_sweep
 from repro.codegen import generate_cuda_kernel
 from repro.validation import convergence_study, estimated_order
@@ -135,8 +135,8 @@ __all__ = [
     "gstencil_per_second",
     # extensions
     "autotune_2d",
-    "SimulatedCluster",
-    "SimulatedCluster3D",
+    "ClusterRuntime",
+    "distribute",
     "TCStencilFP16",
     "precision_sweep",
     "generate_cuda_kernel",

@@ -1112,7 +1112,7 @@ def _cmd_precision(kernel_name: str, steps: list[int]) -> int:
 
 def _cmd_scaling(kernel_name: str, size: int, devices: list[int]) -> int:
     from repro.experiments.report import format_table
-    from repro.parallel import SimulatedCluster
+    from repro.parallel import ClusterRuntime, distribute
     from repro.stencil.kernels import get_kernel
 
     k = get_kernel(kernel_name)
@@ -1123,7 +1123,8 @@ def _cmd_scaling(kernel_name: str, size: int, devices: list[int]) -> int:
     rows = [["devices", "mesh", "step time", "comm %", "speedup", "efficiency"]]
     for n in devices:
         mesh = _best_mesh(n)
-        t = SimulatedCluster(k.weights, (size, size), mesh).timings(steps=1)
+        plan = distribute(k.weights, (size, size), mesh)
+        t = ClusterRuntime(plan).timings(steps=1)
         if base is None:
             base = t
         speedup = t.speedup_over(base)
@@ -2130,17 +2131,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse ``argv`` (default ``sys.argv``) and dispatch one command."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # back-compat: `repro cluster <kernel> ...` predates the run/report
-    # split; a non-subcommand token right after `cluster` means `run`
-    first = next((t for t in argv if not t.startswith("-")), None)
-    if first == "cluster":
-        i = argv.index("cluster")
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if nxt is not None and nxt not in (
-            "run", "report", "resume", "-h", "--help"
-        ):
-            argv.insert(i + 1, "run")
     args = build_parser().parse_args(argv)
     from repro.errors import BackendError
 

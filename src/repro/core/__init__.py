@@ -18,8 +18,6 @@ Pipeline (Fig. 3):
 5. :mod:`repro.core.fusion` — temporal kernel fusion (Section IV-A).
 """
 
-import warnings
-
 from repro.core.lowrank import Decomposition, PivotError, Rank1Term
 from repro.core.uvbuild import build_u_matrix, build_v_matrix, butterfly_row_order
 from repro.core.config import OptimizationConfig
@@ -32,9 +30,6 @@ __all__ = [
     "Rank1Term",
     "Decomposition",
     "PivotError",
-    "decompose",
-    "pyramidal_decompose",
-    "svd_decompose",
     "build_u_matrix",
     "build_v_matrix",
     "butterfly_row_order",
@@ -47,30 +42,3 @@ __all__ = [
     "fragment_waste",
     "fusion_saving",
 ]
-
-#: names still resolvable from ``repro.core`` for backwards compatibility,
-#: but deprecated in favour of the runtime facade
-_DEPRECATED_REEXPORTS = ("decompose", "pyramidal_decompose", "svd_decompose")
-
-
-def __getattr__(name: str):
-    """Deprecated re-exports (PEP 562).
-
-    ``repro.core.decompose`` and friends still resolve, but emit a
-    :class:`DeprecationWarning`: import them from
-    :mod:`repro.core.lowrank` directly, or skip the decomposition step
-    entirely with ``repro.compile(...)``, which runs (and caches) it as
-    part of plan construction.
-    """
-    if name in _DEPRECATED_REEXPORTS:
-        warnings.warn(
-            f"repro.core.{name} is deprecated; import it from "
-            "repro.core.lowrank, or use repro.compile(...) which runs the "
-            "decomposition once per cached plan",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core import lowrank
-
-        return getattr(lowrank, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

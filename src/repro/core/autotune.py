@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.base import FootprintScale, MethodTraits
-from repro.core._deprecation import suppress_engine_deprecation
 from repro.core.engine2d import LoRAStencil2D
 from repro.core.fusion import fuse_kernel
 from repro.perf.costmodel import gstencil_per_second
@@ -55,10 +54,9 @@ class TuneResult:
         """Instantiate the winning engine for ``weights``."""
         if self.best.fusion > 1:
             weights = fuse_kernel(weights, self.best.fusion).fused
-        with suppress_engine_deprecation():
-            return LoRAStencil2D(
-                weights.as_matrix(), tile_shape=self.best.tile_shape
-            )
+        return LoRAStencil2D(
+            weights.as_matrix(), tile_shape=self.best.tile_shape
+        )
 
 
 def autotune_2d(
@@ -84,8 +82,7 @@ def autotune_2d(
         h = fused.radius
         x = rng.normal(size=tuple(s + 2 * h for s in measure_grid))
         for tile_shape in tile_options:
-            with suppress_engine_deprecation():
-                engine = LoRAStencil2D(fused.as_matrix(), tile_shape=tile_shape)
+            engine = LoRAStencil2D(fused.as_matrix(), tile_shape=tile_shape)
             _, counters = engine.apply_simulated(x)
             points = measure_grid[0] * measure_grid[1] * fusion
             fp = FootprintScale(counters=counters, points=points)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.base import FootprintScale, MethodTraits
-from repro.core._deprecation import suppress_engine_deprecation
 from repro.core.engine2d import LoRAStencil2D
 from repro.perf.costmodel import gstencil_per_second
 from repro.perf.machine import A100, MachineSpec
@@ -71,8 +70,7 @@ class SimulationDriver:
         self.weights = weights
         self.boundary = boundary
         if engine is None:
-            with suppress_engine_deprecation():
-                engine = LoRAStencil2D(weights.as_matrix())
+            engine = LoRAStencil2D(weights.as_matrix())
         self.engine = engine
 
     def run(self, initial: np.ndarray, steps: int) -> RunReport:

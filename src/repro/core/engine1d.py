@@ -8,7 +8,7 @@ simulated path interprets the engine's lowered 1D tile program
 (:func:`repro.tcu.program.build_tile_program_1d`) through the shared
 block-sweep driver (:mod:`repro.core.sweep`), which treats the sweep as
 a ``1 x n`` grid of ``(1, 64)`` output tiles; the eager accumulator
-chain survives as the ``oracle=True`` path.
+chain survives as the ``backend="oracle"`` path.
 
 Both paths use the repository-wide convention: input is padded by the
 stencil radius, output is the interior.  Callers holding *unpadded*
@@ -16,7 +16,7 @@ arrays should prefer ``repro.compile(...)`` and
 :meth:`~repro.runtime.facade.CompiledStencil.apply_grid`, which pads
 internally through :mod:`repro.stencil.boundary`.
 
-Direct construction is deprecated: ``repro.compile(weights, ndim=1)``
+Direct construction is supported; ``repro.compile(weights, ndim=1)``
 builds (and caches) the same engine inside a
 :class:`~repro.runtime.plan.StencilPlan`.
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core._deprecation import warn_engine_deprecation
 from repro.core.config import OptimizationConfig
 from repro.core.sweep import SweepSpec, run_block_sweep
 from repro.core.uvbuild import build_u_matrix
@@ -63,7 +62,6 @@ class LoRAStencil1D:
         weights: StencilWeights | np.ndarray,
         config: OptimizationConfig | None = None,
     ) -> None:
-        warn_engine_deprecation("direct LoRAStencil1D(...) construction")
         if isinstance(weights, StencilWeights):
             if weights.ndim != 1:
                 raise ShapeError(
@@ -144,7 +142,6 @@ class LoRAStencil1D:
         padded: np.ndarray,
         device: Device | None = None,
         block: int = DEFAULT_BLOCK_1D,
-        oracle: bool = False,
         profiler=None,
         verify=None,
         policy=None,
@@ -154,18 +151,18 @@ class LoRAStencil1D:
         """Warp-level execution; returns ``(interior, counters)``.
 
         Sweeps through the shared block-sweep driver as a ``1 x n``
-        grid; ``backend`` selects the execution backend, with the legacy
-        ``oracle=True`` flag equivalent to ``backend="oracle"`` (the
-        eager accumulator chain instead of the lowered program).  The
-        vectorized backend computes every tile at once, bit-identically,
-        but rejects ``verify``/``policy``/``report`` with a typed
+        grid; ``backend`` selects the execution backend, with
+        ``backend="oracle"`` running the eager accumulator chain instead
+        of the lowered program.  The vectorized backend computes every
+        tile at once, bit-identically, but rejects
+        ``verify``/``policy``/``report`` with a typed
         :class:`~repro.errors.BackendError`.  ``verify="abft"``
         checksum-verifies tiles/stagings with recovery bounded by
         ``policy``, counting into ``report`` (see :mod:`repro.faults`).
         """
-        from repro.runtime.backends import engine_backend
+        from repro.runtime.backends import get_backend
 
-        backend = engine_backend(backend, oracle)
+        backend = get_backend(backend or "interpreter").name
         padded = np.asarray(padded, dtype=np.float64)
         if padded.ndim != 1:
             raise ShapeError(f"expected 1D input, got {padded.ndim}D")

@@ -15,7 +15,7 @@ Two execution paths share one decomposition:
   hardware event counts the figures consume.  The block-sweep
   orchestration itself lives in :func:`repro.core.sweep.run_block_sweep`
   (shared with the 1D and 3D engines); this engine only contributes the
-  tile provider.  ``oracle=True`` computes tiles through the eager
+  tile provider.  ``backend="oracle"`` computes tiles through the eager
   :meth:`~repro.core.rdg.RDGTileCompute.compute_tile` path instead —
   the correctness oracle the schedule-equivalence suite compares
   against.
@@ -26,7 +26,7 @@ grids should prefer ``repro.compile(...)`` and
 :meth:`~repro.runtime.facade.CompiledStencil.apply_grid`, which pads
 internally through :mod:`repro.stencil.boundary`.
 
-Direct construction is deprecated: ``repro.compile(weights, ...)``
+Direct construction is supported; ``repro.compile(weights, ...)``
 builds (and caches) the same engine inside a
 :class:`~repro.runtime.plan.StencilPlan`.
 """
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core._deprecation import warn_engine_deprecation
 from repro.core.config import OptimizationConfig
 from repro.core.lowrank import Decomposition, decompose
 from repro.core.rdg import OUT_TILE, RDGTileCompute
@@ -62,7 +61,6 @@ class LoRAStencil2D:
         decomposition: Decomposition | None = None,
         tile_shape: tuple[int, int] = (OUT_TILE, OUT_TILE),
     ) -> None:
-        warn_engine_deprecation("direct LoRAStencil2D(...) construction")
         if isinstance(weights, StencilWeights):
             if weights.ndim != 2:
                 raise ShapeError(
@@ -173,7 +171,6 @@ class LoRAStencil2D:
         padded: np.ndarray,
         device: Device | None = None,
         block: tuple[int, int] | None = None,
-        oracle: bool = False,
         profiler=None,
         verify=None,
         policy=None,
@@ -185,8 +182,7 @@ class LoRAStencil2D:
         Returns ``(interior, counters)`` where ``counters`` holds the
         events of this sweep only.  ``backend`` selects the execution
         backend (``"interpreter"`` | ``"vectorized"`` | ``"oracle"``);
-        the legacy ``oracle=True`` flag is equivalent to
-        ``backend="oracle"``, running the eager tile computation instead
+        ``backend="oracle"`` runs the eager tile computation instead
         of the lowered program (identical by the schedule-equivalence
         guarantee; kept as the oracle).  The vectorized backend computes
         all tiles at once with bit-identical numerics and counters, but
@@ -198,9 +194,9 @@ class LoRAStencil2D:
         ``policy`` (a :class:`repro.faults.RecoveryPolicy`), counting
         into ``report`` (a :class:`repro.faults.FaultReport`).
         """
-        from repro.runtime.backends import engine_backend
+        from repro.runtime.backends import get_backend
 
-        backend = engine_backend(backend, oracle)
+        backend = get_backend(backend or "interpreter").name
         padded, (rows, cols) = validate_padded(padded, 2, self.radius)
         t = self.tile
         spec = SweepSpec(

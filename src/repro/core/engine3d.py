@@ -16,7 +16,7 @@ stencil radius on every axis, output is the interior.  Callers holding
 :meth:`~repro.runtime.facade.CompiledStencil.apply_grid`, which pads
 internally through :mod:`repro.stencil.boundary`.
 
-Direct construction is deprecated: ``repro.compile(weights, ndim=3)``
+Direct construction is supported; ``repro.compile(weights, ndim=3)``
 builds (and caches) the same engine inside a
 :class:`~repro.runtime.plan.StencilPlan`.
 """
@@ -25,10 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core._deprecation import (
-    suppress_engine_deprecation,
-    warn_engine_deprecation,
-)
 from repro.core.config import OptimizationConfig
 from repro.core.engine2d import LoRAStencil2D
 from repro.errors import ShapeError
@@ -62,8 +58,7 @@ class _PlaneTask:
             self.engine = None
         else:
             self.pointwise = None
-            with suppress_engine_deprecation():
-                self.engine = LoRAStencil2D(plane, config=config)
+            self.engine = LoRAStencil2D(plane, config=config)
 
 
 class LoRAStencil3D:
@@ -74,7 +69,6 @@ class LoRAStencil3D:
         weights: StencilWeights | np.ndarray,
         config: OptimizationConfig | None = None,
     ) -> None:
-        warn_engine_deprecation("direct LoRAStencil3D(...) construction")
         if isinstance(weights, StencilWeights):
             if weights.ndim != 3:
                 raise ShapeError(
@@ -140,7 +134,6 @@ class LoRAStencil3D:
         padded: np.ndarray,
         device: Device | None = None,
         block: tuple[int, int] | None = None,
-        oracle: bool = False,
         profiler=None,
         verify=None,
         policy=None,
@@ -154,9 +147,8 @@ class LoRAStencil3D:
         tile program); the point-wise planes charge CUDA-core FLOPs and
         DRAM traffic without touching the tensor cores (Alg. 2's
         dual-unit split).  ``backend`` threads into every plane engine's
-        sweep; the legacy ``oracle=True`` flag is equivalent to
-        ``backend="oracle"`` (every plane engine on its eager tile
-        path).  The vectorized backend rejects ``verify``/``policy``/
+        sweep; ``backend="oracle"`` puts every plane engine on its eager
+        tile path.  The vectorized backend rejects ``verify``/``policy``/
         ``report`` with a typed :class:`~repro.errors.BackendError`.
         ``profiler`` is threaded into every plane engine's sweep; the
         point-wise plane traffic lands in the profile's driver residue.
@@ -164,9 +156,9 @@ class LoRAStencil3D:
         engine's guarded sweep (the point-wise planes carry no MM chain
         to checksum).
         """
-        from repro.runtime.backends import engine_backend
+        from repro.runtime.backends import get_backend
 
-        backend = engine_backend(backend, oracle)
+        backend = get_backend(backend or "interpreter").name
         if backend == "vectorized" and (
             verify or policy is not None or report is not None
         ):

@@ -223,23 +223,21 @@ def _pass_decompose(ctx: LoweringContext) -> None:
     """Decomposition + gather-fragment build (constructs the engine)."""
     # engines import this module for their lazy self-lowering hook, so
     # resolve them at call time
-    from repro.core._deprecation import suppress_engine_deprecation
     from repro.core.engine1d import LoRAStencil1D
     from repro.core.engine2d import LoRAStencil2D
     from repro.core.engine3d import LoRAStencil3D
     from repro.core.rdg import OUT_TILE
 
-    with suppress_engine_deprecation():
-        if ctx.ndim == 1:
-            ctx.engine = LoRAStencil1D(ctx.weights, config=ctx.config)
-        elif ctx.ndim == 2:
-            ctx.engine = LoRAStencil2D(
-                ctx.weights,
-                config=ctx.config,
-                tile_shape=ctx.tile_shape or (OUT_TILE, OUT_TILE),
-            )
-        else:
-            ctx.engine = LoRAStencil3D(ctx.weights, config=ctx.config)
+    if ctx.ndim == 1:
+        ctx.engine = LoRAStencil1D(ctx.weights, config=ctx.config)
+    elif ctx.ndim == 2:
+        ctx.engine = LoRAStencil2D(
+            ctx.weights,
+            config=ctx.config,
+            tile_shape=ctx.tile_shape or (OUT_TILE, OUT_TILE),
+        )
+    else:
+        ctx.engine = LoRAStencil3D(ctx.weights, config=ctx.config)
 
 
 def _pass_build_tile_ir(ctx: LoweringContext) -> None:
@@ -433,11 +431,11 @@ def checksum_footprint(lowered: LoweredProgram | LoweredTile) -> dict:
 def lower_engine(engine) -> LoweredTile | None:
     """Build + schedule the program for one already-built 1D/2D engine.
 
-    The lazy self-lowering hook behind the (deprecated) direct engine
-    constructors: ``build_tile_ir`` and ``schedule`` without the
-    ``decompose`` pass, keeping the lowered program the single
-    tensor-core execution path even off the plan route.  Returns
-    ``None`` for CUDA-core configurations (no program to build).
+    The lazy self-lowering hook behind direct engine construction:
+    ``build_tile_ir`` and ``schedule`` without the ``decompose`` pass,
+    keeping the lowered program the single tensor-core execution path
+    even off the plan route.  Returns ``None`` for CUDA-core
+    configurations (no program to build).
     """
     if not engine.config.use_tensor_cores:
         return None

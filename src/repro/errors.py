@@ -65,9 +65,11 @@ class PerfError(ReproError, ValueError):
 
 class BackendError(ReproError, ValueError):
     """An execution backend cannot fulfil a request: an unknown backend
-    name (including via ``REPRO_BACKEND``), or an explicit
+    name (including via ``REPRO_BACKEND``), an explicit
     ``backend="vectorized"`` combined with fault injection / ABFT
-    verification, which only the per-thread interpreter supports."""
+    verification, which only the per-thread interpreter supports, or a
+    cluster run on ``executor="process"`` combined with ABFT
+    verification or MMA/staging faults, which its workers cannot run."""
 
 
 class InputValidationError(ReproError, ValueError):

@@ -20,8 +20,10 @@ sweep.
 * :class:`repro.parallel.cluster.ClusterRuntime` — executes a
   distributed plan: per-step / temporal rounds, overlapped transfers,
   serial/thread/process executors, fault tolerance, scaling model;
-* :func:`repro.parallel.temporal.run_temporal_blocked` — trapezoid and
-  diamond temporal tiling (communication avoidance).
+* :func:`repro.parallel.temporal.temporal_halo_bytes` — the halo-byte
+  model of trapezoid and diamond temporal tiling (communication
+  avoidance), which ``ClusterRuntime.run(block_steps=, tiling=)``
+  executes.
 
 Everything is deterministic and validated bit-for-bit against the
 single-grid reference trajectory in the test suite.
@@ -60,10 +62,8 @@ from repro.parallel.cluster import (
     ClusterResult,
     ClusterRuntime,
     ClusterTimings,
-    SimulatedCluster,
 )
-from repro.parallel.cluster3d import SimulatedCluster3D
-from repro.parallel.temporal import run_temporal_blocked, temporal_halo_bytes
+from repro.parallel.temporal import temporal_halo_bytes
 
 __all__ = [
     "Partition",
@@ -92,8 +92,5 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "list_checkpoints",
-    "SimulatedCluster",
-    "SimulatedCluster3D",
-    "run_temporal_blocked",
     "temporal_halo_bytes",
 ]

@@ -5,7 +5,9 @@ device mesh by driving the *runtime* — every rank executes the plan's
 compiled :class:`~repro.runtime.facade.CompiledStencil`, so distributed
 runs honor ``backend=``, the plan cache, fault injection/ABFT, and the
 trace/event/health telemetry planes exactly like single-device sweeps.
-One phase-driven loop serves every mode:
+One round loop over named phase methods (exchange, halo guard, rank
+dispatch and advance, fold, checkpoint, elastic re-plan) serves every
+mode:
 
 * per-step exchange (``block_steps=1``, the classic halo pipeline),
 * temporal blocking (trapezoid/diamond rounds from the plan's
@@ -21,21 +23,20 @@ One phase-driven loop serves every mode:
 
 It produces the exact global trajectory (validated against the
 single-grid reference) plus a scaling-time model
-(:class:`ClusterTimings`) with an NVLink-like interconnect.
-:class:`SimulatedCluster` remains as the thin 2D convenience wrapper
-the earlier tests and benchmarks use.
+(:class:`ClusterTimings`) with an NVLink-like interconnect.  Build one
+with ``ClusterRuntime(distribute(weights, shape, mesh))``.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro import telemetry
-from repro.errors import ExecutionError, FaultError, ReproError
+from repro.errors import BackendError, ExecutionError, FaultError, ReproError
 from repro.parallel.checkpoint import (
     CheckpointConfig,
     CheckpointError,
@@ -52,8 +53,12 @@ from repro.parallel.distributed import (
     process_advance,
     strip_window,
 )
-from repro.parallel.halo import HaloExchanger, halo_bytes_counter
-from repro.parallel.plan import DistributedPlan, distribute
+from repro.parallel.halo import (
+    AsyncHaloHandle,
+    HaloExchanger,
+    halo_bytes_counter,
+)
+from repro.parallel.plan import DistributedPlan, HaloSchedule, distribute
 from repro.perf.costmodel import time_per_point
 from repro.perf.machine import A100, MachineSpec
 from repro.stencil.weights import StencilWeights
@@ -67,7 +72,6 @@ from repro.telemetry.spans import TRACER
 __all__ = [
     "ClusterRuntime",
     "ClusterResult",
-    "SimulatedCluster",
     "ClusterTimings",
     "NVLINK_BANDWIDTH",
     "NVLINK_LATENCY",
@@ -191,6 +195,66 @@ class ClusterResult:
         return build_cluster_report(self, tracer=tracer)
 
 
+def _fresh_resilience() -> dict:
+    return {
+        "checkpoints": {"saved": 0, "restored": 0},
+        "halo": {"detections": 0, "retransmits": 0, "recoveries": 0},
+        "replans": [],
+        "reassignments": 0,
+    }
+
+
+@dataclass
+class _Run:
+    """Mutable state of one :meth:`ClusterRuntime.run`, threaded through
+    its phase methods."""
+
+    schedule: HaloSchedule
+    steps: int
+    overlap: bool
+    executor: str
+    simulate: bool
+    verify: str | None
+    policy: object | None
+    max_workers: int | None
+    checkpoint: CheckpointConfig | None
+    elastic: bool
+    phases: tuple[int, ...] = ()
+    backend: str | None = None  # resolved; simulated runs only
+    fault_mode: bool = False
+    injector: object | None = None
+    report: object | None = None
+    fault_before: dict | None = None
+    halo_guard: bool = False
+    resumed: ClusterCheckpoint | None = None
+    blocks: dict[int, np.ndarray] = field(default_factory=dict)
+    last_round_done: int = -1
+    exchanged: int = 0
+    resumed_bytes: int = 0
+    round_log: list[dict] = field(default_factory=list)
+    counters: EventCounters | None = None
+    pids: set[int] = field(default_factory=set)
+    plan_keys: set[str] = field(default_factory=set)
+    saved_rounds: set[int] = field(default_factory=set)
+    resilience: dict = field(default_factory=_fresh_resilience)
+    pool: ProcessPoolExecutor | None = None
+    ctx: TraceContext | None = None
+    health: object | None = None
+    trace_id: str | None = None
+
+
+@dataclass
+class _Round:
+    """One round's halo exchange, feeding every rank's advance."""
+
+    index: int
+    steps: int
+    depth: int
+    exchanger: HaloExchanger
+    windows: dict[int, np.ndarray] | None = None  # synchronous exchange
+    handle: AsyncHaloHandle | None = None  # overlapped, still in flight
+
+
 class ClusterRuntime:
     """A mesh of simulated devices executing one distributed plan."""
 
@@ -274,11 +338,14 @@ class ClusterRuntime:
         (``"serial"`` / ``"thread"`` / ``"process"``).  ``simulate=True``
         runs the faithful TCU sweep per rank (merged
         :class:`~repro.tcu.counters.EventCounters` on the result) under
-        ``backend=``; ``verify`` / ``faults`` / ``policy`` arm the PR 5
+        ``backend=``; ``verify`` / ``faults`` / ``policy`` arm the
         fault-tolerance ladder — injected ``shard``/``rank`` faults
         target ranks and recover through the shared supervisor, and
         armed halo faults are caught by strip-checksum verification of
-        every exchanged window (with bounded retransmission).
+        every exchanged window (with bounded retransmission).  Process
+        ranks run unverified sweeps in their workers, so
+        ``executor="process"`` rejects ``verify=`` and MMA/staging
+        faults with a :class:`~repro.errors.BackendError`.
 
         ``checkpoint`` snapshots the run at temporal-round barriers
         (see :class:`~repro.parallel.checkpoint.CheckpointConfig`);
@@ -293,706 +360,651 @@ class ClusterRuntime:
         partition-independent.  All modes produce bit-identical
         trajectories (the equivalence suite asserts it).
         """
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
-        plan = self.plan
-        schedule = plan.schedule
-        if block_steps is not None or tiling is not None:
-            schedule = replace(
-                schedule,
-                block_steps=(
-                    schedule.block_steps if block_steps is None else block_steps
-                ),
-                tiling=schedule.tiling if tiling is None else tiling,
-            )
-        phases = schedule.phases(steps)  # validates steps >= 0
-
-        h = plan.radius
-        gshape = plan.global_shape
-        boundary = schedule.boundary
-        runtime = plan.compiled.runtime
-        subs = {sub.rank: sub for sub in self.part.subdomains}
-        ranks = sorted(subs)
-
-        fault_mode = bool(verify) or faults is not None or policy is not None
-        injector = None
-        report = None
-        before = None
-        if fault_mode:
-            from repro.faults import FaultReport, RecoveryPolicy, as_injector
-
-            injector = as_injector(faults)
-            report = injector.report if injector is not None else FaultReport()
-            policy = policy or RecoveryPolicy()
-            before = report.snapshot()
-        self.last_fault_report = report
-
-        resolved = None
-        if simulate:
-            from repro.runtime.backends import resolve_backend
-
-            resolved = resolve_backend(
-                backend, plan_default=plan.backend, fault_mode=fault_mode
-            )
-
-        halo_guard = False
-        if injector is not None:
-            from repro.faults.spec import HALO_KINDS
-
-            halo_guard = bool(injector.plan.by_kind(*HALO_KINDS))
-
-        ckpt_cfg = checkpoint
-        if isinstance(resume_from, str):
-            resume_from = load_checkpoint(resume_from)
-        resumed: ClusterCheckpoint | None = resume_from
-        start_round = 0
-        exchanged = 0
-        resumed_bytes = 0
-        round_log: list[dict] = []
-        if resumed is not None:
-            if resumed.plan_key != plan.key:
-                raise CheckpointError(
-                    "checkpoint was taken against a different distributed "
-                    f"plan (checkpoint {resumed.plan_key[:12]}…, current "
-                    f"{plan.key[:12]}…)"
-                )
-            if (
-                list(resumed.phases) != [int(p) for p in phases]
-                or resumed.steps != steps
-            ):
-                raise CheckpointError(
-                    "checkpoint phase schedule does not match this run "
-                    f"(checkpoint {resumed.phases} over {resumed.steps} "
-                    f"steps, current {[int(p) for p in phases]} over "
-                    f"{steps})"
-                )
-            blocks = {
-                rank: np.array(block, dtype=np.float64)
-                for rank, block in resumed.blocks.items()
-            }
-            exchanged = int(resumed.exchanged_bytes)
-            resumed_bytes = exchanged
-            round_log = [dict(entry) for entry in resumed.round_log]
-            start_round = resumed.round_index + 1
-            if injector is not None and resumed.fault_state:
-                injector.load_state(resumed.fault_state)
-        else:
-            blocks = self.scatter(global_field)
-
-        track_resilience = (
-            ckpt_cfg is not None
-            or resumed is not None
-            or elastic
-            or halo_guard
-        )
-        resilience: dict = {
-            "checkpoints": {
-                "saved": 0,
-                "restored": 1 if resumed is not None else 0,
-            },
-            "halo": {"detections": 0, "retransmits": 0, "recoveries": 0},
-            "replans": [],
-            "reassignments": 0,
-        }
-
-        total_counters = EventCounters() if simulate else None
-        ledger_before = halo_bytes_counter().value
-        pids: set[int] = set()
-        plan_keys: set[str] = set()
-        pool: ProcessPoolExecutor | None = None
-        if executor == "process":
-            pool = ProcessPoolExecutor(
-                max_workers=max_workers or min(len(ranks), os.cpu_count() or 1)
-            )
-
-        span_attrs = dict(
-            category="parallel",
-            plan=plan.key[:16],
-            devices=plan.num_devices,
+        st = _Run(
+            schedule=self.plan.schedule,
             steps=steps,
-            rounds=len(phases),
-            tiling=schedule.tiling,
             overlap=overlap,
             executor=executor,
+            simulate=simulate,
+            verify=verify,
+            policy=policy,
+            max_workers=max_workers,
+            checkpoint=checkpoint,
+            elastic=elastic,
         )
-        if resumed is not None:
-            span_attrs["resumed_from_round"] = resumed.round_index
-        if resumed is not None and resumed.trace_id and TRACER.enabled:
-            # continue the interrupted run's trace: pre-seeding the root
-            # span's trace id merges the resumed rounds into one tree
-            run_cm = TraceContext(resumed.trace_id, None).span(
-                "cluster.run", **span_attrs
-            )
-        else:
-            run_cm = telemetry.span("cluster.run", **span_attrs)
-        with run_cm as run_span:
-            ctx = TraceContext.capture()
-            sweep_health = HEALTH.start_sweep(f"cluster-{plan.key[:12]}")
-            saved_rounds: set[int] = set()
-            last_round_done = start_round - 1
-
-            def _save(round_idx: int):
-                ck = save_checkpoint(
-                    ckpt_cfg.dir,
-                    plan_key=plan.key,
-                    round_index=round_idx,
-                    phases=[int(p) for p in phases],
-                    steps=int(steps),
-                    exchanged_bytes=int(exchanged),
-                    round_log=[dict(entry) for entry in round_log],
-                    blocks=blocks,
-                    mesh=tuple(self.part.mesh),
-                    global_shape=tuple(gshape),
-                    trace_id=run_span.trace_id,
-                    fault_state=(
-                        injector.state_dict() if injector is not None else None
-                    ),
-                    meta=dict(self.checkpoint_meta),
-                    keep=ckpt_cfg.keep,
-                )
-                saved_rounds.add(round_idx)
-                resilience["checkpoints"]["saved"] += 1
-                return ck
-
-            def _guard_halos(windows, ex, round_i, depth) -> None:
-                """Verify every exchanged window's frame strips at
-                tolerance 0 against the sender-side checksums, with a
-                bounded retransmission ladder; an exhausted window
-                escalates to a rank failure (``failed_task`` set) so the
-                elastic re-plan treats the corrupting link's receiver as
-                dead."""
-                from repro.faults.abft import halo_frame_checksums
-
-                retransmits = getattr(policy, "max_halo_retransmits", 2)
-                # sender-side strip checksums, before any wire fault
-                sent = {
-                    rank: halo_frame_checksums(windows[rank], depth)
-                    for rank in ranks
-                }
-                injector.on_halo(windows, round_i, depth)
-                for rank in ranks:
-                    if halo_frame_checksums(windows[rank], depth) == sent[rank]:
-                        continue
-                    report.bump("halo_detections")
-                    resilience["halo"]["detections"] += 1
-                    emit_event(
-                        "halo.corrupt_detected",
-                        level="warning",
-                        message=(
-                            f"halo window of rank {rank} failed strip-"
-                            f"checksum verification in round {round_i}"
-                        ),
-                        rank=rank,
-                        round=round_i,
-                        depth=depth,
-                    )
-                    recovered = False
-                    for retry in range(retransmits):
-                        report.bump("halo_retransmits")
-                        resilience["halo"]["retransmits"] += 1
-                        win = ex.retransmit(rank)
-                        # sticky wire faults re-corrupt the replacement
-                        injector.on_halo_window(win, round_i, rank, depth)
-                        windows[rank] = win
-                        if halo_frame_checksums(win, depth) == sent[rank]:
-                            report.bump("halo_recoveries")
-                            resilience["halo"]["recoveries"] += 1
-                            emit_event(
-                                "halo.recovered",
-                                message=(
-                                    f"rank {rank} halo verified after "
-                                    "retransmission"
-                                ),
-                                rank=rank,
-                                round=round_i,
-                                attempt=retry + 1,
-                            )
-                            recovered = True
-                            break
-                    if not recovered:
-                        report.bump("unrecovered")
-                        emit_event(
-                            "halo.unrecovered",
-                            level="error",
-                            message=(
-                                f"halo window of rank {rank} exhausted "
-                                f"{retransmits} retransmissions"
-                            ),
-                            rank=rank,
-                            round=round_i,
-                        )
-                        error = FaultError(
-                            f"halo window of rank {rank} stayed corrupted "
-                            f"after {retransmits} retransmissions"
-                        )
-                        error.failed_task = rank
-                        raise error
-
+        self._start(
+            st, global_field, block_steps, tiling, faults, backend,
+            resume_from,
+        )
+        ledger_before = halo_bytes_counter().value
+        with self._run_span(st) as run_span:
+            st.ctx = TraceContext.capture()
+            st.health = HEALTH.start_sweep(f"cluster-{self.plan.key[:12]}")
+            st.trace_id = run_span.trace_id
             try:
-                worklist = list(range(start_round, len(phases)))
-                round_marks: dict[int, int] = {}
-                while worklist:
-                    round_i = worklist[0]
-                    k = phases[round_i]
-                    # per-round byte mark survives elastic retries, so
-                    # aborted attempts' traffic still lands in the round's
-                    # ledger entry (one accounting source)
-                    round_marks.setdefault(
-                        round_i, halo_bytes_counter().value
+                if executor == "process":
+                    st.pool = ProcessPoolExecutor(
+                        max_workers=max_workers
+                        or min(self.part.num_devices, os.cpu_count() or 1)
                     )
-                    depth = schedule.depth(k)
-                    ex = self.exchanger(depth)
-                    # halo verification needs the materialized windows
-                    # before any rank computes — it is a synchronization
-                    # point, so the guard forces the sync exchange path
-                    effective_overlap = overlap and not halo_guard
-                    handle = None
-                    windows = None
-                    if effective_overlap:
-                        # cp.async commit: blocks are snapshotted into the
-                        # staging buffer before this returns; the transfer
-                        # materializes on the exchanger's background lane
-                        # while ranks compute their interiors below
-                        with telemetry.span(
-                            "cluster.exchange",
-                            category="parallel",
-                            round=round_i,
-                            depth=depth,
-                            mode="async",
-                        ) as ex_span:
-                            handle = ex.exchange_async(blocks)
-                            ex_span.annotate(bytes=handle.bytes_issued)
-                    else:
-                        with telemetry.span(
-                            "cluster.exchange",
-                            category="parallel",
-                            round=round_i,
-                            depth=depth,
-                            mode="sync",
-                        ) as ex_span:
-                            issued = ex.exchanged_bytes
-                            windows = ex.exchange(blocks)
-                            ex_span.annotate(
-                                bytes=ex.exchanged_bytes - issued
-                            )
-
-                    def rank_worker(i: int, rank: int):
-                        if injector is not None and executor == "process":
-                            # shard faults fire in the dispatcher, where
-                            # the supervisor's timeout/retry can see them;
-                            # the ctx-attached span keeps the fault.inject
-                            # child inside the run's trace instead of an
-                            # orphan root on the supervisor thread
-                            with ctx.span(
-                                "cluster.dispatch",
-                                category="parallel",
-                                rank=rank,
-                                round=round_i,
-                            ):
-                                injector.on_shard(rank)
-                                injector.on_rank(rank)
-                        with HEALTH.bind(
-                            sweep_health.shard(rank, rows=f"rank {rank}")
-                        ):
-                            if executor == "process":
-                                if handle is not None:
-                                    with ctx.span(
-                                        "cluster.wait",
-                                        category="parallel",
-                                        rank=rank,
-                                        round=round_i,
-                                    ):
-                                        win = handle.wait()[rank]
-                                else:
-                                    win = windows[rank]
-                                return process_advance(
-                                    pool,
-                                    rank,
-                                    win,
-                                    subs[rank],
-                                    plan,
-                                    k,
-                                    ctx,
-                                    simulate=simulate,
-                                    backend=resolved,
-                                    round_i=round_i,
-                                )
-                            with ctx.span(
-                                "cluster.rank",
-                                category="parallel",
-                                rank=rank,
-                                steps=k,
-                                round=round_i,
-                            ) as sp:
-                                if injector is not None:
-                                    injector.on_shard(rank)
-                                    injector.on_rank(rank)
-                                local = (
-                                    EventCounters() if simulate else None
-                                )
-
-                                def apply_fn(win, _acc=local):
-                                    if _acc is None:
-                                        return runtime.apply(win)
-                                    out, ev = runtime.apply_simulated(
-                                        win,
-                                        verify=verify,
-                                        faults=injector,
-                                        policy=policy,
-                                        report=report,
-                                        backend=resolved,
-                                    )
-                                    _acc += ev
-                                    return out
-
-                                sub = subs[rank]
-                                origin = tuple(
-                                    s.start - depth for s in sub.slices
-                                )
-                                lane = dict(
-                                    category="parallel",
-                                    rank=rank,
-                                    round=round_i,
-                                )
-                                if handle is None:
-                                    with telemetry.span(
-                                        "cluster.compute", **lane
-                                    ):
-                                        out = advance_window(
-                                            apply_fn,
-                                            windows[rank],
-                                            origin,
-                                            gshape,
-                                            boundary,
-                                            k,
-                                            h,
-                                        )
-                                elif local is not None:
-                                    # the simulated sweep tiles the whole
-                                    # window (the tile decomposition is
-                                    # part of the bit/counter contract),
-                                    # so overlap models the async
-                                    # transfer and sweeps after arrival
-                                    with telemetry.span(
-                                        "cluster.wait", **lane
-                                    ):
-                                        win = handle.wait()[rank]
-                                    with telemetry.span(
-                                        "cluster.compute", **lane
-                                    ):
-                                        out = advance_window(
-                                            apply_fn,
-                                            win,
-                                            origin,
-                                            gshape,
-                                            boundary,
-                                            k,
-                                            h,
-                                        )
-                                else:
-                                    block = blocks[rank]
-                                    interior, strips = frame_regions(
-                                        block.shape, depth
-                                    )
-                                    if interior is None:
-                                        # block too small to hide any
-                                        # compute: wait, then full window
-                                        with telemetry.span(
-                                            "cluster.wait", **lane
-                                        ):
-                                            win = handle.wait()[rank]
-                                        with telemetry.span(
-                                            "cluster.compute", **lane
-                                        ):
-                                            out = advance_window(
-                                                apply_fn,
-                                                win,
-                                                origin,
-                                                gshape,
-                                                boundary,
-                                                k,
-                                                h,
-                                            )
-                                    else:
-                                        with telemetry.span(
-                                            "cluster.interior", **lane
-                                        ):
-                                            core = interior_of(
-                                                apply_fn,
-                                                block,
-                                                sub,
-                                                gshape,
-                                                boundary,
-                                                k,
-                                                h,
-                                            )
-                                        with telemetry.span(
-                                            "cluster.wait", **lane
-                                        ):
-                                            win = handle.wait()[rank]
-                                        out = np.empty(
-                                            sub.shape, dtype=np.float64
-                                        )
-                                        out[interior] = core
-                                        with telemetry.span(
-                                            "cluster.stitch", **lane
-                                        ):
-                                            for region in strips:
-                                                sw = strip_window(
-                                                    win, region, depth
-                                                )
-                                                so = tuple(
-                                                    s.start
-                                                    + r.start
-                                                    - depth
-                                                    for s, r in zip(
-                                                        sub.slices, region
-                                                    )
-                                                )
-                                                out[region] = (
-                                                    advance_window(
-                                                        apply_fn,
-                                                        sw,
-                                                        so,
-                                                        gshape,
-                                                        boundary,
-                                                        k,
-                                                        h,
-                                                    )
-                                                )
-                                if local is not None:
-                                    sp.add_events(local)
-                                return out, local, None
-
+                round_i, mark = st.last_round_done + 1, None
+                while round_i < len(st.phases):
+                    # the byte mark survives elastic retries, so aborted
+                    # attempts' traffic still lands in the round's entry
+                    if mark is None:
+                        mark = halo_bytes_counter().value
+                    rnd = self._exchange(st, round_i)
                     try:
-                        if halo_guard and depth > 0:
-                            _guard_halos(windows, ex, round_i, depth)
-                        if fault_mode:
-                            from repro.faults.supervisor import (
-                                supervise_tasks,
-                            )
-
-                            results = supervise_tasks(
-                                {r: (r,) for r in ranks},
-                                rank_worker,
-                                policy,
-                                report,
-                                max_workers=(
-                                    1
-                                    if executor == "serial"
-                                    else max_workers
-                                ),
-                                health=sweep_health,
-                                describe=lambda args: f"rank {args[0]}",
-                            )
-                        elif executor == "serial":
-                            results = {r: rank_worker(r, r) for r in ranks}
-                        else:
-                            with ThreadPoolExecutor(
-                                max_workers=max_workers
-                            ) as tp:
-                                futures = {
-                                    r: tp.submit(rank_worker, r, r)
-                                    for r in ranks
-                                }
-                                results = {}
-                                for r, future in futures.items():
-                                    try:
-                                        results[r] = future.result()
-                                    except ReproError:
-                                        raise
-                                    except Exception as exc:
-                                        raise ExecutionError(
-                                            f"cluster rank {r} of "
-                                            f"{len(ranks)} failed: {exc}"
-                                        ) from exc
-
-                        for r in ranks:
-                            out, ev, info = results[r]
-                            blocks[r] = out
-                            if ev is not None and total_counters is not None:
-                                total_counters += ev
-                            if info:
-                                pids.add(info["pid"])
-                                plan_keys.add(info["plan_key"])
+                        if st.halo_guard and rnd.depth > 0:
+                            self._guard_halos(st, rnd)
+                        results = self._dispatch(st, rnd)
                     except FaultError as exc:
                         dead = getattr(exc, "failed_task", None)
-                        if not elastic or dead is None or len(ranks) <= 1:
+                        if not st.elastic or dead is None or (
+                            self.part.num_devices <= 1
+                        ):
                             raise
-                        # elastic re-plan: ``blocks`` still hold the
-                        # round-start barrier state (results only fold
-                        # after every rank succeeds), so shrinking the
-                        # mesh and replaying this round is lossless —
-                        # and bit-identical, because the per-point
-                        # update chains are partition-independent
-                        global_now = self.gather(blocks)
-                        old_mesh = tuple(self.part.mesh)
-                        new_mesh = (len(ranks) - 1,) + (1,) * (
-                            len(gshape) - 1
-                        )
-                        plan = distribute(
-                            plan.source_weights,
-                            gshape,
-                            new_mesh,
-                            boundary=boundary,
-                            block_steps=schedule.block_steps,
-                            tiling=schedule.tiling,
-                            backend=plan.backend,
-                        )
-                        schedule = plan.schedule
-                        self.plan = plan
-                        self.part = plan.part
-                        self._exchangers = {}
-                        runtime = plan.compiled.runtime
-                        subs = {
-                            sub.rank: sub for sub in self.part.subdomains
-                        }
-                        ranks = sorted(subs)
-                        blocks = self.scatter(global_now)
-                        if injector is not None:
-                            # survivors are renumbered: the dead rank's
-                            # (possibly sticky) faults must not transfer
-                            # onto whoever inherits its index
-                            injector.disarm_rank(dead)
-                        if report is not None:
-                            report.bump("rank_reassignments")
-                            if report.counts.get("unrecovered", 0) > 0:
-                                # the supervisor booked the exhausted
-                                # ladder as unrecovered before the
-                                # replan ran; the re-partition *is*
-                                # the recovery
-                                report.bump("unrecovered", -1)
-                        REGISTRY.counter(
-                            "repro_rank_reassignments_total",
-                            help=(
-                                "cluster ranks replaced by an elastic "
-                                "re-partition"
-                            ),
-                        ).inc()
-                        resilience["reassignments"] += 1
-                        resilience["replans"].append(
-                            {
-                                "round": int(round_i),
-                                "dead_rank": int(dead),
-                                "old_mesh": [int(m) for m in old_mesh],
-                                "new_mesh": [int(m) for m in new_mesh],
-                            }
-                        )
-                        emit_event(
-                            "rank.reassigned",
-                            level="warning",
-                            message=(
-                                f"rank {dead} exhausted its recovery "
-                                f"ladder; re-partitioned {old_mesh} -> "
-                                f"{new_mesh}, replaying round {round_i}"
-                            ),
-                            dead_rank=int(dead),
-                            round=int(round_i),
-                            old_mesh=list(old_mesh),
-                            new_mesh=list(new_mesh),
-                        )
+                        self._replan(st, dead, round_i)
                         continue
-
-                    round_moved = int(
-                        halo_bytes_counter().value
-                        - round_marks.pop(round_i)
-                    )
-                    exchanged += round_moved
-                    round_log.append(
-                        {
-                            "round": round_i,
-                            "steps": k,
-                            "depth": depth,
-                            "halo_bytes": round_moved,
-                            "comm_bytes_max": max(
-                                ex.bytes_per_exchange(s.rank)
-                                for s in self.part.subdomains
-                            ),
-                        }
-                    )
-                    last_round_done = round_i
-                    worklist.pop(0)
-                    if ckpt_cfg is not None and (
-                        (round_i + 1) % ckpt_cfg.every == 0
-                        or ckpt_cfg.halt_after == round_i
-                    ):
-                        ck = _save(round_i)
-                        if ckpt_cfg.halt_after == round_i:
-                            raise CheckpointHalt(ck.path, round_i)
+                    self._fold(st, rnd, results, mark)
+                    self._checkpoint(st, round_i)
+                    round_i, mark = round_i + 1, None
             except KeyboardInterrupt:
-                # don't leak the pool or lose the run's progress: kill
-                # the workers, flush what we know, and leave the last
-                # completed barrier behind as a resumable checkpoint
-                if pool is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    for proc in list(
-                        (getattr(pool, "_processes", None) or {}).values()
-                    ):
-                        try:
-                            proc.terminate()
-                        except Exception:  # pragma: no cover - defensive
-                            pass
-                    pool = None
-                emit_event(
-                    "run.interrupted",
-                    level="warning",
-                    message=(
-                        "cluster run interrupted after "
-                        f"{last_round_done + 1} of {len(phases)} rounds"
-                    ),
-                    rounds_done=last_round_done + 1,
-                    rounds_total=len(phases),
-                )
-                if (
-                    ckpt_cfg is not None
-                    and last_round_done >= 0
-                    and last_round_done not in saved_rounds
-                ):
-                    _save(last_round_done)
+                self._interrupted(st)
                 raise
             finally:
-                if pool is not None:
-                    pool.shutdown(wait=True)
+                if st.pool is not None:
+                    st.pool.shutdown(wait=True)
                 HEALTH.publish()
                 HEALTH.write_file()
-
-            if total_counters is not None:
-                run_span.add_events(total_counters)
-                telemetry.absorb_events(total_counters)
-            if report is not None:
-                run_span.annotate(
-                    faults_injected=report.total_injected,
-                    faults_detected=report.total_detected,
-                    faults_recovered=report.total_recovered,
-                )
-                telemetry.absorb_faults(report.delta(before))
-            run_span.annotate(halo_bytes=exchanged)
+            self._close_span(st, run_span)
 
         result = ClusterResult(
-            field=self.gather(blocks),
+            field=self.gather(st.blocks),
             steps=steps,
-            phases=phases,
-            exchanged_bytes=exchanged,
-            counters=total_counters,
-            fault_report=report,
-            backend=resolved,
+            phases=st.phases,
+            exchanged_bytes=st.exchanged,
+            counters=st.counters,
+            fault_report=st.report,
+            backend=st.backend,
             executor=executor,
             overlap=overlap,
-            worker_pids=tuple(sorted(pids)),
-            rank_plan_keys=tuple(sorted(plan_keys)),
-            round_log=tuple(round_log),
+            worker_pids=tuple(sorted(st.pids)),
+            rank_plan_keys=tuple(sorted(st.plan_keys)),
+            round_log=tuple(st.round_log),
             halo_counter_delta=int(
                 halo_bytes_counter().value - ledger_before
             ),
-            plan=plan,
-            trace_id=run_span.trace_id,
-            resumed_halo_bytes=resumed_bytes,
-            resilience=resilience if track_resilience else None,
+            plan=self.plan,
+            trace_id=st.trace_id,
+            resumed_halo_bytes=st.resumed_bytes,
+            resilience=(
+                st.resilience
+                if checkpoint is not None
+                or st.resumed is not None
+                or elastic
+                or st.halo_guard
+                else None
+            ),
         )
         self.last_result = result
         return result
+
+    # ------------------------------------------------------------------
+    # run phases
+    # ------------------------------------------------------------------
+    def _start(
+        self, st: _Run, global_field, block_steps, tiling, faults, backend,
+        resume_from,
+    ) -> None:
+        """Validate a run's options and complete its state: the
+        effective schedule, the fault ladder, the backend and the
+        round-0 blocks (scattered, or restored from a checkpoint)."""
+        if st.executor not in EXECUTORS:
+            raise ValueError(
+                f"executor must be one of {EXECUTORS}, got {st.executor!r}"
+            )
+        if block_steps is not None or tiling is not None:
+            st.schedule = replace(
+                st.schedule,
+                block_steps=(
+                    st.schedule.block_steps
+                    if block_steps is None
+                    else block_steps
+                ),
+                tiling=st.schedule.tiling if tiling is None else tiling,
+            )
+        st.phases = st.schedule.phases(st.steps)  # validates steps >= 0
+        if st.simulate:
+            st.counters = EventCounters()
+
+        st.fault_mode = (
+            bool(st.verify) or faults is not None or st.policy is not None
+        )
+        if st.fault_mode:
+            from repro.faults import FaultReport, RecoveryPolicy, as_injector
+            from repro.faults.spec import HALO_KINDS, MMA_KINDS, STAGE_KINDS
+
+            st.injector = as_injector(faults)
+            st.report = (
+                st.injector.report
+                if st.injector is not None
+                else FaultReport()
+            )
+            st.policy = st.policy or RecoveryPolicy()
+            st.fault_before = st.report.snapshot()
+            if st.injector is not None:
+                st.halo_guard = bool(st.injector.plan.by_kind(*HALO_KINDS))
+            if st.executor == "process" and (
+                st.verify
+                or (
+                    st.injector is not None
+                    and st.injector.plan.by_kind(*MMA_KINDS, *STAGE_KINDS)
+                )
+            ):
+                raise BackendError(
+                    "executor='process' cannot verify or inject MMA/"
+                    "staging faults: worker processes run unverified "
+                    "sweeps; use executor='thread' or 'serial'"
+                )
+        self.last_fault_report = st.report
+        if st.simulate:
+            from repro.runtime.backends import resolve_backend
+
+            st.backend = resolve_backend(
+                backend,
+                plan_default=self.plan.backend,
+                fault_mode=st.fault_mode,
+            )
+
+        if isinstance(resume_from, str):
+            resume_from = load_checkpoint(resume_from)
+        if resume_from is None:
+            st.blocks = self.scatter(global_field)
+        else:
+            self._restore(st, resume_from)
+
+    def _restore(self, st: _Run, ck: ClusterCheckpoint) -> None:
+        """Continue from a checkpoint's barrier state and ledgers."""
+        if ck.plan_key != self.plan.key:
+            raise CheckpointError(
+                "checkpoint was taken against a different distributed "
+                f"plan (checkpoint {ck.plan_key[:12]}…, current "
+                f"{self.plan.key[:12]}…)"
+            )
+        phases = [int(p) for p in st.phases]
+        if list(ck.phases) != phases or ck.steps != st.steps:
+            raise CheckpointError(
+                "checkpoint phase schedule does not match this run "
+                f"(checkpoint {ck.phases} over {ck.steps} steps, current "
+                f"{phases} over {st.steps})"
+            )
+        st.resumed = ck
+        st.blocks = {
+            rank: np.array(block, dtype=np.float64)
+            for rank, block in ck.blocks.items()
+        }
+        st.exchanged = st.resumed_bytes = int(ck.exchanged_bytes)
+        st.round_log = [dict(entry) for entry in ck.round_log]
+        st.last_round_done = ck.round_index
+        st.resilience["checkpoints"]["restored"] = 1
+        if st.injector is not None and ck.fault_state:
+            st.injector.load_state(ck.fault_state)
+
+    def _run_span(self, st: _Run):
+        """The run's root ``cluster.run`` span (continuing the trace of
+        a resumed run, so its rounds merge into one tree)."""
+        attrs = dict(
+            category="parallel",
+            plan=self.plan.key[:16],
+            devices=self.plan.num_devices,
+            steps=st.steps,
+            rounds=len(st.phases),
+            tiling=st.schedule.tiling,
+            overlap=st.overlap,
+            executor=st.executor,
+        )
+        if st.resumed is not None:
+            attrs["resumed_from_round"] = st.resumed.round_index
+            if st.resumed.trace_id and TRACER.enabled:
+                return TraceContext(st.resumed.trace_id, None).span(
+                    "cluster.run", **attrs
+                )
+        return telemetry.span("cluster.run", **attrs)
+
+    def _exchange(self, st: _Run, round_i: int) -> _Round:
+        """Issue one round's halo exchange.
+
+        Overlapped runs commit it asynchronously (``cp.async``): the
+        blocks are snapshotted into the staging buffer before this
+        returns and the transfer materializes on the exchanger's
+        background lane while ranks compute their interiors.  Halo
+        verification needs the materialized windows before any rank
+        computes, so the halo guard forces the synchronous path.
+        """
+        k = st.phases[round_i]
+        depth = st.schedule.depth(k)
+        rnd = _Round(round_i, k, depth, self.exchanger(depth))
+        mode = "async" if st.overlap and not st.halo_guard else "sync"
+        with telemetry.span(
+            "cluster.exchange",
+            category="parallel",
+            round=round_i,
+            depth=depth,
+            mode=mode,
+        ) as span:
+            if mode == "async":
+                rnd.handle = rnd.exchanger.exchange_async(st.blocks)
+                span.annotate(bytes=rnd.handle.bytes_issued)
+            else:
+                issued = rnd.exchanger.exchanged_bytes
+                rnd.windows = rnd.exchanger.exchange(st.blocks)
+                span.annotate(bytes=rnd.exchanger.exchanged_bytes - issued)
+        return rnd
+
+    def _guard_halos(self, st: _Run, rnd: _Round) -> None:
+        """Verify every exchanged window's frame strips at tolerance 0
+        against the sender-side checksums, with a bounded
+        retransmission ladder; an exhausted window escalates to a rank
+        failure (``failed_task`` set) so the elastic re-plan treats the
+        corrupting link's receiver as dead."""
+        from repro.faults.abft import halo_frame_checksums
+
+        report, halo = st.report, st.resilience["halo"]
+        windows, round_i, depth = rnd.windows, rnd.index, rnd.depth
+        retransmits = getattr(st.policy, "max_halo_retransmits", 2)
+        # sender-side strip checksums, before any wire fault
+        sent = {
+            rank: halo_frame_checksums(win, depth)
+            for rank, win in windows.items()
+        }
+        st.injector.on_halo(windows, round_i, depth)
+        for rank in sorted(windows):
+            if halo_frame_checksums(windows[rank], depth) == sent[rank]:
+                continue
+            report.bump("halo_detections")
+            halo["detections"] += 1
+            emit_event(
+                "halo.corrupt_detected",
+                level="warning",
+                message=(
+                    f"halo window of rank {rank} failed strip-checksum "
+                    f"verification in round {round_i}"
+                ),
+                rank=rank,
+                round=round_i,
+                depth=depth,
+            )
+            for retry in range(retransmits):
+                report.bump("halo_retransmits")
+                halo["retransmits"] += 1
+                win = rnd.exchanger.retransmit(rank)
+                # sticky wire faults re-corrupt the replacement
+                st.injector.on_halo_window(win, round_i, rank, depth)
+                windows[rank] = win
+                if halo_frame_checksums(win, depth) == sent[rank]:
+                    report.bump("halo_recoveries")
+                    halo["recoveries"] += 1
+                    emit_event(
+                        "halo.recovered",
+                        message=(
+                            f"rank {rank} halo verified after "
+                            "retransmission"
+                        ),
+                        rank=rank,
+                        round=round_i,
+                        attempt=retry + 1,
+                    )
+                    break
+            else:
+                report.bump("unrecovered")
+                emit_event(
+                    "halo.unrecovered",
+                    level="error",
+                    message=(
+                        f"halo window of rank {rank} exhausted "
+                        f"{retransmits} retransmissions"
+                    ),
+                    rank=rank,
+                    round=round_i,
+                )
+                error = FaultError(
+                    f"halo window of rank {rank} stayed corrupted after "
+                    f"{retransmits} retransmissions"
+                )
+                error.failed_task = rank
+                raise error
+
+    def _dispatch(self, st: _Run, rnd: _Round) -> dict[int, tuple]:
+        """Run every rank's round on the executor; ``{rank: (block,
+        counters | None, info | None)}``.  Fault runs go through the
+        shared supervisor (timeouts, retries, backoff) on any executor."""
+        ranks = range(self.part.num_devices)
+        if st.fault_mode:
+            from repro.faults.supervisor import supervise_tasks
+
+            return supervise_tasks(
+                {r: (r,) for r in ranks},
+                lambda _task, rank: self._rank(st, rnd, rank),
+                st.policy,
+                st.report,
+                max_workers=1 if st.executor == "serial" else st.max_workers,
+                health=st.health,
+                describe=lambda args: f"rank {args[0]}",
+            )
+        if st.executor == "serial":
+            return {r: self._rank(st, rnd, r) for r in ranks}
+        with ThreadPoolExecutor(max_workers=st.max_workers) as tp:
+            futures = {r: tp.submit(self._rank, st, rnd, r) for r in ranks}
+            results = {}
+            for r, future in futures.items():
+                try:
+                    results[r] = future.result()
+                except ReproError:
+                    raise
+                except Exception as exc:
+                    raise ExecutionError(
+                        f"cluster rank {r} of {len(ranks)} failed: {exc}"
+                    ) from exc
+        return results
+
+    def _rank(self, st: _Run, rnd: _Round, rank: int) -> tuple:
+        """One rank's round: ``(block, counters | None, info | None)``.
+
+        Process ranks fire their shard/rank faults here in the
+        dispatcher, where the supervisor's timeout/retry can see them
+        (the context-attached span keeps the ``fault.inject`` child in
+        the run's trace), then advance whole windows in a worker.
+        """
+        sub = self.part.subdomains[rank]
+        if st.executor == "process":
+            if st.injector is not None:
+                with st.ctx.span(
+                    "cluster.dispatch",
+                    category="parallel",
+                    rank=rank,
+                    round=rnd.index,
+                ):
+                    st.injector.on_shard(rank)
+                    st.injector.on_rank(rank)
+            with HEALTH.bind(st.health.shard(rank, rows=f"rank {rank}")):
+                return process_advance(
+                    st.pool,
+                    rank,
+                    self._window(rnd, rank, st.ctx.span),
+                    sub,
+                    self.plan,
+                    rnd.steps,
+                    st.ctx,
+                    simulate=st.simulate,
+                    backend=st.backend,
+                    round_i=rnd.index,
+                )
+        with HEALTH.bind(
+            st.health.shard(rank, rows=f"rank {rank}")
+        ), st.ctx.span(
+            "cluster.rank",
+            category="parallel",
+            rank=rank,
+            steps=rnd.steps,
+            round=rnd.index,
+        ) as span:
+            if st.injector is not None:
+                st.injector.on_shard(rank)
+                st.injector.on_rank(rank)
+            runtime = self.plan.compiled.runtime
+            if not st.simulate:
+                return self._advance(st, rnd, sub, runtime.apply), None, None
+            local = EventCounters()
+
+            def apply_fn(win: np.ndarray) -> np.ndarray:
+                out, ev = runtime.apply_simulated(
+                    win,
+                    verify=st.verify,
+                    faults=st.injector,
+                    policy=st.policy,
+                    report=st.report,
+                    backend=st.backend,
+                )
+                local.__iadd__(ev)
+                return out
+
+            out = self._advance(st, rnd, sub, apply_fn)
+            span.add_events(local)
+            return out, local, None
+
+    def _advance(self, st: _Run, rnd: _Round, sub, apply_fn) -> np.ndarray:
+        """Advance one rank's block through the round in this process.
+
+        The one overlap decision: while the transfer is in flight, a
+        functional rank whose block holds a ``depth``-inset interior
+        computes that interior from its own block, waits, then stitches
+        the frame strips from the arrived window.  Every other case —
+        a synchronous exchange, a simulated sweep (its tiling of the
+        whole window is part of the bit/counter contract), or a block
+        too small for an interior — waits and advances the whole window.
+        """
+        rank, depth = sub.rank, rnd.depth
+        gshape, h = self.plan.global_shape, self.plan.radius
+        boundary = st.schedule.boundary
+        lane = dict(category="parallel", rank=rank, round=rnd.index)
+        interior = None
+        if rnd.handle is not None and not st.simulate:
+            interior, strips = frame_regions(st.blocks[rank].shape, depth)
+        if interior is None:
+            win = self._window(rnd, rank, telemetry.span)
+            origin = tuple(s.start - depth for s in sub.slices)
+            with telemetry.span("cluster.compute", **lane):
+                return advance_window(
+                    apply_fn, win, origin, gshape, boundary, rnd.steps, h
+                )
+        with telemetry.span("cluster.interior", **lane):
+            core = interior_of(
+                apply_fn, st.blocks[rank], sub, gshape, boundary, rnd.steps, h
+            )
+        win = self._window(rnd, rank, telemetry.span)
+        out = np.empty(sub.shape, dtype=np.float64)
+        out[interior] = core
+        with telemetry.span("cluster.stitch", **lane):
+            for region in strips:
+                origin = tuple(
+                    s.start + r.start - depth
+                    for s, r in zip(sub.slices, region)
+                )
+                out[region] = advance_window(
+                    apply_fn,
+                    strip_window(win, region, depth),
+                    origin,
+                    gshape,
+                    boundary,
+                    rnd.steps,
+                    h,
+                )
+        return out
+
+    @staticmethod
+    def _window(rnd: _Round, rank: int, span) -> np.ndarray:
+        """A rank's exchanged window, waiting (under a ``cluster.wait``
+        span opened by ``span``) when the transfer is still in flight."""
+        if rnd.handle is None:
+            return rnd.windows[rank]
+        with span(
+            "cluster.wait", category="parallel", rank=rank, round=rnd.index
+        ):
+            return rnd.handle.wait()[rank]
+
+    def _fold(self, st: _Run, rnd: _Round, results: dict, mark: int) -> None:
+        """Commit a completed round: the new blocks, merged counters and
+        the round's exchange-ledger entry."""
+        for rank in sorted(results):
+            out, ev, info = results[rank]
+            st.blocks[rank] = out
+            if ev is not None:
+                st.counters += ev
+            if info:
+                st.pids.add(info["pid"])
+                st.plan_keys.add(info["plan_key"])
+        moved = int(halo_bytes_counter().value - mark)
+        st.exchanged += moved
+        st.round_log.append(
+            {
+                "round": rnd.index,
+                "steps": rnd.steps,
+                "depth": rnd.depth,
+                "halo_bytes": moved,
+                "comm_bytes_max": max(
+                    rnd.exchanger.bytes_per_exchange(s.rank)
+                    for s in self.part.subdomains
+                ),
+            }
+        )
+        st.last_round_done = rnd.index
+
+    def _checkpoint(self, st: _Run, round_i: int) -> None:
+        """Snapshot the barrier after ``round_i`` when the checkpoint
+        cadence asks for it, halting the run on ``halt_after``."""
+        cfg = st.checkpoint
+        if cfg is None:
+            return
+        halt = cfg.halt_after == round_i
+        if halt or (round_i + 1) % cfg.every == 0:
+            ck = self._save(st, round_i)
+            if halt:
+                raise CheckpointHalt(ck.path, round_i)
+
+    def _save(self, st: _Run, round_i: int) -> ClusterCheckpoint:
+        ck = save_checkpoint(
+            st.checkpoint.dir,
+            plan_key=self.plan.key,
+            round_index=round_i,
+            phases=[int(p) for p in st.phases],
+            steps=int(st.steps),
+            exchanged_bytes=int(st.exchanged),
+            round_log=[dict(entry) for entry in st.round_log],
+            blocks=st.blocks,
+            mesh=tuple(self.part.mesh),
+            global_shape=tuple(self.plan.global_shape),
+            trace_id=st.trace_id,
+            fault_state=(
+                st.injector.state_dict() if st.injector is not None else None
+            ),
+            meta=dict(self.checkpoint_meta),
+            keep=st.checkpoint.keep,
+        )
+        st.saved_rounds.add(round_i)
+        st.resilience["checkpoints"]["saved"] += 1
+        return ck
+
+    def _replan(self, st: _Run, dead: int, round_i: int) -> None:
+        """Elastic re-plan: drop rank ``dead`` and re-partition.
+
+        ``st.blocks`` still hold the round-start barrier state (results
+        only fold after every rank succeeds), so shrinking the mesh and
+        replaying the round is lossless — and bit-identical, because the
+        per-point update chains are partition-independent.
+        """
+        global_now = self.gather(st.blocks)
+        old_mesh = tuple(self.part.mesh)
+        gshape = self.plan.global_shape
+        new_mesh = (self.part.num_devices - 1,) + (1,) * (len(gshape) - 1)
+        self.plan = distribute(
+            self.plan.source_weights,
+            gshape,
+            new_mesh,
+            boundary=st.schedule.boundary,
+            block_steps=st.schedule.block_steps,
+            tiling=st.schedule.tiling,
+            backend=self.plan.backend,
+        )
+        st.schedule = self.plan.schedule
+        self.part = self.plan.part
+        self._exchangers = {}
+        st.blocks = self.scatter(global_now)
+        if st.injector is not None:
+            # survivors are renumbered: the dead rank's (possibly
+            # sticky) faults must not transfer onto whoever inherits
+            # its index
+            st.injector.disarm_rank(dead)
+        if st.report is not None:
+            st.report.bump("rank_reassignments")
+            if st.report.counts.get("unrecovered", 0) > 0:
+                # the supervisor booked the exhausted ladder as
+                # unrecovered before the replan ran; the re-partition
+                # *is* the recovery
+                st.report.bump("unrecovered", -1)
+        REGISTRY.counter(
+            "repro_rank_reassignments_total",
+            help="cluster ranks replaced by an elastic re-partition",
+        ).inc()
+        st.resilience["reassignments"] += 1
+        st.resilience["replans"].append(
+            {
+                "round": int(round_i),
+                "dead_rank": int(dead),
+                "old_mesh": [int(m) for m in old_mesh],
+                "new_mesh": [int(m) for m in new_mesh],
+            }
+        )
+        emit_event(
+            "rank.reassigned",
+            level="warning",
+            message=(
+                f"rank {dead} exhausted its recovery ladder; "
+                f"re-partitioned {old_mesh} -> {new_mesh}, replaying "
+                f"round {round_i}"
+            ),
+            dead_rank=int(dead),
+            round=int(round_i),
+            old_mesh=list(old_mesh),
+            new_mesh=list(new_mesh),
+        )
+
+    def _interrupted(self, st: _Run) -> None:
+        """Ctrl-C: don't leak the pool or lose the run's progress — kill
+        the workers, flush what we know, and leave the last completed
+        barrier behind as a resumable checkpoint."""
+        if st.pool is not None:
+            st.pool.shutdown(wait=False, cancel_futures=True)
+            for proc in list(
+                (getattr(st.pool, "_processes", None) or {}).values()
+            ):
+                try:
+                    proc.terminate()
+                except Exception:  # pragma: no cover - defensive
+                    pass
+            st.pool = None
+        done = st.last_round_done + 1
+        emit_event(
+            "run.interrupted",
+            level="warning",
+            message=(
+                f"cluster run interrupted after {done} of "
+                f"{len(st.phases)} rounds"
+            ),
+            rounds_done=done,
+            rounds_total=len(st.phases),
+        )
+        if (
+            st.checkpoint is not None
+            and st.last_round_done >= 0
+            and st.last_round_done not in st.saved_rounds
+        ):
+            self._save(st, st.last_round_done)
+
+    def _close_span(self, st: _Run, run_span) -> None:
+        """Fold the run's counters, fault deltas and halo bytes into the
+        root span and the process-wide telemetry."""
+        if st.counters is not None:
+            run_span.add_events(st.counters)
+            telemetry.absorb_events(st.counters)
+        if st.report is not None:
+            run_span.annotate(
+                faults_injected=st.report.total_injected,
+                faults_detected=st.report.total_detected,
+                faults_recovered=st.report.total_recovered,
+            )
+            telemetry.absorb_faults(st.report.delta(st.fault_before))
+        run_span.annotate(halo_bytes=st.exchanged)
 
     # ------------------------------------------------------------------
     # scaling model
@@ -1070,64 +1082,3 @@ class ClusterRuntime:
             points=int(np.prod(self.plan.global_shape)),
             block_steps=block_steps,
         )
-
-
-class SimulatedCluster:
-    """The 2D convenience wrapper over :class:`ClusterRuntime`.
-
-    Keeps the original surface (``weights`` / ``part`` / ``halo`` /
-    ``engines``, ``run`` returning the bare field, ``timings``) while
-    executing everything through a :class:`DistributedPlan` — so
-    ``run(..., simulate=True, backend=...)`` and the temporal/overlap
-    modes are available here too.
-    """
-
-    def __init__(
-        self,
-        weights: StencilWeights,
-        global_shape: tuple[int, int],
-        mesh: tuple[int, int],
-        boundary: str = "constant",
-        machine: MachineSpec = A100,
-    ) -> None:
-        if weights.ndim != 2:
-            raise ValueError(
-                f"SimulatedCluster supports 2D stencils, got {weights.ndim}D"
-            )
-        self.weights = weights
-        self.machine = machine
-        self.plan = distribute(
-            weights, global_shape, mesh, boundary=boundary
-        )
-        self.runtime = ClusterRuntime(self.plan, machine=machine)
-        self.part: Partition = self.plan.part
-        self.halo = self.runtime.halo
-        # the plan cache collapses the mesh onto one compiled plan; the
-        # per-rank engine views are shared read-only references
-        self.engines = {
-            sub.rank: self.plan.compiled.engine
-            for sub in self.part.subdomains
-        }
-
-    def scatter(self, global_field: np.ndarray) -> dict[int, np.ndarray]:
-        """Distribute a global field onto the device mesh."""
-        return self.runtime.scatter(global_field)
-
-    def gather(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
-        """Reassemble the global field."""
-        return self.runtime.gather(blocks)
-
-    def run(
-        self, global_field: np.ndarray, steps: int, **kwargs
-    ) -> np.ndarray:
-        """Timestep the global problem; returns the final global field.
-
-        ``**kwargs`` pass through to :meth:`ClusterRuntime.run`
-        (``overlap=``, ``executor=``, ``simulate=``, ``block_steps=``,
-        fault-tolerance arguments, ...).
-        """
-        return self.runtime.run(global_field, steps, **kwargs).field
-
-    def timings(self, steps: int = 1, **kwargs) -> ClusterTimings:
-        """Modelled per-step time (see :meth:`ClusterRuntime.timings`)."""
-        return self.runtime.timings(steps, **kwargs)

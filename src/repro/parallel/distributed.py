@@ -7,7 +7,7 @@ dimension (1D/2D/3D), both boundaries, and all three executors
 * :func:`advance_window` — advance ``steps`` local timesteps on a
   halo-deep window, re-imposing the global Dirichlet boundary on
   out-of-domain cells between steps (the exact trapezoid of
-  ``run_temporal_blocked``, generalized to N dimensions);
+  temporal blocking, generalized to N dimensions);
 * :func:`frame_regions` — split a block's output region into a
   ``depth``-inset interior and the boundary frame strips.  The interior
   depends only on the rank's own block, so it computes *while the halo

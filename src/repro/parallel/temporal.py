@@ -20,32 +20,24 @@ messages: total halo traffic drops roughly by ``k`` and message *count*
 — the latency term — drops exactly ``k``×.
 
 Execution happens through :meth:`~repro.parallel.cluster.
-ClusterRuntime.run`, so temporal rounds compose with ``overlap=``,
-``executor="process"``, ``simulate=``/``backend=`` and the fault
-ladder.  Byte accounting comes from the halo exchanger's ledger — the
-single source of truth — never re-summed here.
+ClusterRuntime.run` (``block_steps=`` / ``tiling=``), so temporal rounds
+compose with ``overlap=``, ``executor="process"``,
+``simulate=``/``backend=`` and the fault ladder.  This module holds the
+byte model; measured accounting comes from the halo exchanger's
+ledger — the single source of truth — never re-summed here.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from repro.parallel.cluster import ClusterRuntime
 
-__all__ = ["run_temporal_blocked", "temporal_halo_bytes"]
-
-
-def _runtime_of(cluster) -> ClusterRuntime:
-    """The :class:`ClusterRuntime` behind any cluster-like object."""
-    if isinstance(cluster, ClusterRuntime):
-        return cluster
-    return cluster.runtime
+__all__ = ["temporal_halo_bytes"]
 
 
 def temporal_halo_bytes(
-    cluster,
+    runtime: ClusterRuntime,
     steps: int,
     block_steps: int,
     *,
@@ -58,7 +50,6 @@ def temporal_halo_bytes(
     exchanger ledger byte for byte, including ragged final rounds and
     diamond half-rounds.
     """
-    runtime = _runtime_of(cluster)
     plan = runtime.plan
     schedule = replace(
         plan.schedule, block_steps=block_steps, tiling=tiling
@@ -71,31 +62,3 @@ def temporal_halo_bytes(
         for k in schedule.phases(steps)
     )
     return per_step, blocked
-
-
-def run_temporal_blocked(
-    cluster,
-    field: np.ndarray,
-    steps: int,
-    block_steps: int,
-    *,
-    tiling: str = "trapezoid",
-    **kwargs,
-) -> tuple[np.ndarray, int]:
-    """Advance ``steps`` timesteps exchanging halos every ``block_steps``.
-
-    Returns ``(final_field, exchanged_bytes)``.  Exact for any boundary
-    condition the cluster supports (constant / periodic), any dimension
-    (1D/2D/3D), and both tilings; a non-divisible ``steps`` ends with a
-    ragged final round.  ``**kwargs`` pass through to
-    :meth:`~repro.parallel.cluster.ClusterRuntime.run` (``overlap=``,
-    ``executor=``, ``simulate=``, fault-tolerance arguments, ...).
-    """
-    result = _runtime_of(cluster).run(
-        field,
-        steps,
-        block_steps=block_steps,
-        tiling=tiling,
-        **kwargs,
-    )
-    return result.field, result.exchanged_bytes

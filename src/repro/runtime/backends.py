@@ -15,8 +15,7 @@ Three backends execute a compiled plan:
   magnitude faster in wall-clock.
 * ``oracle`` — the pre-lowering eager tile math, bypassing the scheduled
   program entirely.  The correctness oracle the property suite checks
-  both other backends against; supersedes the deprecated
-  ``oracle=True`` flag.
+  both other backends against.
 
 ``default_backend()`` reads the ``REPRO_BACKEND`` environment variable,
 so CI can run the whole suite under another backend without touching
@@ -26,7 +25,6 @@ call sites.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 
 from repro.errors import BackendError
@@ -34,15 +32,12 @@ from repro.errors import BackendError
 __all__ = [
     "ENV_BACKEND",
     "DEFAULT_BACKEND",
-    "ORACLE_UNSET",
     "ExecutionBackend",
     "register_backend",
     "get_backend",
     "available_backends",
     "default_backend",
     "resolve_backend",
-    "engine_backend",
-    "shim_oracle",
 ]
 
 #: environment variable consulted by :func:`default_backend`
@@ -188,40 +183,3 @@ def _signal_downgrade(requested: str, resolved: str) -> None:
         resolved=resolved,
         reason="fault_mode",
     )
-
-
-#: sentinel distinguishing "oracle= not passed" from ``oracle=False`` so
-#: the deprecation shim only fires on explicit use
-ORACLE_UNSET = object()
-
-
-def shim_oracle(oracle, backend: str | None, stacklevel: int = 3) -> str | None:
-    """Map the deprecated ``oracle=`` flag onto ``backend=``.
-
-    Returns ``backend`` untouched when ``oracle`` is :data:`ORACLE_UNSET`;
-    otherwise emits a :class:`DeprecationWarning` and, when ``oracle`` is
-    truthy and no explicit backend was given, selects ``"oracle"``.
-    """
-    if oracle is ORACLE_UNSET:
-        return backend
-    warnings.warn(
-        "the oracle= parameter is deprecated; use backend='oracle' "
-        "(or backend='interpreter') instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    if backend is None and oracle:
-        return "oracle"
-    return backend
-
-
-def engine_backend(backend: str | None, oracle: bool = False) -> str:
-    """Resolve an engine-level ``backend=``/``oracle=`` pair.
-
-    Engines keep a plain ``oracle`` flag (they sit below the runtime
-    shims); an explicit ``backend`` wins over it.
-    """
-    if backend is None:
-        return "oracle" if oracle else "interpreter"
-    get_backend(backend)
-    return backend

@@ -38,11 +38,7 @@ from repro.errors import (
     ReproError,
     ShapeError,
 )
-from repro.runtime.backends import (
-    ORACLE_UNSET as _ORACLE_UNSET,
-    resolve_backend,
-    shim_oracle as _shim_oracle,
-)
+from repro.runtime.backends import resolve_backend
 from repro.runtime.plan import StencilPlan
 from repro.tcu.counters import EventCounters
 from repro.tcu.device import Device
@@ -163,7 +159,6 @@ class Runtime:
         self,
         padded: np.ndarray,
         device: Device | None = None,
-        oracle=_ORACLE_UNSET,
         profiler=None,
         verify=None,
         faults=None,
@@ -181,10 +176,8 @@ class Runtime:
         equivalence suite compares against — results are guaranteed
         bit-identical), and ``"vectorized"`` batches every tile of the
         sweep (bit-identical grids and counters, but no fault
-        tolerance).  The ``oracle=`` flag is deprecated: passing it
-        warns, and ``oracle=True`` maps to ``backend="oracle"``.
-        ``profiler`` opts into per-instruction attribution (see
-        :mod:`repro.telemetry.perf`).
+        tolerance).  ``profiler`` opts into per-instruction attribution
+        (see :mod:`repro.telemetry.perf`).
 
         ``verify="abft"`` checksum-verifies every tile and staging copy
         (tolerance 0) with recovery bounded by ``policy`` (a
@@ -194,7 +187,6 @@ class Runtime:
         corruption; both tally into ``report`` (a
         :class:`repro.faults.FaultReport`).
         """
-        backend = _shim_oracle(oracle, backend)
         fault_mode = (
             bool(verify)
             or faults is not None

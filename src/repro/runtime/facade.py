@@ -21,11 +21,9 @@ import numpy as np
 
 from repro.core.config import OptimizationConfig
 from repro.runtime.backends import (
-    ORACLE_UNSET as _ORACLE_UNSET,
     default_backend,
     get_backend,
     resolve_backend,
-    shim_oracle as _shim_oracle,
 )
 from repro.runtime.cache import PlanCache
 from repro.runtime.executor import Runtime
@@ -168,7 +166,6 @@ class CompiledStencil:
         device: Device | None = None,
         shards: int = 1,
         max_workers: int | None = None,
-        oracle=_ORACLE_UNSET,
         profiler=None,
         verify=None,
         faults=None,
@@ -185,8 +182,6 @@ class CompiledStencil:
         ``backend="vectorized"`` batches every tile of the sweep with
         bit-identical numerics and counters, but rejects fault-tolerant
         execution (below) with a :class:`~repro.errors.BackendError`.
-        The ``oracle=`` flag is deprecated: passing it warns, and
-        ``oracle=True`` maps to ``backend="oracle"``.
         ``shards > 1`` splits the sweep along the first interior axis
         over a thread pool, one simulated device per shard, and merges
         the per-shard event counters (``device`` is then ignored).
@@ -214,7 +209,6 @@ class CompiledStencil:
                 "per-instruction profiling does not support sharded "
                 "execution (profiler accumulators are per-thread)"
             )
-        backend = _shim_oracle(oracle, backend)
         fault_mode = bool(verify) or faults is not None or policy is not None
         report = None
         before = None

@@ -6,23 +6,6 @@ import numpy as np
 import pytest
 
 
-def pytest_configure(config) -> None:
-    """Keep the suite warning-clean under the engine deprecation shims.
-
-    Many existing tests construct ``LoRAStencil{1,2,3}D`` directly or
-    import ``repro.core.decompose``; both now emit a
-    ``DeprecationWarning`` pointing at ``repro.compile``.  That guidance
-    is for downstream users — in this suite direct construction is
-    intentional coverage of the compatibility surface, so the specific
-    warning (matched on the "repro.compile" hint in its message) is
-    filtered.  Tests that assert the warnings fire use ``pytest.warns``,
-    which overrides the filter locally.
-    """
-    config.addinivalue_line(
-        "filterwarnings", r"ignore:.*repro\.compile.*:DeprecationWarning"
-    )
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic RNG, fresh per test."""

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.errors import BackendError, FaultError
 from repro.faults import FaultPlan, FaultSpec, RecoveryPolicy
-from repro.parallel.cluster import ClusterRuntime, SimulatedCluster
-from repro.parallel.cluster3d import SimulatedCluster3D
+from repro.parallel.cluster import ClusterRuntime
 from repro.parallel.plan import distribute
-from repro.parallel.temporal import run_temporal_blocked, temporal_halo_bytes
+from repro.parallel.temporal import temporal_halo_bytes
 from repro.stencil.kernels import get_kernel
 from repro.stencil.reference import reference_iterate
 
@@ -192,6 +192,42 @@ class TestFaultRecovery:
         assert "shard.crash" in kinds
         assert "shard.recovered" in kinds
 
+    def test_process_rejects_verified_sweeps(self, rng):
+        # worker processes run unverified sweeps: rather than silently
+        # dropping verify= and the injected MMA fault, the process
+        # executor refuses the run before any rank starts
+        w = get_kernel("Box-2D9P").weights
+        x = rng.normal(size=(32, 32))
+        runtime = ClusterRuntime(distribute(w, x.shape, (2, 1)))
+        kwargs = dict(
+            simulate=True,
+            verify="abft",
+            faults=FaultPlan([FaultSpec("flip_acc", site=0, sticky=True)]),
+        )
+        for executor in ("serial", "thread"):
+            with pytest.raises(FaultError):
+                runtime.run(x, 2, executor=executor, **kwargs)
+        ledger = runtime.halo.exchanged_bytes
+        with pytest.raises(BackendError, match="process"):
+            runtime.run(x, 2, executor="process", **kwargs)
+        assert runtime.halo.exchanged_bytes == ledger
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"verify": "abft"},
+            {"faults": FaultPlan([FaultSpec("flip_a", site=0)])},
+            {"faults": FaultPlan([FaultSpec("drop_commit", site=0)])},
+        ],
+        ids=["verify", "mma-fault", "stage-fault"],
+    )
+    def test_process_rejects_sweep_level_fault_modes(self, rng, kwargs):
+        w = get_kernel("Heat-2D").weights
+        x = rng.normal(size=(16, 16))
+        runtime = ClusterRuntime(distribute(w, x.shape, (2, 1)))
+        with pytest.raises(BackendError):
+            runtime.run(x, 2, simulate=True, executor="process", **kwargs)
+
 
 class TestTemporalAcrossDimensions:
     def test_temporal_1d(self, rng):
@@ -199,57 +235,59 @@ class TestTemporalAcrossDimensions:
         x = rng.normal(size=(64,))
         plan = distribute(w, x.shape, (4,))
         runtime = ClusterRuntime(plan)
-        out, exchanged = run_temporal_blocked(runtime, x, 6, 3)
-        assert np.array_equal(out, runtime.run(x, 6).field)
-        assert np.allclose(out, reference_iterate(x, w, 6), atol=1e-9)
+        blocked = runtime.run(x, 6, block_steps=3)
+        assert np.array_equal(blocked.field, runtime.run(x, 6).field)
+        assert np.allclose(blocked.field, reference_iterate(x, w, 6), atol=1e-9)
         _, modelled = temporal_halo_bytes(runtime, steps=6, block_steps=3)
-        assert exchanged == modelled
+        assert blocked.exchanged_bytes == modelled
 
     @pytest.mark.parametrize("boundary", ["constant", "periodic"])
     def test_temporal_3d(self, rng, boundary):
         w = get_kernel("Heat-3D").weights
         x = rng.normal(size=(6, 12, 12))
-        cluster = SimulatedCluster3D(w, x.shape, (2, 2), boundary=boundary)
-        out, exchanged = run_temporal_blocked(cluster, x, 4, 2)
-        assert np.array_equal(out, cluster.runtime.run(x, 4).field)
-        assert np.allclose(
-            out, reference_iterate(x, w, 4, boundary=boundary), atol=1e-9
+        cluster = ClusterRuntime(
+            distribute(w, x.shape, (1, 2, 2), boundary=boundary)
         )
-        assert exchanged > 0
+        blocked = cluster.run(x, 4, block_steps=2)
+        assert np.array_equal(blocked.field, cluster.run(x, 4).field)
+        assert np.allclose(
+            blocked.field,
+            reference_iterate(x, w, 4, boundary=boundary),
+            atol=1e-9,
+        )
+        assert blocked.exchanged_bytes > 0
 
     @pytest.mark.parametrize("boundary", ["constant", "periodic"])
     def test_diamond_matches_trapezoid(self, rng, boundary):
         w = get_kernel("Heat-2D").weights
         x = rng.normal(size=(24, 24))
-        cluster = SimulatedCluster(w, x.shape, (2, 2), boundary=boundary)
-        trap, trap_bytes = run_temporal_blocked(cluster, x, 8, 4)
-        diam, diam_bytes = run_temporal_blocked(
-            cluster, x, 8, 4, tiling="diamond"
+        cluster = ClusterRuntime(
+            distribute(w, x.shape, (2, 2), boundary=boundary)
         )
-        assert np.array_equal(diam, trap)
+        trap = cluster.run(x, 8, block_steps=4)
+        diam = cluster.run(x, 8, block_steps=4, tiling="diamond")
+        assert np.array_equal(diam.field, trap.field)
         # diamond: shallower halos, more messages — fewer bytes per
         # round but twice the rounds at half depth
-        assert diam_bytes != trap_bytes
+        assert diam.exchanged_bytes != trap.exchanged_bytes
         _, modelled = temporal_halo_bytes(
             cluster, steps=8, block_steps=4, tiling="diamond"
         )
-        assert diam_bytes == modelled
+        assert diam.exchanged_bytes == modelled
 
     def test_temporal_through_process_executor(self, rng):
         w = get_kernel("Heat-2D").weights
         x = rng.normal(size=(16, 16))
-        cluster = SimulatedCluster(w, x.shape, (2, 1))
-        sync, _ = run_temporal_blocked(cluster, x, 4, 2)
-        proc, _ = run_temporal_blocked(
-            cluster, x, 4, 2, executor="process"
-        )
+        cluster = ClusterRuntime(distribute(w, x.shape, (2, 1)))
+        sync = cluster.run(x, 4, block_steps=2).field
+        proc = cluster.run(x, 4, block_steps=2, executor="process").field
         assert np.array_equal(proc, sync)
 
 
 class TestTimingModel:
     def test_overlap_step_model(self):
         w = get_kernel("Heat-2D").weights
-        cluster = SimulatedCluster(w, (256, 256), (2, 2))
+        cluster = ClusterRuntime(distribute(w, (256, 256), (2, 2)))
         sync = cluster.timings(steps=10)
         over = cluster.timings(steps=10, overlap=True)
         assert sync.step_s == sync.compute_s + sync.comm_s
@@ -261,7 +299,7 @@ class TestTimingModel:
 
     def test_temporal_blocking_cuts_comm(self):
         w = get_kernel("Heat-2D").weights
-        cluster = SimulatedCluster(w, (256, 256), (2, 2))
+        cluster = ClusterRuntime(distribute(w, (256, 256), (2, 2)))
         per_step = cluster.timings(steps=10)
         blocked = cluster.timings(steps=10, block_steps=4)
         assert blocked.comm_s < per_step.comm_s
@@ -269,6 +307,6 @@ class TestTimingModel:
 
     def test_interior_plus_boundary_is_compute(self):
         w = get_kernel("Heat-2D").weights
-        cluster = SimulatedCluster(w, (128, 128), (2, 2))
+        cluster = ClusterRuntime(distribute(w, (128, 128), (2, 2)))
         t = cluster.timings()
         assert t.interior_s + t.boundary_s == pytest.approx(t.compute_s)

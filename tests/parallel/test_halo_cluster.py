@@ -1,9 +1,9 @@
-"""Tests for halo exchange and the simulated cluster."""
+"""Tests for halo exchange and 2D cluster runs."""
 
 import numpy as np
 import pytest
 
-from repro.parallel import HaloExchanger, SimulatedCluster, partition
+from repro.parallel import ClusterRuntime, HaloExchanger, distribute, partition
 from repro.stencil.kernels import get_kernel
 from repro.stencil.reference import reference_iterate
 
@@ -93,66 +93,65 @@ class TestHaloExchange:
             ex.exchange({r: rng.normal(size=(3, 3)) for r in range(4)})
 
 
-class TestSimulatedCluster:
+class TestCluster2D:
     @pytest.mark.parametrize("mesh", [(1, 1), (2, 2), (3, 2), (1, 4)])
     @pytest.mark.parametrize("boundary", ["constant", "periodic"])
     def test_trajectory_matches_reference(self, rng, mesh, boundary):
         w = get_kernel("Box-2D9P").weights
         x = rng.normal(size=(24, 28))
-        cluster = SimulatedCluster(w, x.shape, mesh, boundary=boundary)
-        out = cluster.run(x, 5)
+        plan = distribute(w, x.shape, mesh, boundary=boundary)
+        out = ClusterRuntime(plan).run(x, 5).field
         ref = reference_iterate(x, w, 5, boundary=boundary)
         assert np.allclose(out, ref, atol=1e-10)
 
     def test_radius3_kernel(self, rng):
         w = get_kernel("Box-2D49P").weights
         x = rng.normal(size=(32, 32))
-        cluster = SimulatedCluster(w, x.shape, (2, 2))
-        out = cluster.run(x, 3)
+        out = ClusterRuntime(distribute(w, x.shape, (2, 2))).run(x, 3).field
         ref = reference_iterate(x, w, 3)
         assert np.allclose(out, ref, atol=1e-10)
 
     def test_scatter_gather_round_trip(self, rng):
         w = get_kernel("Box-2D9P").weights
         x = rng.normal(size=(16, 24))
-        cluster = SimulatedCluster(w, x.shape, (2, 3))
+        cluster = ClusterRuntime(distribute(w, x.shape, (2, 3)))
         assert np.array_equal(cluster.gather(cluster.scatter(x)), x)
 
     def test_zero_steps_identity(self, rng):
         w = get_kernel("Box-2D9P").weights
         x = rng.normal(size=(16, 16))
-        cluster = SimulatedCluster(w, x.shape, (2, 2))
-        assert np.array_equal(cluster.run(x, 0), x)
+        cluster = ClusterRuntime(distribute(w, x.shape, (2, 2)))
+        assert np.array_equal(cluster.run(x, 0).field, x)
 
     def test_3d_rejected(self):
         with pytest.raises(ValueError):
-            SimulatedCluster(get_kernel("Heat-3D").weights, (8, 8), (1, 1))
+            distribute(get_kernel("Heat-3D").weights, (8, 8), (1, 1))
 
 
 class TestScalingModel:
     def test_strong_scaling_speedup(self):
         w = get_kernel("Box-2D9P").weights
-        t1 = SimulatedCluster(w, (1024, 1024), (1, 1)).timings()
-        t4 = SimulatedCluster(w, (1024, 1024), (2, 2)).timings()
+        t1 = ClusterRuntime(distribute(w, (1024, 1024), (1, 1))).timings()
+        t4 = ClusterRuntime(distribute(w, (1024, 1024), (2, 2))).timings()
         speedup = t4.speedup_over(t1)
         assert 3.0 < speedup <= 4.0
 
     def test_comm_fraction_grows_with_devices(self):
         w = get_kernel("Box-2D9P").weights
-        t4 = SimulatedCluster(w, (512, 512), (2, 2)).timings()
-        t16 = SimulatedCluster(w, (512, 512), (4, 4)).timings()
+        t4 = ClusterRuntime(distribute(w, (512, 512), (2, 2))).timings()
+        t16 = ClusterRuntime(distribute(w, (512, 512), (4, 4))).timings()
         assert t16.comm_fraction > t4.comm_fraction
 
     def test_weak_scaling_near_constant_step_time(self):
         """Same per-device block: step time roughly flat in devices."""
         w = get_kernel("Box-2D9P").weights
-        t1 = SimulatedCluster(w, (512, 512), (1, 1)).timings()
-        t4 = SimulatedCluster(w, (1024, 1024), (2, 2)).timings()
+        t1 = ClusterRuntime(distribute(w, (512, 512), (1, 1))).timings()
+        t4 = ClusterRuntime(distribute(w, (1024, 1024), (2, 2))).timings()
         assert t4.step_s == pytest.approx(t1.step_s, rel=0.2)
 
     def test_timings_fields(self):
         w = get_kernel("Box-2D9P").weights
-        t = SimulatedCluster(w, (256, 256), (2, 2)).timings(steps=10)
+        t = ClusterRuntime(distribute(w, (256, 256), (2, 2))).timings(steps=10)
         assert t.num_devices == 4
         assert t.total_s == pytest.approx(t.step_s * 10)
         assert 0 <= t.comm_fraction < 1

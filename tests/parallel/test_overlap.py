@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.parallel import SimulatedCluster, partition
+from repro.parallel import ClusterRuntime, distribute, partition
 from repro.parallel.distributed import frame_regions
 from repro.parallel.halo import HALO_BYTES_METRIC, HaloExchanger
 from repro.stencil.kernels import get_kernel
@@ -123,9 +123,6 @@ class TestOverlapEquivalence:
     def test_overlap_bit_identical_to_sync(
         self, rng, kernel, shape, mesh, boundary
     ):
-        from repro.parallel.cluster import ClusterRuntime
-        from repro.parallel.plan import distribute
-
         w = get_kernel(kernel).weights
         x = rng.normal(size=shape)
         plan = distribute(w, shape, mesh, boundary=boundary)
@@ -139,36 +136,32 @@ class TestOverlapEquivalence:
     def test_executors_bit_identical(self, rng, executor):
         w = get_kernel("Box-2D9P").weights
         x = rng.normal(size=(24, 24))
-        cluster = SimulatedCluster(w, x.shape, (2, 2))
-        base = cluster.run(x, 3)
+        cluster = ClusterRuntime(distribute(w, x.shape, (2, 2)))
+        base = cluster.run(x, 3).field
         assert np.array_equal(
-            cluster.run(x, 3, executor=executor), base
+            cluster.run(x, 3, executor=executor).field, base
         )
         assert np.array_equal(
-            cluster.run(x, 3, executor=executor, overlap=True), base
+            cluster.run(x, 3, executor=executor, overlap=True).field, base
         )
 
     def test_overlap_with_temporal_rounds(self, rng):
-        from repro.parallel.temporal import run_temporal_blocked
-
         w = get_kernel("Heat-2D").weights
         x = rng.normal(size=(28, 28))
-        cluster = SimulatedCluster(w, x.shape, (2, 2))
-        sync, sync_bytes = run_temporal_blocked(cluster, x, 6, 3)
-        over, over_bytes = run_temporal_blocked(
-            cluster, x, 6, 3, overlap=True
-        )
-        assert np.array_equal(over, sync)
-        assert over_bytes == sync_bytes
+        cluster = ClusterRuntime(distribute(w, x.shape, (2, 2)))
+        sync = cluster.run(x, 6, block_steps=3)
+        over = cluster.run(x, 6, block_steps=3, overlap=True)
+        assert np.array_equal(over.field, sync.field)
+        assert over.exchanged_bytes == sync.exchanged_bytes
 
     def test_overlap_small_blocks_fall_back(self, rng):
         # blocks too small to hold a depth-inset interior: the runtime
         # waits and advances the full window — still bit-identical
         w = get_kernel("Box-2D49P").weights  # radius 3
         x = rng.normal(size=(10, 10))
-        cluster = SimulatedCluster(w, x.shape, (2, 2))
+        cluster = ClusterRuntime(distribute(w, x.shape, (2, 2)))
         assert np.array_equal(
-            cluster.run(x, 2, overlap=True), cluster.run(x, 2)
+            cluster.run(x, 2, overlap=True).field, cluster.run(x, 2).field
         )
 
 
@@ -179,11 +172,11 @@ class TestSimulatedEquivalence:
     ):
         w = get_kernel("Heat-2D").weights
         x = rng.normal(size=(20, 20))
-        cluster = SimulatedCluster(w, x.shape, (2, 2))
-        interp = cluster.runtime.run(
+        cluster = ClusterRuntime(distribute(w, x.shape, (2, 2)))
+        interp = cluster.run(
             x, 2, simulate=True, backend="interpreter", overlap=overlap
         )
-        vect = cluster.runtime.run(
+        vect = cluster.run(
             x, 2, simulate=True, backend="vectorized", overlap=overlap
         )
         assert np.array_equal(interp.field, vect.field)
@@ -196,17 +189,17 @@ class TestSimulatedEquivalence:
         # only allclose across the simulate boundary)
         w = get_kernel("Box-2D9P").weights
         x = rng.normal(size=(16, 16))
-        cluster = SimulatedCluster(w, x.shape, (2, 2))
-        sync = cluster.runtime.run(x, 2, simulate=True)
-        over = cluster.runtime.run(x, 2, simulate=True, overlap=True)
+        cluster = ClusterRuntime(distribute(w, x.shape, (2, 2)))
+        sync = cluster.run(x, 2, simulate=True)
+        over = cluster.run(x, 2, simulate=True, overlap=True)
         assert np.array_equal(over.field, sync.field)
         assert over.counters.as_dict() == sync.counters.as_dict()
-        assert np.allclose(sync.field, cluster.run(x, 2), atol=1e-10)
+        assert np.allclose(sync.field, cluster.run(x, 2).field, atol=1e-10)
 
     def test_exchanged_bytes_exact_across_modes(self, rng):
         w = get_kernel("Heat-2D").weights
         x = rng.normal(size=(16, 16))
-        cluster = SimulatedCluster(w, x.shape, (2, 2))
+        cluster = ClusterRuntime(distribute(w, x.shape, (2, 2)))
         expected = (
             cluster.halo.total_bytes_per_exchange() * 2
         )  # 2 rounds at radius depth
@@ -216,5 +209,5 @@ class TestSimulatedEquivalence:
             {"simulate": True},
             {"executor": "thread"},
         ):
-            result = cluster.runtime.run(x, 2, **kwargs)
+            result = cluster.run(x, 2, **kwargs)
             assert result.exchanged_bytes == expected

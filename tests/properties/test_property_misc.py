@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.parallel import SimulatedCluster
-from repro.parallel.temporal import run_temporal_blocked
+from repro.parallel import ClusterRuntime, distribute
 from repro.stencil.fields import checkerboard, gaussian_pulse, random_field
 from repro.stencil.kernels import get_kernel
 from repro.stencil.reference import reference_iterate
@@ -68,9 +67,9 @@ class TestTemporalProperties:
         w = get_kernel("Box-2D9P").weights
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(20, 24))
-        cluster = SimulatedCluster(w, x.shape, (2, 2), boundary=boundary)
+        plan = distribute(w, x.shape, (2, 2), boundary=boundary)
         steps = 2 * block_steps
-        out, _ = run_temporal_blocked(cluster, x, steps, block_steps)
+        out = ClusterRuntime(plan).run(x, steps, block_steps=block_steps).field
         ref = reference_iterate(x, w, steps, boundary=boundary)
         assert np.allclose(out, ref, atol=1e-9)
 

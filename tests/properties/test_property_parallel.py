@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel import SimulatedCluster, partition
+from repro.parallel import ClusterRuntime, distribute, partition
 from repro.parallel.halo import HaloExchanger
 from repro.stencil.kernels import get_kernel
 from repro.stencil.reference import reference_iterate
@@ -74,7 +74,6 @@ class TestClusterProperties:
         rng = np.random.default_rng(seed)
         w = get_kernel("Box-2D9P").weights
         x = rng.normal(size=shape)
-        cluster = SimulatedCluster(w, shape, mesh)
-        out = cluster.run(x, steps)
+        out = ClusterRuntime(distribute(w, shape, mesh)).run(x, steps).field
         ref = reference_iterate(x, w, steps)
         assert np.allclose(out, ref, atol=1e-9)

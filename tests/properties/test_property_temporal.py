@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.parallel.cluster import ClusterRuntime
 from repro.parallel.plan import distribute
-from repro.parallel.temporal import run_temporal_blocked, temporal_halo_bytes
+from repro.parallel.temporal import temporal_halo_bytes
 from repro.stencil.kernels import get_kernel
 from repro.stencil.reference import reference_iterate
 
@@ -72,17 +72,17 @@ class TestTemporalProperties:
         x = rng.normal(size=shape)
         plan = distribute(w, shape, mesh, boundary=boundary)
         runtime = ClusterRuntime(plan)
-        blocked, exchanged = run_temporal_blocked(
-            runtime, x, steps, block_steps, tiling=tiling
+        blocked = runtime.run(
+            x, steps, block_steps=block_steps, tiling=tiling
         )
         per_step = runtime.run(x, steps).field
-        assert np.array_equal(blocked, per_step)
+        assert np.array_equal(blocked.field, per_step)
         ref = reference_iterate(x, w, steps, boundary=boundary)
-        assert np.allclose(blocked, ref, atol=1e-9)
+        assert np.allclose(blocked.field, ref, atol=1e-9)
         _, modelled = temporal_halo_bytes(
             runtime, steps=steps, block_steps=block_steps, tiling=tiling
         )
-        assert exchanged == modelled
+        assert blocked.exchanged_bytes == modelled
 
     @given(temporal_cases())
     @settings(max_examples=15, deadline=None)
@@ -92,11 +92,7 @@ class TestTemporalProperties:
         w = get_kernel(kernel).weights
         x = rng.normal(size=shape)
         runtime = ClusterRuntime(distribute(w, shape, mesh))
-        sync, sync_bytes = run_temporal_blocked(
-            runtime, x, steps, block_steps
-        )
-        over, over_bytes = run_temporal_blocked(
-            runtime, x, steps, block_steps, overlap=True
-        )
-        assert np.array_equal(over, sync)
-        assert over_bytes == sync_bytes
+        sync = runtime.run(x, steps, block_steps=block_steps)
+        over = runtime.run(x, steps, block_steps=block_steps, overlap=True)
+        assert np.array_equal(over.field, sync.field)
+        assert over.exchanged_bytes == sync.exchanged_bytes

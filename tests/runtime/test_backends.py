@@ -2,8 +2,8 @@
 
 Covers the registry itself, the backend-equivalence matrix (bit-identical
 grids AND EventCounters across interpreter / vectorized / oracle, over
-1D/2D/3D kernels and schedules), the fault-mode composition rules, the
-``oracle=`` deprecation shims, plan-key/plan-cache backend coverage, the
+1D/2D/3D kernels and schedules), the fault-mode composition rules,
+plan-key/plan-cache backend coverage, the
 ``REPRO_BACKEND`` session default, and a hypothesis property over random
 grid shapes.
 """
@@ -23,7 +23,6 @@ from repro.runtime.backends import (
     _BACKENDS,
     available_backends,
     default_backend,
-    engine_backend,
     get_backend,
     register_backend,
     resolve_backend,
@@ -72,13 +71,6 @@ class TestRegistry:
             assert "test-only" in available_backends()
         finally:
             _BACKENDS.pop("test-only", None)
-
-    def test_engine_backend_resolution(self):
-        assert engine_backend(None) == "interpreter"
-        assert engine_backend(None, oracle=True) == "oracle"
-        assert engine_backend("vectorized", oracle=True) == "vectorized"
-        with pytest.raises(BackendError):
-            engine_backend("nope")
 
 
 # ---------------------------------------------------------------------------
@@ -197,58 +189,6 @@ class TestFaultModeRules:
             resolve_backend("vectorized", fault_mode=True)
         with pytest.raises(BackendError, match="unknown execution backend"):
             resolve_backend("nope")
-
-
-# ---------------------------------------------------------------------------
-# oracle= deprecation shims
-# ---------------------------------------------------------------------------
-class TestOracleDeprecation:
-    def test_facade_oracle_true_warns_and_still_works(self):
-        k = get_kernel("Box-2D9P")
-        compiled = repro.compile(k.weights, cache=None)
-        padded = _padded(k.weights, (16, 24))
-        ref_out, ref_ev = compiled.apply_simulated(padded, backend="oracle")
-        with pytest.warns(DeprecationWarning, match="oracle= parameter"):
-            out, ev = compiled.apply_simulated(padded, oracle=True)
-        assert np.array_equal(out, ref_out)
-        assert ev == ref_ev
-
-    def test_facade_oracle_false_warns_but_runs_default(self):
-        k = get_kernel("Box-2D9P")
-        compiled = repro.compile(k.weights, cache=None)
-        padded = _padded(k.weights, (16, 24))
-        ref_out, ref_ev = compiled.apply_simulated(padded)
-        with pytest.warns(DeprecationWarning, match="oracle= parameter"):
-            out, ev = compiled.apply_simulated(padded, oracle=False)
-        assert np.array_equal(out, ref_out)
-        assert ev == ref_ev
-
-    def test_executor_oracle_warns(self):
-        k = get_kernel("Box-2D9P")
-        compiled = repro.compile(k.weights, cache=None)
-        padded = _padded(k.weights, (16, 24))
-        with pytest.warns(DeprecationWarning, match="oracle= parameter"):
-            compiled.runtime.apply_simulated(padded, oracle=True)
-
-    def test_explicit_backend_wins_over_oracle_flag(self):
-        k = get_kernel("Box-2D9P")
-        compiled = repro.compile(k.weights, cache=None)
-        padded = _padded(k.weights, (16, 24))
-        ref_out, ref_ev = compiled.apply_simulated(padded, backend="vectorized")
-        with pytest.warns(DeprecationWarning):
-            out, ev = compiled.apply_simulated(
-                padded, oracle=True, backend="vectorized"
-            )
-        assert np.array_equal(out, ref_out)
-        assert ev == ref_ev
-
-    def test_no_warning_without_oracle_argument(self, recwarn):
-        k = get_kernel("Box-2D9P")
-        compiled = repro.compile(k.weights, cache=None)
-        compiled.apply_simulated(_padded(k.weights, (16, 16)))
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
 
 
 # ---------------------------------------------------------------------------

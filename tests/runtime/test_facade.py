@@ -85,30 +85,13 @@ class TestApplyGrid:
 
 
 class TestDeprecations:
-    def test_direct_2d_construction_warns(self):
-        w = get_kernel("Heat-2D").weights.as_matrix()
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.LoRAStencil2D(w)
-
-    def test_direct_1d_construction_warns(self):
-        w = get_kernel("Heat-1D").weights.as_vector()
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.LoRAStencil1D(w)
-
-    def test_direct_3d_construction_warns(self):
-        w = get_kernel("Heat-3D").weights
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.LoRAStencil3D(w)
-
-    def test_core_decompose_reexport_warns(self):
-        import repro.core
-
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.core.decompose
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.core.pyramidal_decompose
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.core.svd_decompose
+    def test_direct_construction_does_not_warn(self, recwarn):
+        repro.LoRAStencil1D(get_kernel("Heat-1D").weights.as_vector())
+        repro.LoRAStencil2D(get_kernel("Heat-2D").weights.as_matrix())
+        repro.LoRAStencil3D(get_kernel("Heat-3D").weights)
+        assert not [
+            w for w in recwarn if issubclass(w.category, DeprecationWarning)
+        ]
 
     def test_lowrank_import_does_not_warn(self, recwarn):
         from repro.core.lowrank import decompose  # noqa: F401
@@ -126,10 +109,9 @@ class TestDeprecations:
 
 class TestBackwardsCompatibility:
     def test_old_engine_still_computes(self, rng):
-        """Deprecated construction must keep working, warning aside."""
+        """Direct construction computes exactly like the compiled plan."""
         k = get_kernel("Box-2D9P")
-        with pytest.warns(DeprecationWarning):
-            engine = repro.LoRAStencil2D(k.weights.as_matrix())
+        engine = repro.LoRAStencil2D(k.weights.as_matrix())
         x = rng.normal(size=(16, 16))
         np.testing.assert_array_equal(
             engine.apply(x), repro.compile(k.weights).apply(x)

@@ -207,11 +207,9 @@ class TestInstrMetadata:
 
 class TestProgram1D:
     def _setup_1d(self, rng, h=2, n=64):
-        from repro.core._deprecation import suppress_engine_deprecation
         from repro.core.engine1d import LoRAStencil1D
 
-        with suppress_engine_deprecation():
-            engine = LoRAStencil1D(rng.normal(size=2 * h + 1))
+        engine = LoRAStencil1D(rng.normal(size=2 * h + 1))
         device = Device()
         warp = device.warp()
         smem = device.shared((engine.k_rows - 8 + n + 56,))
@@ -245,14 +243,12 @@ class TestProgram1D:
         assert prog_events == eager_events
 
     def test_rejects_cuda_core_engine(self, rng):
-        from repro.core._deprecation import suppress_engine_deprecation
         from repro.core.engine1d import LoRAStencil1D
         from repro.tcu.program import build_tile_program_1d
 
-        with suppress_engine_deprecation():
-            engine = LoRAStencil1D(
-                rng.normal(size=5),
-                config=OptimizationConfig(use_tensor_cores=False),
-            )
+        engine = LoRAStencil1D(
+            rng.normal(size=5),
+            config=OptimizationConfig(use_tensor_cores=False),
+        )
         with pytest.raises(ValueError, match="tensor-core"):
             build_tile_program_1d(engine)

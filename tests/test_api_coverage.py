@@ -7,7 +7,7 @@ from repro.core.autotune import DEFAULT_TRAITS, autotune_2d
 from repro.core.driver import SimulationDriver
 from repro.core.engine2d import LoRAStencil2D
 from repro.core.lowrank import svd_decompose
-from repro.parallel import SimulatedCluster
+from repro.parallel import ClusterRuntime, distribute
 from repro.stencil.kernels import get_kernel
 from repro.stencil.reference import reference_apply
 
@@ -58,14 +58,14 @@ class TestDriverCustomEngine:
 class TestClusterTimingsFields:
     def test_comm_fraction_zero_single_device(self):
         w = get_kernel("Box-2D9P").weights
-        t = SimulatedCluster(w, (256, 256), (1, 1)).timings()
+        t = ClusterRuntime(distribute(w, (256, 256), (1, 1))).timings()
         assert t.comm_s == 0.0
         assert t.comm_fraction == 0.0
         assert t.num_devices == 1
 
     def test_step_decomposition(self):
         w = get_kernel("Box-2D9P").weights
-        t = SimulatedCluster(w, (256, 256), (2, 2)).timings(steps=3)
+        t = ClusterRuntime(distribute(w, (256, 256), (2, 2))).timings(steps=3)
         assert t.step_s == pytest.approx(t.compute_s + t.comm_s)
         assert t.total_s == pytest.approx(3 * t.step_s)
 

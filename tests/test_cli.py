@@ -528,37 +528,38 @@ class TestClusterCommand:
         assert args.tiling == "diamond"
         assert args.overlap is True
 
-    def test_bare_cluster_argv_still_means_run(self, capsys):
-        # `repro cluster <kernel>` predates the run/report split
-        assert main(["cluster", "Heat-2D", "--size", "16",
-                     "--steps", "2"]) == 0
-        assert "reference check: PASS" in capsys.readouterr().out
+    def test_bare_cluster_argv_is_rejected(self, capsys):
+        # the run/report/resume subcommand is required
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "Heat-2D", "--size", "16", "--steps", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_cluster_passes_reference(self, capsys):
-        assert main(["cluster", "Heat-2D", "--size", "16", "--steps", "3",
-                     "--block-steps", "2", "--overlap"]) == 0
+        assert main(["cluster", "run", "Heat-2D", "--size", "16",
+                     "--steps", "3", "--block-steps", "2", "--overlap"]) == 0
         out = capsys.readouterr().out
         assert "reference check: PASS" in out
         assert "halo bytes exchanged" in out
 
     def test_cluster_json_carries_halo_ledger_and_phases(self, capsys):
-        assert main(["cluster", "Heat-1D", "--size", "8", "--steps", "5",
-                     "--block-steps", "2", "--json"]) == 0
+        assert main(["cluster", "run", "Heat-1D", "--size", "8",
+                     "--steps", "5", "--block-steps", "2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["halo_bytes_exchanged"] > 0
         assert doc["phases"] == [2, 2, 1]  # ragged final round
         assert doc["exit_code"] == 0
 
     def test_cluster_mesh_dimension_mismatch_is_exit_2(self, capsys):
-        assert main(["cluster", "Heat-2D", "--mesh", "2"]) == 2
+        assert main(["cluster", "run", "Heat-2D", "--mesh", "2"]) == 2
         assert "2D" in capsys.readouterr().err
 
     def test_cluster_crash_recovers_and_records(self, capsys, tmp_path):
         from repro.telemetry.validate import validate_file
 
         record = tmp_path / "rec.json"
-        assert main(["cluster", "Heat-2D", "--size", "16", "--steps", "2",
-                     "--simulate", "--crash-rank", "1",
+        assert main(["cluster", "run", "Heat-2D", "--size", "16",
+                     "--steps", "2", "--simulate", "--crash-rank", "1",
                      "--record", str(record), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["recovered_bit_identical"] is True

@@ -84,15 +84,12 @@ class TestRaisedFromDecomposition:
 
 class TestRaisedFromEngines:
     def test_engine_constructors_shape_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ShapeError):
-                repro.LoRAStencil1D(np.ones(4))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ShapeError):
-                repro.LoRAStencil2D(np.ones((3, 5)))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ShapeError):
-                repro.LoRAStencil3D(np.ones((3, 3, 5)))
+        with pytest.raises(ShapeError):
+            repro.LoRAStencil1D(np.ones(4))
+        with pytest.raises(ShapeError):
+            repro.LoRAStencil2D(np.ones((3, 5)))
+        with pytest.raises(ShapeError):
+            repro.LoRAStencil3D(np.ones((3, 3, 5)))
 
     def test_apply_shape_error(self, rng):
         compiled = repro.compile(repro.get_kernel("Heat-2D").weights)
