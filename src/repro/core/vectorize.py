@@ -3,22 +3,34 @@
 The per-thread interpreter (:func:`repro.tcu.program.execute_program`)
 steps one warp tile at a time, fragment by fragment — the reference
 semantics, and ~1s for a single 256x256 Box-2D9P sweep.  This module
-compiles the *same scheduled* :class:`~repro.tcu.program.TileProgram`
-into broadcast ``np.matmul`` over **all tiles of the sweep at once**:
+walks the *same scheduled* :class:`~repro.tcu.program.TileProgram`
+once for the whole sweep, in the RDG shape of the paper (§III-B: load
+the input once, gather both dimensions from it):
 
 * the banded U/V operands are materialized once per plan from the
   engine's fragments (``Fragment.from_matrix``/``to_matrix`` is an exact
   permutation gather, so matrix-domain math is bit-identical to
   fragment-domain math);
-* every tile's input window is gathered into one ``(n_tiles, k_rows,
-  w_cols)`` batch via ``sliding_window_view`` over a zero-extended copy
-  of the padded grid (shared memory is zero-initialized and clamp-filled,
-  so the windows match the staged blocks exactly, including edge tiles);
-* the instruction walk follows the plan's *scheduled* order, so every
-  registered schedule runs identically on both backends;
-* broadcast ``np.matmul`` with an elementwise accumulator add is
-  bit-identical to the interpreter's per-tile 2D ``@`` (``einsum`` is
-  **not**, and is deliberately not used).
+* **U phase** (``mma``): each k-block step of a (term, row-block) chain
+  is one ``np.matmul(U, rows)`` over a full-width row strip — a no-copy
+  ``(n_a, 4, W)`` view of a zero-extended copy of the padded grid
+  (shared memory is zero-initialized and clamp-filled, so the strip
+  columns match the staged blocks exactly, including edge tiles).  The
+  schedule's per-``wb`` chains are column slices of that one strip, so
+  each step is computed once and shared by every chain that repeats it;
+* **V phase** (``split`` + ``mma2``): ``split`` gathers one contiguous
+  ``(n_a, 8, n_b, 4)`` operand from the strip, and each ``mma2`` is one
+  ``(n_a*8*n_b, 4) @ (4, 8)`` gemm whose result is already in grid
+  order ``[a, i, b, j]``;
+* the walk follows the plan's *scheduled* order, accumulates in place
+  and drops every value after its last use (a liveness table computed
+  once per program).
+
+Bit identity with the interpreter rests on one rule: every product is a
+k=4 BLAS gemm on BLAS-able operands (unit inner stride), and sums are
+added in the schedule's order.  An elementwise add is the same IEEE add
+whatever the batch shape; ``einsum`` and reassociated contractions are
+**not** bit-identical, and are deliberately not used.
 
 EventCounters are *derived*, not measured: the per-tile program cost is
 probed by interpreting the program once against a scratch shared tile
@@ -42,7 +54,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.core.rdg import RDGTileCompute
 from repro.errors import BackendError
@@ -78,15 +90,52 @@ class _ProbeRecorder:
         self.deltas.append(delta)
 
 
+def _slots(program: TileProgram, strips: bool) -> tuple[tuple, int]:
+    """The walk's liveness table: rename registers to values.
+
+    Returns ``(slots, n_values)`` with one ``(ins, dst, src, run,
+    free)`` slot per scheduled instruction: ``dst``/``src`` are integer
+    value ids, ``run`` is False when an earlier slot already produced
+    ``dst``, and ``free`` lists the values no later running slot reads.
+    With ``strips`` (2D) every ``load_x`` of k-block ``kb`` names the
+    same row strip and every ``mma`` with the same (term, rb, kb,
+    operands) the same strip product, whichever ``wb`` chain issued it;
+    otherwise every register is its own value.
+    """
+    ids: dict = {}
+    value_of: dict[str, int] = {}
+    last: dict[int, int] = {}
+    slots = []
+    for i, ins in enumerate(program.instrs):
+        src = tuple(value_of[r] for r in ins.srcs)
+        if strips and ins.op == "load_x":
+            keys = [("x", ins.meta["kb"])]
+        elif strips and ins.op == "mma":
+            keys = [(ins.meta["term"], ins.meta["rb"], ins.meta["kb"]) + src]
+        else:
+            keys = ins.dst
+        run = not keys or any(k not in ids for k in keys)
+        dst = tuple(ids.setdefault(k, len(ids)) for k in keys)
+        value_of.update(zip(ins.dst, dst))
+        if run:
+            last.update(dict.fromkeys(dst + src, i))
+        slots.append((ins, dst, src, run, []))
+    for v, i in last.items():
+        slots[i][4].append(v)
+    return tuple(slots), len(ids)
+
+
 @dataclass
 class VectorProgram:
     """A scheduled tile program with batched operands, ready to sweep.
 
     Built once per plan by :func:`build_vector_program` (the lowering
     pipeline's ``vectorize`` pass); holds dense matrix-domain copies of
-    the fragment operands the interpreter indexes per tile, plus a lazy
-    per-``smem_shape`` probe cache of the program's exact per-tile
-    event cost.
+    the fragment operands the interpreter indexes per tile, the walk's
+    liveness table, plus a lazy per-``smem_shape`` probe cache of the
+    program's exact per-tile event cost.  Nothing here is written
+    during a sweep except the probe cache, so thread ranks can share one
+    program.
     """
 
     program: TileProgram
@@ -98,6 +147,12 @@ class VectorProgram:
     #: scalar apex weights, indexed by the apex instruction's ``scalar``
     scalar_weights: tuple = ()
     _probe_cache: dict = field(default_factory=dict, repr=False)
+    #: the scheduled instructions with renamed values and last uses
+    slots: tuple = field(init=False, repr=False)
+    n_values: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.slots, self.n_values = _slots(self.program, self.kind == "2d")
 
     # -- per-tile event cost ------------------------------------------------
     def probe(
@@ -126,93 +181,106 @@ class VectorProgram:
 
     # -- batched instruction walks ------------------------------------------
     def execute_batch_2d(
-        self, x: np.ndarray, n_tiles: int, profiler=None, deltas=None
+        self, ext: np.ndarray, n_a: int, n_b: int, profiler=None, deltas=None
     ) -> np.ndarray:
-        """Run the scheduled program over ``x`` = (n_tiles, k_rows,
-        w_cols) input windows; returns (n_tiles, out_rows, out_cols)."""
-        tile = self.program.tile
-        use_bvs = tile.config.use_bvs
-        radius = tile.radius
-        t_r, t_c = tile.out_rows, tile.out_cols
-        env: dict[str, np.ndarray] = {}
-        out_final: dict[tuple[int, int], np.ndarray] = {}
-        out = np.zeros((x.shape[0], t_r, t_c), dtype=np.float64)
+        """Run the scheduled program over an ``n_a x n_b`` grid of tiles.
 
-        def step(ins) -> None:
-            if ins.op == "load_x":
-                kb, wb = ins.meta["kb"], ins.meta["wb"]
-                env[ins.dst[0]] = np.ascontiguousarray(
-                    x[:, 4 * kb : 4 * kb + 4, 8 * wb : 8 * wb + 8]
+        ``ext`` is the zero-extended padded grid, ``((n_a-1)*t_r +
+        k_rows, (n_b-1)*t_c + w_cols)``; returns the ``(n_a*t_r,
+        n_b*t_c)`` output grid.
+        """
+        tile = self.program.tile
+        t_r, t_c = tile.out_rows, tile.out_cols
+        radius = tile.radius
+        s_row, s_col = ext.strides
+        # BVS splits even/odd columns; the naive split, halves
+        step_c, odd_c = (2, 1) if tile.config.use_bvs else (1, 4)
+        out = np.zeros((n_a, t_r, n_b, t_c), dtype=np.float64)
+        out_final: dict[tuple[int, int], np.ndarray] = {}
+
+        def assemble() -> None:
+            for (rb, ob), acc in out_final.items():
+                out[:, 8 * rb : 8 * rb + 8, :, 8 * ob : 8 * ob + 8] = (
+                    acc.reshape(n_a, 8, n_b, 8)
                 )
-            elif ins.op == "mma":
-                ti, rb, kb = ins.meta["term"], ins.meta["rb"], ins.meta["kb"]
-                d = np.matmul(self.u_ops[(ti, rb, kb)], env[ins.srcs[0]])
-                if len(ins.srcs) > 1:
-                    d = d + env[ins.srcs[1]]
-                env[ins.dst[0]] = d
-            elif ins.op == "split":
-                t = env[ins.srcs[0]]
-                if use_bvs:
-                    even = np.ascontiguousarray(t[:, :, 0::2])
-                    odd = np.ascontiguousarray(t[:, :, 1::2])
-                else:
-                    even = np.ascontiguousarray(t[:, :, 0:4])
-                    odd = np.ascontiguousarray(t[:, :, 4:8])
-                env[ins.dst[0]], env[ins.dst[1]] = even, odd
-            elif ins.op == "mma2":
-                ti, wb, ob = ins.meta["term"], ins.meta["wb"], ins.meta["ob"]
-                half = 0 if ins.meta["half"] == "lo" else 1
-                d = np.matmul(env[ins.srcs[0]], self.v_ops[(ti, wb, ob, half)])
-                if len(ins.srcs) > 1:
-                    d = d + env[ins.srcs[1]]
-                env[ins.dst[0]] = d
-                out_final[(ins.meta["rb"], ob)] = d
-            elif ins.op == "apex":
+
+        def step(ins, dst, src, env) -> None:
+            op = ins.op
+            if op == "load_x":
+                # the k-block's 4-row strip of every tile row, full width
+                env[dst[0]] = as_strided(
+                    ext[4 * ins.meta["kb"] :],
+                    (n_a, 4, ext.shape[1]),
+                    (t_r * s_row, s_row, s_col),
+                )
+            elif op == "mma":
+                m = ins.meta
+                d = np.matmul(self.u_ops[(m["term"], m["rb"], m["kb"])], env[src[0]])
+                if len(src) > 1:
+                    d += env[src[1]]
+                env[dst[0]] = d
+            elif op == "split":
+                # tile b's wb window starts at column b*t_c + 8*wb
+                t = env[src[0]][:, :, 8 * ins.meta["wb"] :]
+                s0, s1, s2 = t.strides
+                for d, off in zip(dst, (0, odd_c)):
+                    env[d] = np.ascontiguousarray(
+                        as_strided(
+                            t[:, :, off:],
+                            (n_a, 8, n_b, 4),
+                            (s0, s1, t_c * s2, step_c * s2),
+                        )
+                    ).reshape(-1, 4)
+            elif op == "mma2":
+                m = ins.meta
+                half = 0 if m["half"] == "lo" else 1
+                d = env[src[0]] @ self.v_ops[(m["term"], m["wb"], m["ob"], half)]
+                if len(src) > 1:
+                    d += env[src[1]]
+                env[dst[0]] = d
+                out_final[(m["rb"], m["ob"])] = d
+            elif op == "apex":
                 # replicate the interpreter exactly: (re)assign every
                 # output block, then add the scalar apex term over the
                 # whole tile
-                for (rb, ob), acc in out_final.items():
-                    out[:, 8 * rb : 8 * rb + 8, 8 * ob : 8 * ob + 8] = acc
+                assemble()
                 w = self.scalar_weights[ins.meta["scalar"]]
-                out[:] += w * x[
-                    :, radius : radius + t_r, radius : radius + t_c
+                grid = out.reshape(n_a * t_r, n_b * t_c)
+                grid += w * ext[
+                    radius : radius + n_a * t_r, radius : radius + n_b * t_c
                 ]
             else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown op {ins.op!r}")
+                raise ValueError(f"unknown op {op!r}")
 
-        self._walk(step, n_tiles, profiler, deltas)
+        self._walk(step, n_a * n_b, profiler, deltas)
 
         if not self.scalar_weights:
-            for (rb, ob), acc in out_final.items():
-                out[:, 8 * rb : 8 * rb + 8, 8 * ob : 8 * ob + 8] = acc
-        return out
+            assemble()
+        return out.reshape(n_a * t_r, n_b * t_c)
 
     def execute_batch_1d(
-        self,
-        ext: np.ndarray,
-        bases: np.ndarray,
-        n_tiles: int,
-        profiler=None,
-        deltas=None,
+        self, ext: np.ndarray, n_tiles: int, t_c: int, profiler=None, deltas=None
     ) -> np.ndarray:
-        """Run the scheduled 1D program over all tiles of a flat sweep;
-        returns the (n_tiles, 8, 8) accumulator batch."""
-        env: dict[str, np.ndarray] = {}
+        """Run the scheduled 1D program over all tiles of a flat sweep
+        (tile ``i`` starts at ``ext[i * t_c]``); returns the
+        ``(n_tiles, 8, 8)`` accumulator batch."""
         result: np.ndarray | None = None
-        rows = np.arange(4)[:, None]
-        cols = 8 * np.arange(8)[None, :]
+        (s,) = ext.strides
 
-        def step(ins) -> None:
+        def step(ins, dst, src, env) -> None:
             nonlocal result
             if ins.op == "load_x":
-                kb = ins.meta["kb"]
-                idx = bases[:, None, None] + 4 * kb + rows + cols
-                env[ins.dst[0]] = ext[idx]
+                # element (r, q) of tile i reads ext[i*t_c + 4*kb + 8*q + r]
+                env[dst[0]] = np.ascontiguousarray(
+                    as_strided(
+                        ext[4 * ins.meta["kb"] :], (n_tiles, 4, 8), (t_c * s, s, 8 * s)
+                    )
+                )
             elif ins.op == "mma":
-                d = np.matmul(self.u_ops[ins.meta["kb"]], env[ins.srcs[0]])
-                if len(ins.srcs) > 1:
-                    d = d + env[ins.srcs[1]]
-                env[ins.dst[0]] = d
+                d = np.matmul(self.u_ops[ins.meta["kb"]], env[src[0]])
+                if len(src) > 1:
+                    d += env[src[1]]
+                env[dst[0]] = d
                 if ins.meta.get("final"):
                     result = d
             else:  # pragma: no cover - defensive
@@ -224,22 +292,32 @@ class VectorProgram:
         return result
 
     def _walk(self, step, n_tiles: int, profiler, deltas) -> None:
-        """Step the scheduled instruction list, one batched op each.
+        """Step the scheduled slots, one batched op each.
+
+        Each running slot calls ``step(ins, dst, src, env)``; a slot
+        whose value an earlier slot already produced is skipped, and
+        every value is dropped from ``env`` after its last use.
 
         With a profiler, each instruction is charged its wall-time and
         its probed per-tile event delta scaled by the tile count —
         integer scaling is exact, so per-term/per-op attribution sums to
         the interpreter's totals bit-for-bit (at one record per batched
-        instruction instead of one per tile).
+        instruction instead of one per tile; a skipped slot costs ~0 ns).
         """
-        instrs = self.program.instrs
+        env: list = [None] * self.n_values
         if profiler is None:
-            for ins in instrs:
-                step(ins)
+            for ins, dst, src, run, free in self.slots:
+                if run:
+                    step(ins, dst, src, env)
+                for v in free:
+                    env[v] = None
             return
-        for ins, delta in zip(instrs, deltas):
+        for (ins, dst, src, run, free), delta in zip(self.slots, deltas):
             t0 = time.perf_counter_ns()
-            step(ins)
+            if run:
+                step(ins, dst, src, env)
+            for v in free:
+                env[v] = None
             profiler.record(
                 ins,
                 time.perf_counter_ns() - t0,
@@ -347,32 +425,18 @@ def run_vector_sweep(
             )
             flat = padded2d.reshape(-1)
             ext[: flat.shape[0]] = flat
-            bases = np.arange(n_b) * t_c
-            accs = vector.execute_batch_1d(
-                ext, bases, n_tiles, profiler, deltas
-            )
+            accs = vector.execute_batch_1d(ext, n_tiles, t_c, profiler, deltas)
             # accumulator (r, q) holds output base + 8*q + r
-            full = np.ascontiguousarray(accs.transpose(0, 2, 1)).reshape(-1)
-            out = np.ascontiguousarray(full[:cols]).reshape(1, cols)
+            out = accs.transpose(0, 2, 1).reshape(-1)[:cols].reshape(1, cols)
         else:
             tile = vector.program.tile
-            k_rows, w_cols = tile.k_rows, tile.w_cols
             ext = np.zeros(
-                ((n_a - 1) * t_r + k_rows, (n_b - 1) * t_c + w_cols),
+                ((n_a - 1) * t_r + tile.k_rows, (n_b - 1) * t_c + tile.w_cols),
                 dtype=np.float64,
             )
             ext[: padded2d.shape[0], : padded2d.shape[1]] = padded2d
-            windows = sliding_window_view(ext, (k_rows, w_cols))[
-                ::t_r, ::t_c
-            ]
-            x = np.ascontiguousarray(
-                windows.reshape(n_tiles, k_rows, w_cols)
-            )
-            tiles = vector.execute_batch_2d(x, n_tiles, profiler, deltas)
-            full = tiles.reshape(n_a, n_b, t_r, t_c).transpose(0, 2, 1, 3)
-            out = np.ascontiguousarray(
-                full.reshape(n_a * t_r, n_b * t_c)[:rows, :cols]
-            )
+            grid = vector.execute_batch_2d(ext, n_a, n_b, profiler, deltas)
+            out = np.ascontiguousarray(grid[:rows, :cols])
 
         counters += per_tile.scaled(n_tiles)
         counters.global_store_bytes += rows * cols * _FP64_BYTES

@@ -7,12 +7,14 @@ Three backends execute a compiled plan:
   *measured* by stepping fragments one tile at a time.  The reference
   semantics, and the only backend that composes with ABFT verification
   and fault injection.
-* ``vectorized`` — batched NumPy over whole tile sweeps: all tiles of a
-  rank-1 term at once via broadcast ``matmul``, with the banded U/V
+* ``vectorized`` — one batched NumPy walk of the scheduled program over
+  the whole grid: each ``mma`` is a k=4 product over a full-width row
+  strip, each ``mma2`` one gemm over all tiles, with the banded U/V
   operands materialized once per plan and staging traffic priced
   analytically.  Bit-identical grids *and* EventCounters to the
-  interpreter (the schedule-equivalence suite gates this), an order of
-  magnitude faster in wall-clock.
+  interpreter (the schedule-equivalence suite gates this), because
+  every product stays a k=4 BLAS gemm added in schedule order; two
+  orders of magnitude faster in wall-clock.
 * ``oracle`` — the pre-lowering eager tile math, bypassing the scheduled
   program entirely.  The correctness oracle the property suite checks
   both other backends against.

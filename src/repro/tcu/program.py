@@ -132,7 +132,7 @@ def build_tile_program(tile: RDGTileCompute) -> TileProgram:
                         op="split",
                         dst=(even, odd),
                         srcs=(acc,),
-                        meta={"term": ti},
+                        meta={"term": ti, "rb": rb, "wb": wb},
                     )
                 )
                 for ob in range(ob_n):

@@ -8,7 +8,7 @@ from repro.core.engine2d import LoRAStencil2D
 from repro.core.lowrank import decompose
 from repro.core.rdg import RDGTileCompute
 from repro.stencil.reference import reference_apply
-from repro.stencil.weights import radially_symmetric_weights
+from repro.stencil.weights import box_weights, radially_symmetric_weights
 
 TILE_SHAPES = [(8, 8), (8, 16), (16, 8), (16, 16), (24, 16)]
 
@@ -47,14 +47,35 @@ class TestGeometry:
         assert tile.mma_per_tile == 36
 
 
+def _simulate(eng, x):
+    """Interpreter sweep, checked bit for bit against the vectorized
+    backend (grid and EventCounters); returns the interpreter's."""
+    out, cnt = eng.apply_simulated(x, backend="interpreter")
+    vec_out, vec_cnt = eng.apply_simulated(x, backend="vectorized")
+    assert np.array_equal(vec_out, out)
+    assert vec_cnt == cnt
+    return out, cnt
+
+
 class TestCorrectness:
+    """Every tensor-core sweep runs on both backends (see ``_simulate``)."""
+
     @pytest.mark.parametrize("ts", TILE_SHAPES)
     @pytest.mark.parametrize("h", [1, 3])
     def test_simulated_matches_reference(self, rng, ts, h):
         w = radially_symmetric_weights(h, 2, rng=rng)
         eng = LoRAStencil2D(w.as_matrix(), tile_shape=ts)
         x = rng.normal(size=(27 + 2 * h, 34 + 2 * h))
-        out, _ = eng.apply_simulated(x)
+        out, _ = _simulate(eng, x)
+        assert np.allclose(out, reference_apply(x, w), atol=1e-11)
+
+    @pytest.mark.parametrize("ts", TILE_SHAPES)
+    def test_svd_kernel_on_ragged_grid(self, rng, ts):
+        # a non-symmetric 7x7 kernel decomposes by SVD, not by pyramid
+        w = box_weights(3, 2, rng=rng)
+        eng = LoRAStencil2D(w.as_matrix(), tile_shape=ts)
+        x = rng.normal(size=(13 + 6, 37 + 6))
+        out, _ = _simulate(eng, x)
         assert np.allclose(out, reference_apply(x, w), atol=1e-11)
 
     @pytest.mark.parametrize("ts", [(16, 16), (8, 16)])
@@ -66,7 +87,7 @@ class TestCorrectness:
             tile_shape=ts,
         )
         x = rng.normal(size=(20, 24))
-        out, cnt = eng.apply_simulated(x)
+        out, cnt = _simulate(eng, x)
         assert np.allclose(out, reference_apply(x, w), atol=1e-11)
         assert cnt.shuffle_ops > 0
 
@@ -85,6 +106,6 @@ class TestCorrectness:
         w = radially_symmetric_weights(3, 2, rng=rng)
         eng = LoRAStencil2D(w.as_matrix(), tile_shape=(16, 16))
         x = rng.normal(size=(32 + 6, 32 + 6))
-        _, cnt = eng.apply_simulated(x)
+        _, cnt = _simulate(eng, x)
         tiles = (32 // 16) * (32 // 16)
         assert cnt.mma_ops == tiles * eng.tile.mma_per_tile

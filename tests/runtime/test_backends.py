@@ -8,6 +8,10 @@ plan-key/plan-cache backend coverage, the
 grid shapes.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +138,50 @@ class TestBackendEquivalence:
         )
         assert np.array_equal(out_i, out_v)
         assert ev_i == ev_v
+
+    def test_threads_share_one_plan(self):
+        # cluster thread ranks share one plan: the vectorized walk keeps
+        # no per-plan scratch, and the probe cache fills under a race
+        k = get_kernel("Star-2D13P")
+        compiled = repro.compile(k.weights, cache=None)
+        inputs = [
+            _padded(k.weights, (20 + 5 * i, 44 - 3 * i), seed=i) for i in range(8)
+        ]
+        runs: list = [None] * len(inputs)
+        errors: list = []
+
+        def work(i):
+            try:
+                runs[i] = [
+                    compiled.apply_simulated(inputs[i], backend="vectorized")
+                    for _ in range(3)
+                ]
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(i,), daemon=True)
+            for i in range(len(inputs))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 60
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for padded, results in zip(inputs, runs):
+            want_out, want_ev = compiled.apply_simulated(
+                padded, backend="vectorized"
+            )
+            for out, ev in results:
+                assert np.array_equal(out, want_out)
+                assert ev == want_ev
 
     def test_cuda_core_plan_falls_back_silently(self):
         # no lowered tile program exists; an explicit vectorized request
