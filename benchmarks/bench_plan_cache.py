@@ -82,7 +82,7 @@ def test_apply_batch_beats_python_loop(benchmark, write_result):
     def batched():
         return compiled.apply_batch(grids)
 
-    np.testing.assert_allclose(batched(), looped(), atol=1e-12)
+    np.testing.assert_array_equal(batched(), looped())
     t_loop = _time(looped)
     t_batch = _time(batched)
     benchmark(batched)

@@ -89,12 +89,12 @@ class LoRAStencilMethod(StencilMethod):
         base = compile_stencil(self.weights, config=self.config)
         return base.apply(padded)
 
-    def apply_batch(self, grids, threaded: bool = False) -> np.ndarray:
+    def apply_batch(self, grids) -> np.ndarray:
         """Vectorized base-timestep sweep over equally shaped padded grids."""
         if self.steps_per_sweep == 1:
-            return self.compiled.apply_batch(grids, threaded=threaded)
+            return self.compiled.apply_batch(grids)
         base = compile_stencil(self.weights, config=self.config)
-        return base.apply_batch(grids, threaded=threaded)
+        return base.apply_batch(grids)
 
     def apply_fused(self, padded: np.ndarray) -> np.ndarray:
         """One fused sweep (padded with ``steps_per_sweep * radius``)."""

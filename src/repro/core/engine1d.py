@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import OptimizationConfig
-from repro.core.sweep import SweepSpec, run_block_sweep
+from repro.core.sweep import SweepSpec, run_block_sweep, validate_padded
 from repro.core.uvbuild import build_u_matrix
 from repro.errors import PerfError, ShapeError
 from repro.stencil.weights import StencilWeights
@@ -120,18 +120,20 @@ class LoRAStencil1D:
     # ------------------------------------------------------------------
     def apply(self, padded: np.ndarray) -> np.ndarray:
         """Apply the stencil to a padded 1D array; returns the interior."""
-        padded = np.asarray(padded, dtype=np.float64)
-        if padded.ndim != 1:
-            raise ShapeError(f"expected 1D input, got {padded.ndim}D")
-        n = padded.shape[0] - 2 * self.radius
-        if n <= 0:
-            raise ShapeError(
-                f"padded input of {padded.shape[0]} too small for radius "
-                f"{self.radius}"
-            )
-        out = np.zeros(n, dtype=np.float64)
+        padded, _ = validate_padded(padded, 1, self.radius)
+        return self.apply_stack(padded)
+
+    def apply_stack(self, padded: np.ndarray) -> np.ndarray:
+        """:meth:`apply` over the last axis of a float64 array.
+
+        Broadcasts over any leading (batch) axes and does no validation:
+        the caller has passed one grid of the stack through
+        :func:`~repro.core.sweep.validate_padded`.
+        """
+        n = padded.shape[-1] - 2 * self.radius
+        out = np.zeros((*padded.shape[:-1], n), dtype=np.float64)
         for t, wt in enumerate(self.weight_vector):
-            out += wt * padded[t : t + n]
+            out += wt * padded[..., t : t + n]
         return out
 
     # ------------------------------------------------------------------
@@ -163,15 +165,7 @@ class LoRAStencil1D:
         from repro.runtime.backends import get_backend
 
         backend = get_backend(backend or "interpreter").name
-        padded = np.asarray(padded, dtype=np.float64)
-        if padded.ndim != 1:
-            raise ShapeError(f"expected 1D input, got {padded.ndim}D")
-        n = padded.shape[0] - 2 * self.radius
-        if n <= 0:
-            raise ShapeError(
-                f"padded input of {padded.shape[0]} too small for radius "
-                f"{self.radius}"
-            )
+        padded, (n,) = validate_padded(padded, 1, self.radius)
         # last tile of a block reads up to block - 64 + 8*7 + k_rows
         spec = SweepSpec(
             interior=(1, n),

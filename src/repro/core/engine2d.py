@@ -5,7 +5,9 @@ Two execution paths share one decomposition:
 * :meth:`LoRAStencil2D.apply` — the *functional* path: each rank-1 term
   is a separable filter (vertical pass with ``u``, horizontal with
   ``v``), vectorized with NumPy over the whole grid.  Used for
-  correctness oracles and large functional runs.
+  correctness oracles and large functional runs.  Its kernel,
+  :meth:`LoRAStencil2D.apply_stack`, broadcasts over leading axes, so
+  runtime batches and 3D plane stacks run it once per call.
 * :meth:`LoRAStencil2D.apply_simulated` — the *faithful* path: the grid
   is swept block by block exactly like the CUDA implementation — global
   -> shared copies (``cp.async`` when enabled), 8x8 output tiles
@@ -142,25 +144,29 @@ class LoRAStencil2D:
         Computes ``sum_k U_k X V_k`` as a sum of separable filters —
         mathematically identical to the simulated MCM.
         """
-        padded = np.asarray(padded, dtype=np.float64)
-        if padded.ndim != 2:
-            raise ShapeError(f"expected 2D input, got {padded.ndim}D")
+        padded, _ = validate_padded(padded, 2, self.radius)
+        return self.apply_stack(padded)
+
+    def apply_stack(self, padded: np.ndarray) -> np.ndarray:
+        """:meth:`apply` over the last two axes of a float64 array.
+
+        Broadcasts over any leading axes (a batch, or the z-planes of a
+        3D sweep) and does no validation: the caller has passed one grid
+        of the stack through :func:`~repro.core.sweep.validate_padded`.
+        """
         h = self.radius
-        rows, cols = padded.shape[0] - 2 * h, padded.shape[1] - 2 * h
-        if rows <= 0 or cols <= 0:
-            raise ShapeError(
-                f"padded input {padded.shape} too small for radius {h}"
-            )
-        out = np.zeros((rows, cols), dtype=np.float64)
+        rows, cols = (s - 2 * h for s in padded.shape[-2:])
+        lead = padded.shape[:-2]
+        out = np.zeros((*lead, rows, cols), dtype=np.float64)
         for term in self.decomposition.matrix_terms:
             pd, s = term.pad, term.size
-            tmp = np.zeros((rows, padded.shape[1]), dtype=np.float64)
+            tmp = np.zeros((*lead, rows, padded.shape[-1]), dtype=np.float64)
             for t in range(s):
-                tmp += term.u[t] * padded[pd + t : pd + t + rows, :]
+                tmp += term.u[t] * padded[..., pd + t : pd + t + rows, :]
             for r in range(s):
-                out += term.v[r] * tmp[:, pd + r : pd + r + cols]
+                out += term.v[r] * tmp[..., pd + r : pd + r + cols]
         for term in self.decomposition.scalar_terms:
-            out += term.scalar_weight * padded[h : h + rows, h : h + cols]
+            out += term.scalar_weight * padded[..., h : h + rows, h : h + cols]
         return out
 
     # ------------------------------------------------------------------

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.config import OptimizationConfig
 from repro.core.engine2d import LoRAStencil2D
+from repro.core.sweep import validate_padded
 from repro.errors import ShapeError
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
@@ -103,27 +104,28 @@ class LoRAStencil3D:
     # ------------------------------------------------------------------
     def apply(self, padded: np.ndarray) -> np.ndarray:
         """Apply the stencil to a padded 3D array; returns the interior."""
-        padded = np.asarray(padded, dtype=np.float64)
-        if padded.ndim != 3:
-            raise ShapeError(f"expected 3D input, got {padded.ndim}D")
+        padded, _ = validate_padded(padded, 3, self.radius)
+        return self.apply_stack(padded)
+
+    def apply_stack(self, padded: np.ndarray) -> np.ndarray:
+        """:meth:`apply` over the last three axes of a float64 array.
+
+        Each TCU plane runs once on its whole stack of input slabs
+        (:meth:`LoRAStencil2D.apply_stack`).  Broadcasts over any
+        leading (batch) axes and does no validation: the caller has
+        passed one grid of the stack through
+        :func:`~repro.core.sweep.validate_padded`.
+        """
         h = self.radius
-        zs, rs, cs = (s - 2 * h for s in padded.shape)
-        if min(zs, rs, cs) <= 0:
-            raise ShapeError(
-                f"padded input {padded.shape} too small for radius {h}"
-            )
-        out = np.zeros((zs, rs, cs), dtype=np.float64)
+        zs, rs, cs = (s - 2 * h for s in padded.shape[-3:])
+        out = np.zeros((*padded.shape[:-3], zs, rs, cs), dtype=np.float64)
         for task in self.planes:
+            slabs = padded[..., task.index : task.index + zs, :, :]
             if task.pointwise is not None:
                 pi, pj, wt = task.pointwise
-                out += wt * padded[
-                    task.index : task.index + zs,
-                    pi : pi + rs,
-                    pj : pj + cs,
-                ]
+                out += wt * slabs[..., pi : pi + rs, pj : pj + cs]
             elif task.engine is not None:
-                for z in range(zs):
-                    out[z] += task.engine.apply(padded[z + task.index])
+                out += task.engine.apply_stack(slabs)
         return out
 
     # ------------------------------------------------------------------
@@ -168,15 +170,7 @@ class LoRAStencil3D:
                 "the vectorized backend does not support ABFT "
                 "verification or fault recovery; use backend='interpreter'"
             )
-        padded = np.asarray(padded, dtype=np.float64)
-        if padded.ndim != 3:
-            raise ShapeError(f"expected 3D input, got {padded.ndim}D")
-        h = self.radius
-        zs, rs, cs = (s - 2 * h for s in padded.shape)
-        if min(zs, rs, cs) <= 0:
-            raise ShapeError(
-                f"padded input {padded.shape} too small for radius {h}"
-            )
+        padded, (zs, rs, cs) = validate_padded(padded, 3, self.radius)
         device = device or Device()
         start = device.snapshot()
         warp = device.warp()
@@ -237,15 +231,7 @@ class LoRAStencil3D:
         — the correction the performance footprints apply, here measured
         rather than assumed.
         """
-        padded = np.asarray(padded, dtype=np.float64)
-        if padded.ndim != 3:
-            raise ShapeError(f"expected 3D input, got {padded.ndim}D")
-        h = self.radius
-        zs, rs, cs = (s - 2 * h for s in padded.shape)
-        if min(zs, rs, cs) <= 0:
-            raise ShapeError(
-                f"padded input {padded.shape} too small for radius {h}"
-            )
+        padded, (zs, rs, cs) = validate_padded(padded, 3, self.radius)
         device = device or Device()
         start = device.snapshot()
         warp = device.warp()
@@ -258,8 +244,7 @@ class LoRAStencil3D:
             return ((x + to - 1) // to) * to
 
         engines = [t.engine for t in self.planes if t.engine is not None]
-        slab_rows = rs + 2 * h
-        slab_cols = cs + 2 * h
+        slab_rows, slab_cols = padded.shape[1:]
         for e in engines:
             t = e.tile
             slab_rows = max(slab_rows, _round_up(rs, t.out_rows) - t.out_rows + t.k_rows)

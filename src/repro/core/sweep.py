@@ -95,8 +95,9 @@ def validate_padded(
 
     Raises :class:`~repro.errors.ShapeError` when the dimensionality is
     wrong or the array is too small to contain one interior point after
-    removing the ``radius`` halo — the validation every engine used to
-    duplicate.
+    removing the ``radius`` halo.  This is the one pad check: every
+    engine path, the runtime's batch stack (one grid of it) and its
+    sharded sweep call it.
     """
     padded = np.asarray(padded, dtype=np.float64)
     if padded.ndim != ndim:

@@ -17,9 +17,17 @@ resubmissions bump the task's live health gauges when a
 
 Workers are callables ``worker(i, *args)`` over ``tasks`` (a mapping of
 index → argument tuple); the supervisor is agnostic to what a task *is*
-— a shard's row range, a cluster rank, a temporal round — callers pass
+— a shard's row range, a cluster rank, a grid of a batch — callers pass
 ``describe`` to label events (defaults to the sharded executor's
-``rows s0:s1`` convention).
+``s0:s1`` row range) and ``title`` to name a failed task in errors.
+
+With ``policy=None`` there is no ladder: it is the plain fan-out every
+unsupervised path shares (simulated batches, unsupervised sharded
+sweeps, non-fault cluster ranks).  Each task runs once on the pool and
+nothing is retried, logged or counted; the first failure in task order
+propagates, a :class:`~repro.errors.ReproError` as is and anything else
+wrapped in a typed :class:`~repro.errors.ExecutionError` naming the
+task.
 """
 
 from __future__ import annotations
@@ -40,6 +48,13 @@ def _default_describe(args: tuple) -> str:
     if len(args) == 2:
         return f"{args[0]}:{args[1]}"
     return ":".join(str(a) for a in args)
+
+
+def _failed(title: str, i: int, n: int, label: str, exc) -> ExecutionError:
+    """The typed error for task ``i`` of ``n`` failing with ``exc``."""
+    return ExecutionError(
+        f"{title.format(i=i, n=n, label=label)} failed: {exc}"
+    )
 
 
 def backoff_delay(policy, attempt: int, task: int) -> float:
@@ -68,23 +83,42 @@ def backoff_delay(policy, attempt: int, task: int) -> float:
 def supervise_tasks(
     tasks: Mapping[int, tuple],
     worker: Callable[..., Any],
-    policy,
-    report,
+    policy=None,
+    report=None,
     max_workers: int | None = None,
     health=None,
     describe: Callable[[tuple], str] | None = None,
+    title: str = "shard {i} of {n} (rows {label})",
 ) -> dict[int, Any]:
-    """Run ``worker(i, *tasks[i])`` for every task under the ladder.
+    """Run ``worker(i, *tasks[i])`` for every task on a thread pool.
 
-    Returns ``{i: result}`` for every task or raises a typed
-    :class:`~repro.errors.FaultError` once the ladder is exhausted —
-    never a partial result set.  ``policy`` is a
-    :class:`repro.faults.RecoveryPolicy`; ``report`` a
+    Returns ``{i: result}`` for every task or raises — never a partial
+    result set; under a ladder, a typed
+    :class:`~repro.errors.FaultError` once it is exhausted.  ``policy`` is a
+    :class:`repro.faults.RecoveryPolicy`, or ``None`` for the plain
+    fan-out without a ladder (see the module docstring); ``report`` a
     :class:`repro.faults.FaultReport` the ladder's counters fold into;
     ``health`` an optional :class:`~repro.telemetry.health.SweepHealth`
-    whose per-task retry gauges bump on resubmission.
+    whose per-task retry gauges bump on resubmission.  A worker failing
+    with anything but a :class:`~repro.errors.ReproError` raises an
+    :class:`~repro.errors.ExecutionError` whose message starts with
+    ``title`` formatted with the task index ``i``, the task count ``n``
+    and the ``describe`` label.
     """
     describe = describe or _default_describe
+    if policy is None:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            futures = {i: pool.submit(worker, i, *tasks[i]) for i in tasks}
+            results = {}
+            for i in sorted(futures):
+                try:
+                    results[i] = futures[i].result()
+                except ReproError:
+                    raise
+                except Exception as exc:
+                    label = describe(tasks[i])
+                    raise _failed(title, i, len(tasks), label, exc) from exc
+        return results
     results: dict[int, Any] = {}
     pending = dict(tasks)
     failed_ever: set[int] = set()
@@ -153,10 +187,7 @@ def supervise_tasks(
                 except ReproError:
                     raise
                 except Exception as exc:
-                    raise ExecutionError(
-                        f"shard {i} of {len(tasks)} ({label}) "
-                        f"failed: {exc}"
-                    ) from exc
+                    raise _failed(title, i, len(tasks), label, exc) from exc
             failed_ever.update(failed)
             pending = failed
             if not pending:

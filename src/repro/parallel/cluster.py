@@ -30,13 +30,13 @@ with ``ClusterRuntime(distribute(weights, shape, mesh))``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro import telemetry
-from repro.errors import BackendError, ExecutionError, FaultError, ReproError
+from repro.errors import BackendError, FaultError
 from repro.parallel.checkpoint import (
     CheckpointConfig,
     CheckpointError,
@@ -677,36 +677,25 @@ class ClusterRuntime:
 
     def _dispatch(self, st: _Run, rnd: _Round) -> dict[int, tuple]:
         """Run every rank's round on the executor; ``{rank: (block,
-        counters | None, info | None)}``.  Fault runs go through the
-        shared supervisor (timeouts, retries, backoff) on any executor."""
+        counters | None, info | None)}``.  Thread and process ranks fan
+        out through the shared supervisor, under its recovery ladder
+        (timeouts, retries, backoff) in fault runs; serial non-fault
+        runs stay inline."""
         ranks = range(self.part.num_devices)
-        if st.fault_mode:
-            from repro.faults.supervisor import supervise_tasks
-
-            return supervise_tasks(
-                {r: (r,) for r in ranks},
-                lambda _task, rank: self._rank(st, rnd, rank),
-                st.policy,
-                st.report,
-                max_workers=1 if st.executor == "serial" else st.max_workers,
-                health=st.health,
-                describe=lambda args: f"rank {args[0]}",
-            )
-        if st.executor == "serial":
+        if st.executor == "serial" and not st.fault_mode:
             return {r: self._rank(st, rnd, r) for r in ranks}
-        with ThreadPoolExecutor(max_workers=st.max_workers) as tp:
-            futures = {r: tp.submit(self._rank, st, rnd, r) for r in ranks}
-            results = {}
-            for r, future in futures.items():
-                try:
-                    results[r] = future.result()
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    raise ExecutionError(
-                        f"cluster rank {r} of {len(ranks)} failed: {exc}"
-                    ) from exc
-        return results
+        from repro.faults.supervisor import supervise_tasks
+
+        return supervise_tasks(
+            {r: (r,) for r in ranks},
+            lambda _task, rank: self._rank(st, rnd, rank),
+            st.policy,
+            st.report,
+            max_workers=1 if st.executor == "serial" else st.max_workers,
+            health=st.health,
+            describe=lambda args: f"rank {args[0]}",
+            title="cluster rank {i} of {n}",
+        )
 
     def _rank(self, st: _Run, rnd: _Round, rank: int) -> tuple:
         """One rank's round: ``(block, counters | None, info | None)``.

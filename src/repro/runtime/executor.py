@@ -5,19 +5,22 @@ to its execution strategies:
 
 * :meth:`Runtime.apply` — one grid, the plan engine's functional path;
 * :meth:`Runtime.apply_batch` — many same-shaped grids at once.  The
-  rank-1 term loops run *once* for the whole batch with NumPy
-  broadcasting over the leading batch axis, so the per-call Python
-  overhead (the compile-per-call tax this subsystem exists to remove)
-  is paid once per batch instead of once per grid;
-* :meth:`Runtime.apply_batch_threaded` — the same batch fanned out over
-  a :mod:`concurrent.futures` thread pool (NumPy releases the GIL in
-  its inner loops), for batches of grids too large to stack;
+  engine's functional kernel (``apply_stack``) broadcasts over the
+  leading batch axis, so its rank-1 term loops run *once* for the whole
+  batch and the per-call Python overhead (the compile-per-call tax this
+  subsystem exists to remove) is paid once per batch instead of once
+  per grid;
 * :meth:`Runtime.apply_simulated` / :meth:`Runtime.apply_simulated_batch`
   / :meth:`Runtime.apply_simulated_sharded` — the faithful TCU path.
   Sharded variants give every shard its own
   :class:`~repro.tcu.device.Device` and merge the per-shard
   :class:`~repro.tcu.counters.EventCounters` into one footprint, the
   way per-SM counters aggregate on real hardware.
+
+Every fan-out runs through :func:`repro.faults.supervisor.supervise_tasks`:
+without a recovery policy it is the plain thread-pool fan-out (a worker's
+non-Repro failure surfaces as a typed :class:`~repro.errors.ExecutionError`
+naming the grid or shard), with one it is the recovery ladder.
 
 Shard boundaries align to the plan's warp-tile rows, so a sharded sweep
 computes exactly the same tiles as an unsharded one (identical
@@ -27,17 +30,12 @@ the seams, which is the true cost of sharding.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
 
-from repro.errors import (
-    ExecutionError,
-    InputValidationError,
-    ReproError,
-    ShapeError,
-)
+from repro.core.sweep import validate_padded
+from repro.errors import InputValidationError, ShapeError
 from repro.runtime.backends import resolve_backend
 from repro.runtime.plan import StencilPlan
 from repro.tcu.counters import EventCounters
@@ -105,52 +103,10 @@ class Runtime:
 
         ``grids`` is a sequence of padded arrays (or one stacked array
         with a leading batch axis); returns the stacked interiors with
-        the same leading axis.  Mathematically identical to looping
-        :meth:`apply`, but the term loops broadcast over the whole batch.
+        the same leading axis.  Bit-identical to looping :meth:`apply`:
+        the engine's kernel runs once, broadcast over the whole batch.
         """
-        batch = self._stack(grids)
-        if self.plan.ndim == 1:
-            return self._batch_1d(batch)
-        if self.plan.ndim == 2:
-            return self._batch_2d(batch)
-        return self._batch_3d(batch)
-
-    def apply_batch_threaded(
-        self,
-        grids: Sequence[np.ndarray] | np.ndarray,
-        max_workers: int | None = None,
-    ) -> np.ndarray:
-        """Batch apply with one functional call per grid on a thread pool.
-
-        Same contract as :meth:`apply_batch`; use this variant when the
-        stacked batch would be too large to broadcast in one piece —
-        NumPy releases the GIL inside the slice arithmetic, so the
-        per-grid applies overlap.
-        """
-        batch = self._stack(grids)
-        ctx = TraceContext.capture()
-
-        def _apply_grid(i: int, grid: np.ndarray) -> np.ndarray:
-            with ctx.span("runtime.batch_grid", category="runtime", grid=i):
-                return self.plan.engine.apply(grid)
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(_apply_grid, i, grid)
-                for i, grid in enumerate(batch)
-            ]
-            outs = []
-            for i, future in enumerate(futures):
-                try:
-                    outs.append(future.result())
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    raise ExecutionError(
-                        f"grid {i} of {len(futures)} in threaded batch "
-                        f"failed: {exc}"
-                    ) from exc
-        return np.stack(outs)
+        return self.plan.engine.apply_stack(self._stack(grids))
 
     # ------------------------------------------------------------------
     # simulated paths
@@ -235,38 +191,29 @@ class Runtime:
         thread pool; the per-grid counters merge by summation into one
         batch footprint.  Returns ``(stacked interiors, merged counters)``.
         """
+        from repro.faults.supervisor import supervise_tasks
+
         batch = self._stack(grids)
         ctx = TraceContext.capture()
 
-        def _run_grid(item):
-            i, grid = item
+        def _run_grid(i: int):
             with ctx.span(
                 "runtime.batch_grid", category="runtime", grid=i
             ) as sp:
-                out, counters = self.apply_simulated(grid, device=Device())
+                out, counters = self.apply_simulated(batch[i], device=Device())
                 sp.add_events(counters)
                 return out, counters
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(_run_grid, (i, grid))
-                for i, grid in enumerate(batch)
-            ]
-            results = []
-            for i, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    raise ExecutionError(
-                        f"grid {i} of {len(futures)} in simulated batch "
-                        f"failed: {exc}"
-                    ) from exc
-        outs = np.stack([out for out, _ in results])
+        results = supervise_tasks(
+            {i: () for i in range(len(batch))},
+            _run_grid,
+            max_workers=max_workers,
+            title="grid {i} of {n} in simulated batch",
+        )
+        outs = np.stack([results[i][0] for i in range(len(batch))])
         merged = EventCounters()
-        for _, counters in results:
-            merged += counters
+        for i in range(len(batch)):
+            merged += results[i][1]
         return outs, merged
 
     def apply_simulated_sharded(
@@ -306,22 +253,15 @@ class Runtime:
         fault_mode = (
             bool(verify) or faults is not None or policy is not None
         )
+        from repro.faults.supervisor import supervise_tasks
+
         backend = resolve_backend(
             backend, plan_default=self.plan.backend, fault_mode=fault_mode
         )
-        padded = np.asarray(padded, dtype=np.float64)
-        if padded.ndim != self.plan.ndim:
-            raise ShapeError(
-                f"expected {self.plan.ndim}D input, got {padded.ndim}D"
-            )
-        _validate_finite(padded)
         h = self.plan.radius
-        n0 = padded.shape[0] - 2 * h
-        if n0 <= 0:
-            raise ShapeError(
-                f"padded input {padded.shape} too small for radius {h}"
-            )
-        bounds = _shard_bounds(n0, shards, self._shard_align())
+        padded, interior = validate_padded(padded, self.plan.ndim, h)
+        _validate_finite(padded)
+        bounds = _shard_bounds(interior[0], shards, self._shard_align())
         ctx = TraceContext.capture()
         sweep_health = HEALTH.start_sweep(f"sharded-{self.plan.key[:12]}")
 
@@ -368,29 +308,14 @@ class Runtime:
                     return out, counters
 
         try:
-            if not supervised:
-                results_list = []
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    futures = [
-                        pool.submit(_worker, i, s0, s1)
-                        for i, (s0, s1) in enumerate(bounds)
-                    ]
-                    for i, future in enumerate(futures):
-                        s0, s1 = bounds[i]
-                        try:
-                            results_list.append(future.result())
-                        except ReproError:
-                            raise
-                        except Exception as exc:
-                            raise ExecutionError(
-                                f"shard {i} of {len(bounds)} (rows {s0}:{s1}) "
-                                f"failed: {exc}"
-                            ) from exc
-                results = dict(enumerate(results_list))
-            else:
-                results = self._supervise_shards(
-                    bounds, _worker, policy, report, max_workers, sweep_health
-                )
+            results = supervise_tasks(
+                dict(enumerate(bounds)),
+                _worker,
+                policy,
+                report,
+                max_workers=max_workers,
+                health=sweep_health,
+            )
         finally:
             HEALTH.publish()
             HEALTH.write_file()
@@ -402,28 +327,6 @@ class Runtime:
         for i in range(len(bounds)):
             merged += results[i][1]
         return out, merged
-
-    def _supervise_shards(
-        self, bounds, worker, policy, report, max_workers, sweep_health=None
-    ) -> dict[int, tuple]:
-        """Run shard workers under the recovery policy.
-
-        Delegates to the shared :func:`repro.faults.supervisor.
-        supervise_tasks` ladder (timeout/crash → capped exponential-
-        backoff resubmission → inline recomputation → typed
-        :class:`~repro.errors.FaultError`) — the same supervisor the
-        cluster runtime runs its ranks and temporal rounds under.
-        """
-        from repro.faults.supervisor import supervise_tasks
-
-        return supervise_tasks(
-            dict(enumerate(bounds)),
-            worker,
-            policy,
-            report,
-            max_workers=max_workers,
-            health=sweep_health,
-        )
 
     # ------------------------------------------------------------------
     # internals
@@ -449,73 +352,8 @@ class Runtime:
                     f"all grids in a batch must share one shape, got {shapes}"
                 )
             batch = np.stack(items)
-        if batch.ndim != self.plan.ndim + 1:
-            raise ShapeError(
-                f"batch for a {self.plan.ndim}D plan must have "
-                f"{self.plan.ndim + 1} axes, got {batch.ndim}"
-            )
         if batch.shape[0] == 0:
             raise ShapeError("apply_batch needs at least one grid")
+        validate_padded(batch[0], self.plan.ndim, self.plan.radius)
         _validate_finite(batch, "input batch")
         return batch
-
-    def _batch_1d(self, batch: np.ndarray) -> np.ndarray:
-        h = self.plan.radius
-        n = batch.shape[1] - 2 * h
-        if n <= 0:
-            raise ShapeError(
-                f"padded length {batch.shape[1]} too small for radius {h}"
-            )
-        out = np.zeros((batch.shape[0], n), dtype=np.float64)
-        for t, wt in enumerate(self.plan.engine.weight_vector):
-            out += wt * batch[:, t : t + n]
-        return out
-
-    def _batch_2d(self, batch: np.ndarray) -> np.ndarray:
-        return _batched_2d(self.plan.engine, batch)
-
-    def _batch_3d(self, batch: np.ndarray) -> np.ndarray:
-        h = self.plan.radius
-        zs, rs, cs = (s - 2 * h for s in batch.shape[1:])
-        if min(zs, rs, cs) <= 0:
-            raise ShapeError(
-                f"padded batch {batch.shape[1:]} too small for radius {h}"
-            )
-        b = batch.shape[0]
-        out = np.zeros((b, zs, rs, cs), dtype=np.float64)
-        for task in self.plan.engine.planes:
-            if task.pointwise is not None:
-                pi, pj, wt = task.pointwise
-                out += wt * batch[
-                    :,
-                    task.index : task.index + zs,
-                    pi : pi + rs,
-                    pj : pj + cs,
-                ]
-            elif task.engine is not None:
-                slabs = batch[:, task.index : task.index + zs]
-                folded = slabs.reshape(b * zs, *slabs.shape[2:])
-                out += _batched_2d(task.engine, folded).reshape(b, zs, rs, cs)
-        return out
-
-
-def _batched_2d(engine, batch: np.ndarray) -> np.ndarray:
-    """Sum of separable rank-1 filters over a stack of padded 2D grids."""
-    h = engine.radius
-    rows, cols = batch.shape[1] - 2 * h, batch.shape[2] - 2 * h
-    if rows <= 0 or cols <= 0:
-        raise ShapeError(
-            f"padded batch {batch.shape[1:]} too small for radius {h}"
-        )
-    b = batch.shape[0]
-    out = np.zeros((b, rows, cols), dtype=np.float64)
-    for term in engine.decomposition.matrix_terms:
-        pd, s = term.pad, term.size
-        tmp = np.zeros((b, rows, batch.shape[2]), dtype=np.float64)
-        for t in range(s):
-            tmp += term.u[t] * batch[:, pd + t : pd + t + rows, :]
-        for r in range(s):
-            out += term.v[r] * tmp[:, :, pd + r : pd + r + cols]
-    for term in engine.decomposition.scalar_terms:
-        out += term.scalar_weight * batch[:, h : h + rows, h : h + cols]
-    return out

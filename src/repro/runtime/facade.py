@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import OptimizationConfig
+from repro.errors import ShapeError
 from repro.runtime.backends import (
     default_backend,
     get_backend,
@@ -131,26 +132,16 @@ class CompiledStencil:
             padded = cond.pad(np.asarray(x, dtype=np.float64), self.radius)
             return self.runtime.apply(padded)
 
-    def apply_batch(
-        self,
-        grids,
-        threaded: bool = False,
-        max_workers: int | None = None,
-    ) -> np.ndarray:
+    def apply_batch(self, grids) -> np.ndarray:
         """Apply to many equally shaped padded grids at once.
 
-        Vectorized over the batch axis by default; ``threaded=True``
-        fans single-grid applies over a thread pool instead (for
-        batches too large to stack).
+        Vectorized over the batch axis: the engine's functional kernel
+        runs once for the whole stack, bit-identical to looping
+        :meth:`apply`.
         """
         with telemetry.span(
-            "runtime.apply_batch",
-            category="runtime",
-            plan=self.key[:16],
-            threaded=threaded,
+            "runtime.apply_batch", category="runtime", plan=self.key[:16]
         ):
-            if threaded:
-                return self.runtime.apply_batch_threaded(grids, max_workers)
             return self.runtime.apply_batch(grids)
 
     @property
@@ -184,7 +175,9 @@ class CompiledStencil:
         execution (below) with a :class:`~repro.errors.BackendError`.
         ``shards > 1`` splits the sweep along the first interior axis
         over a thread pool, one simulated device per shard, and merges
-        the per-shard event counters (``device`` is then ignored).
+        the per-shard event counters (``device`` is then ignored);
+        ``shards`` must be an ``int`` >= 1, anything else (``bool``
+        included) raises :class:`~repro.errors.ShapeError`.
         ``profiler`` opts the single-shard sweep into per-instruction
         attribution; the profiler accumulators are not thread-safe, so
         it cannot be combined with ``shards > 1``.
@@ -202,6 +195,12 @@ class CompiledStencil:
         when telemetry is on, and stamped into run-records' ``faults``
         section.
         """
+        if (
+            isinstance(shards, bool)
+            or not isinstance(shards, (int, np.integer))
+            or shards < 1
+        ):
+            raise ShapeError(f"shards must be an int >= 1, got {shards!r}")
         if profiler is not None and shards > 1:
             from repro.errors import PerfError
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.engine1d import LoRAStencil1D
 from repro.core.engine2d import LoRAStencil2D
 from repro.core.engine3d import LoRAStencil3D
+from repro.errors import ShapeError
 from repro.stencil.kernels import get_kernel
 from repro.stencil.reference import reference_apply
 from repro.stencil.weights import radially_symmetric_weights
@@ -50,6 +51,20 @@ class TestExtremeShapes1D3D:
         out, _ = eng.apply_simulated(x, block=64)
         assert out.shape == (n,)
         assert np.allclose(out, reference_apply(x, w), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "engine,kernel,shape",
+        [
+            (LoRAStencil1D, "1D5P", (2, 20)),
+            (LoRAStencil2D, "Box-2D9P", (2, 10, 10)),
+            (LoRAStencil3D, "Heat-3D", (2, 6, 6, 6)),
+        ],
+    )
+    def test_apply_rejects_a_stack(self, rng, engine, kernel, shape):
+        """Single-grid apply validates ndim; only apply_stack broadcasts."""
+        eng = engine(get_kernel(kernel).weights)
+        with pytest.raises(ShapeError, match=f"expected {len(shape) - 1}D"):
+            eng.apply(rng.normal(size=shape))
 
     def test_3d_single_slab(self, rng):
         w = get_kernel("Heat-3D").weights

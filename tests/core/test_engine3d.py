@@ -45,6 +45,25 @@ class TestFunctional:
         x = rng.normal(size=(5 + 4, 10 + 4, 12 + 4))
         assert np.allclose(eng.apply(x), reference_apply(x, w), atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["Heat-3D", "Box-3D27P"])
+    def test_stacked_planes_match_per_slab_loop(self, rng, name):
+        """One 2D kernel call per plane over its whole slab stack is
+        bit-identical to one call per output slab."""
+        eng = LoRAStencil3D(get_kernel(name).weights)
+        zs, rs, cs = 6, 9, 11
+        x = rng.normal(size=(zs + 2, rs + 2, cs + 2))
+        expected = np.zeros((zs, rs, cs))
+        for task in eng.planes:
+            if task.pointwise is not None:
+                pi, pj, wt = task.pointwise
+                expected += wt * x[
+                    task.index : task.index + zs, pi : pi + rs, pj : pj + cs
+                ]
+            elif task.engine is not None:
+                for z in range(zs):
+                    expected[z] += task.engine.apply(x[z + task.index])
+        np.testing.assert_array_equal(eng.apply(x), expected)
+
     def test_too_small_rejected(self, rng):
         eng = LoRAStencil3D(get_kernel("Heat-3D").weights)
         with pytest.raises(ValueError):

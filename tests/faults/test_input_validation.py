@@ -66,38 +66,12 @@ class TestNonFiniteRejection:
 
 
 class TestWorkerExceptionWrapping:
-    def test_threaded_batch_wraps_with_grid_index(self, rng):
-        compiled, x = _compiled()
-        good = [x, x.copy(), x.copy()]
-
-        # sabotage the engine for one worker via a bad grid shape is a
-        # ShapeError (ReproError, re-raised untouched); to exercise the
-        # *generic* wrap we inject a non-Repro failure through a mock
-        class Boom(RuntimeError):
-            pass
-
-        original = compiled.plan.engine.apply
-        calls = []
-
-        def sabotaged(grid):
-            calls.append(1)
-            if len(calls) == 2:
-                raise Boom("spurious")
-            return original(grid)
-
-        compiled.plan.engine.apply = sabotaged
-        try:
-            with pytest.raises(ExecutionError, match=r"grid \d of 3"):
-                compiled.runtime.apply_batch_threaded(good)
-        finally:
-            compiled.plan.engine.apply = original
-
     def test_repro_errors_pass_through_unwrapped(self):
         compiled, x = _compiled()
         bad = [x, np.nan * x]
         # the stack itself raises on the poisoned grid — typed, unwrapped
         with pytest.raises(ReproError) as excinfo:
-            compiled.runtime.apply_batch_threaded(bad)
+            compiled.runtime.apply_batch(bad)
         assert not isinstance(excinfo.value, ExecutionError)
 
     def test_sharded_wraps_with_shard_context(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.errors import BackendError, FaultError
+from repro.errors import BackendError, ExecutionError, FaultError
 from repro.faults import FaultPlan, FaultSpec, RecoveryPolicy
 from repro.parallel.cluster import ClusterRuntime
 from repro.parallel.plan import distribute
@@ -133,6 +133,24 @@ class TestProcessExecutor:
         proc = runtime.run(x, 2, simulate=True, executor="process")
         assert np.array_equal(proc.field, serial.field)
         assert proc.counters.as_dict() == serial.counters.as_dict()
+
+
+class TestThreadFanOut:
+    def test_rank_failure_is_typed_and_names_the_rank(self, rng):
+        w = get_kernel("Heat-2D").weights
+        x = rng.normal(size=(16, 16))
+        runtime = ClusterRuntime(distribute(w, x.shape, (2, 2)))
+        original = runtime._rank
+
+        def sabotaged(st, rnd, rank):
+            if rank == 2:
+                raise RuntimeError("worker died")
+            return original(st, rnd, rank)
+
+        runtime._rank = sabotaged
+        with pytest.raises(ExecutionError, match=r"rank 2 of 4") as excinfo:
+            runtime.run(x, 2, executor="thread")
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
 
 
 class TestFaultRecovery:

@@ -35,22 +35,13 @@ class TestApplyBatchEquality:
         compiled, grids = _batch_for(kernel, rng, interior)
         batched = compiled.apply_batch(grids)
         looped = np.stack([compiled.apply(g) for g in grids])
-        np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(batched, looped)
         assert batched.shape == (BATCH, *interior)
 
     def test_accepts_list_of_grids(self, rng):
         compiled, grids = _batch_for("Heat-2D", rng, (12, 12))
         np.testing.assert_array_equal(
             compiled.apply_batch(list(grids)), compiled.apply_batch(grids)
-        )
-
-    def test_threaded_matches_vectorized(self, rng):
-        compiled, grids = _batch_for("Box-2D9P", rng, (16, 18))
-        np.testing.assert_allclose(
-            compiled.apply_batch(grids, threaded=True),
-            compiled.apply_batch(grids),
-            rtol=0,
-            atol=1e-12,
         )
 
     def test_matches_reference(self, rng):

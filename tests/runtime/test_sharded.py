@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ShapeError
 from repro.runtime import compile as compile_stencil
 from repro.runtime.executor import _shard_bounds
 from repro.stencil.kernels import get_kernel
@@ -31,6 +32,8 @@ class TestShardedSimulated:
             ("Heat-1D", (256,), 2),
             ("Box-2D49P", (24, 24), 3),
             ("Heat-3D", (6, 10, 10), 2),
+            ("1D5P", (200,), 4),
+            ("Box-3D27P", (5, 9, 11), 4),
         ],
     )
     def test_matches_unsharded(self, kernel, interior, shards, rng):
@@ -42,7 +45,7 @@ class TestShardedSimulated:
         single, counters_single = compiled.apply_simulated(x)
         sharded, counters_sharded = compiled.apply_simulated(x, shards=shards)
 
-        np.testing.assert_allclose(sharded, single, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(sharded, single)
         # tile-aligned shards compute exactly the same warp tiles
         assert counters_sharded.mma_ops == counters_single.mma_ops
         assert (
@@ -63,6 +66,12 @@ class TestShardedSimulated:
             _, c = compiled.apply_simulated(x[s0 : s1 + 2 * h])
             total += c.mma_ops
         assert merged.mma_ops == total
+
+    @pytest.mark.parametrize("shards", [0, -2, 2.5, True, "2", None])
+    def test_invalid_shards_rejected(self, shards, rng):
+        compiled = compile_stencil(get_kernel("Heat-2D").weights)
+        with pytest.raises(ShapeError, match="shards"):
+            compiled.apply_simulated(rng.normal(size=(20, 20)), shards=shards)
 
     def test_shards_one_equals_plain(self, rng):
         k = get_kernel("Heat-2D")
