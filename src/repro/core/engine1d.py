@@ -162,9 +162,11 @@ class LoRAStencil1D:
         checksum-verifies tiles/stagings with recovery bounded by
         ``policy``, counting into ``report`` (see :mod:`repro.faults`).
         """
-        from repro.runtime.backends import get_backend
+        from repro.runtime.backends import check_fault_support
 
-        backend = get_backend(backend or "interpreter").name
+        backend = check_fault_support(
+            backend, bool(verify) or policy is not None or report is not None
+        )
         padded, (n,) = validate_padded(padded, 1, self.radius)
         # last tile of a block reads up to block - 64 + 8*7 + k_rows
         spec = SweepSpec(
@@ -177,14 +179,6 @@ class LoRAStencil1D:
             shape_label=str(n),
         )
         if backend == "vectorized":
-            if verify or policy is not None or report is not None:
-                from repro.errors import BackendError
-
-                raise BackendError(
-                    "the vectorized backend does not support ABFT "
-                    "verification or fault recovery; use "
-                    "backend='interpreter'"
-                )
             lowered = self.lowered
             vector = lowered.vector if lowered is not None else None
             if vector is not None:

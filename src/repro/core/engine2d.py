@@ -200,9 +200,11 @@ class LoRAStencil2D:
         ``policy`` (a :class:`repro.faults.RecoveryPolicy`), counting
         into ``report`` (a :class:`repro.faults.FaultReport`).
         """
-        from repro.runtime.backends import get_backend
+        from repro.runtime.backends import check_fault_support
 
-        backend = get_backend(backend or "interpreter").name
+        backend = check_fault_support(
+            backend, bool(verify) or policy is not None or report is not None
+        )
         padded, (rows, cols) = validate_padded(padded, 2, self.radius)
         t = self.tile
         spec = SweepSpec(
@@ -215,14 +217,6 @@ class LoRAStencil2D:
             shape_label=f"{rows}x{cols}",
         )
         if backend == "vectorized":
-            if verify or policy is not None or report is not None:
-                from repro.errors import BackendError
-
-                raise BackendError(
-                    "the vectorized backend does not support ABFT "
-                    "verification or fault recovery; use "
-                    "backend='interpreter'"
-                )
             lowered = self.lowered
             vector = lowered.vector if lowered is not None else None
             if vector is not None:

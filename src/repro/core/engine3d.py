@@ -158,18 +158,11 @@ class LoRAStencil3D:
         engine's guarded sweep (the point-wise planes carry no MM chain
         to checksum).
         """
-        from repro.runtime.backends import get_backend
+        from repro.runtime.backends import check_fault_support
 
-        backend = get_backend(backend or "interpreter").name
-        if backend == "vectorized" and (
-            verify or policy is not None or report is not None
-        ):
-            from repro.errors import BackendError
-
-            raise BackendError(
-                "the vectorized backend does not support ABFT "
-                "verification or fault recovery; use backend='interpreter'"
-            )
+        backend = check_fault_support(
+            backend, bool(verify) or policy is not None or report is not None
+        )
         padded, (zs, rs, cs) = validate_padded(padded, 3, self.radius)
         device = device or Device()
         start = device.snapshot()

@@ -156,14 +156,13 @@ def run_block_sweep(
     )
     if vector is not None:
         from repro.core.vectorize import run_vector_sweep
+        from repro.runtime.backends import check_fault_support
 
-        if guard is not None:
-            from repro.errors import BackendError
-
-            raise BackendError(
-                "the vectorized backend does not support ABFT sweep "
-                "guards; use backend='interpreter'"
-            )
+        check_fault_support(
+            "vectorized",
+            guard is not None
+            or getattr(device, "injector", None) is not None,
+        )
         out = run_vector_sweep(
             padded2d, spec, vector, device=device, profiler=profiler
         )

@@ -42,9 +42,9 @@ result matches the interpreter **bit-for-bit**, which the
 schedule-equivalence property suite pins.
 
 Fault injection and ABFT verification hook the per-thread execution the
-vectorized path skips, so :func:`run_vector_sweep` refuses devices with
-an attached injector; engines reject ``verify=`` up front with a typed
-:class:`~repro.errors.BackendError`.
+vectorized path skips, so the sweep driver refuses a guard or a device
+with an attached injector, and engines reject ``verify=`` up front,
+both through :func:`repro.runtime.backends.check_fault_support`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.core.rdg import RDGTileCompute
-from repro.errors import BackendError
 from repro.tcu.counters import EventCounters
 from repro.tcu.memory import SharedMemory
 from repro.tcu.program import (
@@ -376,11 +375,6 @@ def run_vector_sweep(
     from repro.tcu.device import Device
 
     device = device or Device()
-    if getattr(device, "injector", None) is not None:
-        raise BackendError(
-            "the vectorized backend does not support fault injection; "
-            "use backend='interpreter'"
-        )
     start = device.snapshot()
     counters = device.counters
     rows, cols = spec.interior

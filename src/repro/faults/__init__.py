@@ -40,7 +40,10 @@ See ``docs/robustness.md`` for the fault model and the ABFT math.
 
 from __future__ import annotations
 
-from repro.errors import ExecutionError, FaultError, InputValidationError
+from dataclasses import dataclass
+
+from repro import telemetry
+from repro.errors import BackendError, ExecutionError, FaultError, InputValidationError
 from repro.faults.abft import (
     VERIFY_MODES,
     RecoveryPolicy,
@@ -68,6 +71,7 @@ from repro.faults.spec import (
     FaultPlan,
     FaultSpec,
 )
+from repro.runtime.backends import resolve_backend
 
 __all__ = [
     "FAULT_KINDS",
@@ -94,6 +98,8 @@ __all__ = [
     "FaultError",
     "ExecutionError",
     "InputValidationError",
+    "ArmedFaults",
+    "arm_faults",
 ]
 
 
@@ -108,3 +114,79 @@ def as_injector(faults) -> FaultInjector | None:
     raise InputValidationError(
         f"faults must be a FaultPlan or FaultInjector, got {type(faults).__name__}"
     )
+
+
+@dataclass(frozen=True)
+class ArmedFaults:
+    """One fault run's armed state, built once by :func:`arm_faults`."""
+
+    verify: str | None
+    injector: FaultInjector | None
+    report: FaultReport
+    policy: RecoveryPolicy
+    before: dict  # report.snapshot() at arming: this run's delta baseline
+
+    def finish(self, span) -> None:
+        """Annotate ``span`` with the report's totals and fold this run's
+        delta into the metrics registry."""
+        span.annotate(
+            faults_injected=self.report.total_injected,
+            faults_detected=self.report.total_detected,
+            faults_recovered=self.report.total_recovered,
+        )
+        telemetry.absorb_faults(self.report.delta(self.before))
+
+
+def arm_faults(
+    verify,
+    faults,
+    policy,
+    *,
+    backend: str | None,
+    plan_default: str | None,
+    kind: str = "sweep",
+) -> tuple[str | None, ArmedFaults | None]:
+    """Decide once what a run's fault arguments mean: ``(backend, armed)``.
+
+    With none of ``verify`` / ``faults`` / ``policy`` the run is clean:
+    ``armed`` is ``None`` and no injector, report or snapshot is built.
+    Otherwise ``armed`` holds the injector, the report it tallies into
+    (the injector's, else a fresh one), the policy (default
+    :class:`RecoveryPolicy`) and the report's before-snapshot.
+
+    ``kind`` names where the run executes: ``"sweep"`` (a simulated
+    sweep in this process), ``"process"`` (simulated sweeps in worker
+    processes) or ``"functional"`` (no simulated sweep).  ``verify=``
+    and MMA/staging faults hook the simulated sweep, so the other kinds
+    refuse them with a :class:`~repro.errors.BackendError`; shard, rank
+    and halo faults fire in the dispatcher and arm on every kind.
+    ``backend`` resolves through
+    :func:`repro.runtime.backends.resolve_backend` (``None`` for a
+    functional run).
+    """
+    armed = None
+    if verify or faults is not None or policy is not None:
+        injector = as_injector(faults)
+        if kind != "sweep" and (
+            verify
+            or (
+                injector is not None
+                and injector.plan.by_kind(*MMA_KINDS, *STAGE_KINDS)
+            )
+        ):
+            raise BackendError(
+                "verify= and MMA/staging faults need a simulated sweep in "
+                f"this process, which {kind} ranks do not run; use "
+                "simulate=True with executor='serial' or 'thread'"
+            )
+        report = injector.report if injector is not None else FaultReport()
+        armed = ArmedFaults(
+            verify=verify,
+            injector=injector,
+            report=report,
+            policy=policy or RecoveryPolicy(),
+            before=report.snapshot(),
+        )
+    if kind == "functional":
+        return None, armed
+    return resolve_backend(backend, plan_default, armed is not None), armed

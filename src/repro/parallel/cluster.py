@@ -18,8 +18,15 @@ mode:
   finishes the boundary strips after arrival — bit-identical to the
   synchronous exchange by the overlap-equivalence suite,
 * serial / thread / process executors; process ranks run in worker
-  processes under the PR 5 recovery ladder with their spans revived
+  processes under the shared recovery ladder with their spans revived
   into the parent trace.
+
+A run's fault arguments are decided once, in ``_start``, by
+:func:`repro.faults.arm_faults`: a clean run arms nothing, a fault run
+carries one :class:`~repro.faults.ArmedFaults` record (injector,
+report, policy, before-snapshot) through every phase.  ``verify=`` and
+MMA/staging faults need simulated ranks in this process; functional and
+process ranks refuse them before any rank runs.
 
 It produces the exact global trajectory (validated against the
 single-grid reference) plus a scaling-time model
@@ -36,7 +43,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro import telemetry
-from repro.errors import BackendError, FaultError
+from repro.errors import FaultError
+from repro.faults import HALO_KINDS, ArmedFaults, arm_faults
 from repro.parallel.checkpoint import (
     CheckpointConfig,
     CheckpointError,
@@ -214,17 +222,12 @@ class _Run:
     overlap: bool
     executor: str
     simulate: bool
-    verify: str | None
-    policy: object | None
     max_workers: int | None
     checkpoint: CheckpointConfig | None
     elastic: bool
     phases: tuple[int, ...] = ()
     backend: str | None = None  # resolved; simulated runs only
-    fault_mode: bool = False
-    injector: object | None = None
-    report: object | None = None
-    fault_before: dict | None = None
+    armed: ArmedFaults | None = None  # None: a clean run
     halo_guard: bool = False
     resumed: ClusterCheckpoint | None = None
     blocks: dict[int, np.ndarray] = field(default_factory=dict)
@@ -342,10 +345,12 @@ class ClusterRuntime:
         fault-tolerance ladder — injected ``shard``/``rank`` faults
         target ranks and recover through the shared supervisor, and
         armed halo faults are caught by strip-checksum verification of
-        every exchanged window (with bounded retransmission).  Process
-        ranks run unverified sweeps in their workers, so
-        ``executor="process"`` rejects ``verify=`` and MMA/staging
-        faults with a :class:`~repro.errors.BackendError`.
+        every exchanged window (with bounded retransmission).
+        ``verify=`` and MMA/staging faults hook the simulated sweep, so
+        they need ``simulate=True`` ranks in this process: functional
+        ranks and ``executor="process"`` (whose workers run unverified
+        sweeps) reject them with a :class:`~repro.errors.BackendError`
+        before any rank runs.
 
         ``checkpoint`` snapshots the run at temporal-round barriers
         (see :class:`~repro.parallel.checkpoint.CheckpointConfig`);
@@ -366,15 +371,13 @@ class ClusterRuntime:
             overlap=overlap,
             executor=executor,
             simulate=simulate,
-            verify=verify,
-            policy=policy,
             max_workers=max_workers,
             checkpoint=checkpoint,
             elastic=elastic,
         )
         self._start(
-            st, global_field, block_steps, tiling, faults, backend,
-            resume_from,
+            st, global_field, block_steps, tiling, verify, faults, policy,
+            backend, resume_from,
         )
         ledger_before = halo_bytes_counter().value
         with self._run_span(st) as run_span:
@@ -425,7 +428,7 @@ class ClusterRuntime:
             phases=st.phases,
             exchanged_bytes=st.exchanged,
             counters=st.counters,
-            fault_report=st.report,
+            fault_report=st.armed.report if st.armed is not None else None,
             backend=st.backend,
             executor=executor,
             overlap=overlap,
@@ -454,11 +457,11 @@ class ClusterRuntime:
     # run phases
     # ------------------------------------------------------------------
     def _start(
-        self, st: _Run, global_field, block_steps, tiling, faults, backend,
-        resume_from,
+        self, st: _Run, global_field, block_steps, tiling, verify, faults,
+        policy, backend, resume_from,
     ) -> None:
         """Validate a run's options and complete its state: the
-        effective schedule, the fault ladder, the backend and the
+        effective schedule, the armed faults, the backend and the
         round-0 blocks (scattered, or restored from a checkpoint)."""
         if st.executor not in EXECUTORS:
             raise ValueError(
@@ -477,44 +480,23 @@ class ClusterRuntime:
         st.phases = st.schedule.phases(st.steps)  # validates steps >= 0
         if st.simulate:
             st.counters = EventCounters()
-
-        st.fault_mode = (
-            bool(st.verify) or faults is not None or st.policy is not None
+        st.backend, st.armed = arm_faults(
+            verify,
+            faults,
+            policy,
+            backend=backend,
+            plan_default=self.plan.backend,
+            kind=(
+                "functional"
+                if not st.simulate
+                else "process" if st.executor == "process" else "sweep"
+            ),
         )
-        if st.fault_mode:
-            from repro.faults import FaultReport, RecoveryPolicy, as_injector
-            from repro.faults.spec import HALO_KINDS, MMA_KINDS, STAGE_KINDS
-
-            st.injector = as_injector(faults)
-            st.report = (
-                st.injector.report
-                if st.injector is not None
-                else FaultReport()
-            )
-            st.policy = st.policy or RecoveryPolicy()
-            st.fault_before = st.report.snapshot()
-            if st.injector is not None:
-                st.halo_guard = bool(st.injector.plan.by_kind(*HALO_KINDS))
-            if st.executor == "process" and (
-                st.verify
-                or (
-                    st.injector is not None
-                    and st.injector.plan.by_kind(*MMA_KINDS, *STAGE_KINDS)
-                )
-            ):
-                raise BackendError(
-                    "executor='process' cannot verify or inject MMA/"
-                    "staging faults: worker processes run unverified "
-                    "sweeps; use executor='thread' or 'serial'"
-                )
-        self.last_fault_report = st.report
-        if st.simulate:
-            from repro.runtime.backends import resolve_backend
-
-            st.backend = resolve_backend(
-                backend,
-                plan_default=self.plan.backend,
-                fault_mode=st.fault_mode,
+        if st.armed is not None:
+            self.last_fault_report = st.armed.report
+            injector = st.armed.injector
+            st.halo_guard = injector is not None and bool(
+                injector.plan.by_kind(*HALO_KINDS)
             )
 
         if isinstance(resume_from, str):
@@ -548,8 +530,9 @@ class ClusterRuntime:
         st.round_log = [dict(entry) for entry in ck.round_log]
         st.last_round_done = ck.round_index
         st.resilience["checkpoints"]["restored"] = 1
-        if st.injector is not None and ck.fault_state:
-            st.injector.load_state(ck.fault_state)
+        armed = st.armed
+        if armed is not None and armed.injector is not None and ck.fault_state:
+            armed.injector.load_state(ck.fault_state)
 
     def _run_span(self, st: _Run):
         """The run's root ``cluster.run`` span (continuing the trace of
@@ -610,15 +593,17 @@ class ClusterRuntime:
         corrupting link's receiver as dead."""
         from repro.faults.abft import halo_frame_checksums
 
-        report, halo = st.report, st.resilience["halo"]
+        # only runs when halo faults are armed (``st.halo_guard``)
+        report, injector = st.armed.report, st.armed.injector
+        halo = st.resilience["halo"]
         windows, round_i, depth = rnd.windows, rnd.index, rnd.depth
-        retransmits = getattr(st.policy, "max_halo_retransmits", 2)
+        retransmits = st.armed.policy.max_halo_retransmits
         # sender-side strip checksums, before any wire fault
         sent = {
             rank: halo_frame_checksums(win, depth)
             for rank, win in windows.items()
         }
-        st.injector.on_halo(windows, round_i, depth)
+        injector.on_halo(windows, round_i, depth)
         for rank in sorted(windows):
             if halo_frame_checksums(windows[rank], depth) == sent[rank]:
                 continue
@@ -640,7 +625,7 @@ class ClusterRuntime:
                 halo["retransmits"] += 1
                 win = rnd.exchanger.retransmit(rank)
                 # sticky wire faults re-corrupt the replacement
-                st.injector.on_halo_window(win, round_i, rank, depth)
+                injector.on_halo_window(win, round_i, rank, depth)
                 windows[rank] = win
                 if halo_frame_checksums(win, depth) == sent[rank]:
                     report.bump("halo_recoveries")
@@ -682,15 +667,16 @@ class ClusterRuntime:
         (timeouts, retries, backoff) in fault runs; serial non-fault
         runs stay inline."""
         ranks = range(self.part.num_devices)
-        if st.executor == "serial" and not st.fault_mode:
+        if st.executor == "serial" and st.armed is None:
             return {r: self._rank(st, rnd, r) for r in ranks}
         from repro.faults.supervisor import supervise_tasks
 
+        armed = st.armed
         return supervise_tasks(
             {r: (r,) for r in ranks},
             lambda _task, rank: self._rank(st, rnd, rank),
-            st.policy,
-            st.report,
+            armed.policy if armed is not None else None,
+            armed.report if armed is not None else None,
             max_workers=1 if st.executor == "serial" else st.max_workers,
             health=st.health,
             describe=lambda args: f"rank {args[0]}",
@@ -706,16 +692,17 @@ class ClusterRuntime:
         the run's trace), then advance whole windows in a worker.
         """
         sub = self.part.subdomains[rank]
+        injector = st.armed.injector if st.armed is not None else None
         if st.executor == "process":
-            if st.injector is not None:
+            if injector is not None:
                 with st.ctx.span(
                     "cluster.dispatch",
                     category="parallel",
                     rank=rank,
                     round=rnd.index,
                 ):
-                    st.injector.on_shard(rank)
-                    st.injector.on_rank(rank)
+                    injector.on_shard(rank)
+                    injector.on_rank(rank)
             with HEALTH.bind(st.health.shard(rank, rows=f"rank {rank}")):
                 return process_advance(
                     st.pool,
@@ -738,9 +725,9 @@ class ClusterRuntime:
             steps=rnd.steps,
             round=rnd.index,
         ) as span:
-            if st.injector is not None:
-                st.injector.on_shard(rank)
-                st.injector.on_rank(rank)
+            if injector is not None:
+                injector.on_shard(rank)
+                injector.on_rank(rank)
             runtime = self.plan.compiled.runtime
             if not st.simulate:
                 return self._advance(st, rnd, sub, runtime.apply), None, None
@@ -748,12 +735,7 @@ class ClusterRuntime:
 
             def apply_fn(win: np.ndarray) -> np.ndarray:
                 out, ev = runtime.apply_simulated(
-                    win,
-                    verify=st.verify,
-                    faults=st.injector,
-                    policy=st.policy,
-                    report=st.report,
-                    backend=st.backend,
+                    win, backend=st.backend, armed=st.armed
                 )
                 local.__iadd__(ev)
                 return out
@@ -862,6 +844,7 @@ class ClusterRuntime:
                 raise CheckpointHalt(ck.path, round_i)
 
     def _save(self, st: _Run, round_i: int) -> ClusterCheckpoint:
+        armed = st.armed
         ck = save_checkpoint(
             st.checkpoint.dir,
             plan_key=self.plan.key,
@@ -875,7 +858,9 @@ class ClusterRuntime:
             global_shape=tuple(self.plan.global_shape),
             trace_id=st.trace_id,
             fault_state=(
-                st.injector.state_dict() if st.injector is not None else None
+                armed.injector.state_dict()
+                if armed is not None and armed.injector is not None
+                else None
             ),
             meta=dict(self.checkpoint_meta),
             keep=st.checkpoint.keep,
@@ -909,18 +894,19 @@ class ClusterRuntime:
         self.part = self.plan.part
         self._exchangers = {}
         st.blocks = self.scatter(global_now)
-        if st.injector is not None:
-            # survivors are renumbered: the dead rank's (possibly
-            # sticky) faults must not transfer onto whoever inherits
-            # its index
-            st.injector.disarm_rank(dead)
-        if st.report is not None:
-            st.report.bump("rank_reassignments")
-            if st.report.counts.get("unrecovered", 0) > 0:
+        if st.armed is not None:
+            if st.armed.injector is not None:
+                # survivors are renumbered: the dead rank's (possibly
+                # sticky) faults must not transfer onto whoever inherits
+                # its index
+                st.armed.injector.disarm_rank(dead)
+            report = st.armed.report
+            report.bump("rank_reassignments")
+            if report.counts.get("unrecovered", 0) > 0:
                 # the supervisor booked the exhausted ladder as
                 # unrecovered before the replan ran; the re-partition
                 # *is* the recovery
-                st.report.bump("unrecovered", -1)
+                report.bump("unrecovered", -1)
         REGISTRY.counter(
             "repro_rank_reassignments_total",
             help="cluster ranks replaced by an elastic re-partition",
@@ -986,13 +972,8 @@ class ClusterRuntime:
         if st.counters is not None:
             run_span.add_events(st.counters)
             telemetry.absorb_events(st.counters)
-        if st.report is not None:
-            run_span.annotate(
-                faults_injected=st.report.total_injected,
-                faults_detected=st.report.total_detected,
-                faults_recovered=st.report.total_recovered,
-            )
-            telemetry.absorb_faults(st.report.delta(st.fault_before))
+        if st.armed is not None:
+            st.armed.finish(run_span)
         run_span.annotate(halo_bytes=st.exchanged)
 
     # ------------------------------------------------------------------

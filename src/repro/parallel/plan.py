@@ -163,11 +163,6 @@ class DistributedPlan:
         """The rank's scheduled ``TileProgram`` (shared across ranks)."""
         return self.compiled.plan.program
 
-    def vector_program(self, rank: int = 0):
-        """The rank's ``VectorProgram`` (shared; None off tensor cores)."""
-        tile = self.compiled.plan.lowered.tile
-        return tile.vector if tile is not None else None
-
     def exchanger(self, depth: int | None = None) -> HaloExchanger:
         """A fresh halo exchanger over this plan's partition.
 

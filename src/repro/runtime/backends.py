@@ -40,6 +40,7 @@ __all__ = [
     "available_backends",
     "default_backend",
     "resolve_backend",
+    "check_fault_support",
 ]
 
 #: environment variable consulted by :func:`default_backend`
@@ -136,25 +137,39 @@ def resolve_backend(
 
     ``requested`` (an explicit ``backend=`` argument) wins; otherwise the
     plan's compiled-in backend, otherwise :func:`default_backend`.  Fault
-    mode (verify= / faults= / policy= / report=) needs the per-thread
-    interpreter: an *explicit* vectorized request is a typed error, while
-    a merely *defaulted* vectorized backend (plan default or
-    ``REPRO_BACKEND``) silently downgrades to the interpreter so fault
+    mode (verify= / faults= / policy=) needs a backend with fault
+    support: an *explicit* vectorized request is a typed error (see
+    :func:`check_fault_support`), while a merely *defaulted* vectorized
+    backend (plan default or ``REPRO_BACKEND``) downgrades to the
+    interpreter — loudly, see :func:`_signal_downgrade` — so fault
     tests keep passing under a vectorized session default.
     """
-    name = requested
-    if name is None:
-        name = plan_default if plan_default is not None else default_backend()
-    backend = get_backend(name)
+    if requested is not None:
+        return check_fault_support(requested, fault_mode)
+    backend = get_backend(
+        plan_default if plan_default is not None else default_backend()
+    )
     if fault_mode and not backend.supports_faults:
-        if requested is not None:
-            raise BackendError(
-                f"backend {name!r} does not support ABFT verification or "
-                "fault injection; use backend='interpreter'"
-            )
-        _signal_downgrade(name, DEFAULT_BACKEND)
+        _signal_downgrade(backend.name, DEFAULT_BACKEND)
         return DEFAULT_BACKEND
-    return name
+    return backend.name
+
+
+def check_fault_support(name: str | None, fault_mode: bool = False) -> str:
+    """Validate a sweep's backend name (``None`` means the interpreter).
+
+    The one refusal every layer shares: a backend without fault support
+    (the vectorized walk has no per-tile hooks) meeting fault mode —
+    ABFT verification, a recovery policy or report, a sweep guard —
+    raises a typed :class:`BackendError`.
+    """
+    backend = get_backend(DEFAULT_BACKEND if name is None else name)
+    if fault_mode and not backend.supports_faults:
+        raise BackendError(
+            f"backend {backend.name!r} does not support ABFT verification "
+            "or fault injection; use backend='interpreter'"
+        )
+    return backend.name
 
 
 def _signal_downgrade(requested: str, resolved: str) -> None:

@@ -17,6 +17,10 @@ to its execution strategies:
   :class:`~repro.tcu.counters.EventCounters` into one footprint, the
   way per-SM counters aggregate on real hardware.
 
+The simulated paths take a backend and fault run already decided by
+the caller (:func:`repro.faults.arm_faults`, called once per entry
+point): they neither resolve the backend nor arm faults themselves.
+
 Every fan-out runs through :func:`repro.faults.supervisor.supervise_tasks`:
 without a recovery policy it is the plain thread-pool fan-out (a worker's
 non-Repro failure surfaces as a typed :class:`~repro.errors.ExecutionError`
@@ -36,7 +40,6 @@ import numpy as np
 
 from repro.core.sweep import validate_padded
 from repro.errors import InputValidationError, ShapeError
-from repro.runtime.backends import resolve_backend
 from repro.runtime.plan import StencilPlan
 from repro.tcu.counters import EventCounters
 from repro.tcu.device import Device
@@ -84,10 +87,6 @@ class Runtime:
 
     def __init__(self, plan: StencilPlan) -> None:
         self.plan = plan
-        #: the :class:`repro.faults.FaultReport` of the most recent
-        #: guarded/supervised execution (``None`` when fault tolerance
-        #: was off)
-        self.last_fault_report = None
 
     # ------------------------------------------------------------------
     # functional paths
@@ -116,68 +115,31 @@ class Runtime:
         padded: np.ndarray,
         device: Device | None = None,
         profiler=None,
-        verify=None,
-        faults=None,
-        policy=None,
-        report=None,
         backend: str | None = None,
+        armed=None,
     ) -> tuple[np.ndarray, EventCounters]:
         """One faithful TCU sweep; returns ``(interior, counters)``.
 
-        ``backend`` selects the execution backend (``"interpreter"`` |
-        ``"vectorized"`` | ``"oracle"``), defaulting to the plan's
-        compiled-in backend; the interpreter steps the plan's lowered
-        tile program, ``"oracle"`` runs the engine's eager tile
-        computation instead (the correctness oracle the schedule-
-        equivalence suite compares against — results are guaranteed
-        bit-identical), and ``"vectorized"`` batches every tile of the
-        sweep (bit-identical grids and counters, but no fault
-        tolerance).  ``profiler`` opts into per-instruction attribution
-        (see :mod:`repro.telemetry.perf`).
+        ``backend`` is the execution backend the caller resolved
+        (``"interpreter"`` | ``"vectorized"`` | ``"oracle"``; default:
+        the plan's compiled-in backend).  The interpreter steps the
+        plan's lowered tile program, ``"oracle"`` runs the engine's
+        eager tile computation instead (the correctness oracle the
+        schedule-equivalence suite compares against — results are
+        guaranteed bit-identical), and ``"vectorized"`` batches every
+        tile of the sweep (bit-identical grids and counters, but no
+        fault tolerance).  ``profiler`` opts into per-instruction
+        attribution (see :mod:`repro.telemetry.perf`).
 
-        ``verify="abft"`` checksum-verifies every tile and staging copy
-        (tolerance 0) with recovery bounded by ``policy`` (a
-        :class:`repro.faults.RecoveryPolicy`); ``faults`` (a
-        :class:`repro.faults.FaultPlan` or armed
-        :class:`repro.faults.FaultInjector`) injects deterministic
-        corruption; both tally into ``report`` (a
-        :class:`repro.faults.FaultReport`).
+        ``armed`` (a :class:`repro.faults.ArmedFaults` from
+        :func:`repro.faults.arm_faults`; ``None`` for a clean sweep)
+        carries the fault run's verify mode, recovery policy and report
+        into the engine, and its injector onto the sweep's device.
         """
-        fault_mode = (
-            bool(verify)
-            or faults is not None
-            or policy is not None
-            or report is not None
-        )
-        backend = resolve_backend(
-            backend, plan_default=self.plan.backend, fault_mode=fault_mode
-        )
         padded = np.asarray(padded, dtype=np.float64)
         _validate_finite(padded)
-        if faults is not None:
-            from repro.faults import as_injector
-
-            injector = as_injector(faults)
-            if device is None:
-                device = Device(injector=injector)
-            else:
-                device.injector = injector
-            if report is None:
-                report = injector.report
-        if verify and report is None:
-            from repro.faults import FaultReport
-
-            report = FaultReport()
-        if report is not None:
-            self.last_fault_report = report
-        return self.plan.engine.apply_simulated(
-            padded,
-            device=device,
-            profiler=profiler,
-            verify=verify,
-            policy=policy,
-            report=report,
-            backend=backend,
+        return self._sweep(
+            padded, backend or self.plan.backend, armed, device, profiler
         )
 
     def apply_simulated_batch(
@@ -221,11 +183,8 @@ class Runtime:
         padded: np.ndarray,
         shards: int = 2,
         max_workers: int | None = None,
-        verify=None,
-        faults=None,
-        policy=None,
-        report=None,
         backend: str | None = None,
+        armed=None,
     ) -> tuple[np.ndarray, EventCounters]:
         """One grid's simulated sweep, tile-sharded along the first axis.
 
@@ -237,50 +196,26 @@ class Runtime:
 
         Workers are not treated as infallible: any worker exception is
         wrapped in a typed :class:`~repro.errors.ExecutionError`
-        carrying the shard index and row range.  When fault tolerance
-        is active (``verify``/``faults``/``policy`` given), shards are
-        *supervised*: a crashed worker or one exceeding the policy's
-        per-shard timeout is resubmitted with capped exponential
-        backoff, then recomputed inline in the calling thread as
-        graceful degradation; only an exhausted policy raises a typed
-        :class:`~repro.errors.FaultError` — never a partial grid.
-
-        ``backend`` threads into every shard's sweep (the vectorized
-        backend batches each shard's tiles on its private device; it
-        rejects fault-tolerant execution with a typed
-        :class:`~repro.errors.BackendError`).
+        carrying the shard index and row range.  In a fault run
+        (``armed`` given, as in :meth:`apply_simulated`) shards are
+        *supervised* under its policy: a crashed worker or one
+        exceeding the per-shard timeout is resubmitted with capped
+        exponential backoff, then recomputed inline in the calling
+        thread as graceful degradation; only an exhausted policy raises
+        a typed :class:`~repro.errors.FaultError` — never a partial
+        grid.  ``backend`` (resolved by the caller; default: the plan's)
+        threads into every shard's sweep.
         """
-        fault_mode = (
-            bool(verify) or faults is not None or policy is not None
-        )
         from repro.faults.supervisor import supervise_tasks
 
-        backend = resolve_backend(
-            backend, plan_default=self.plan.backend, fault_mode=fault_mode
-        )
+        backend = backend or self.plan.backend
         h = self.plan.radius
         padded, interior = validate_padded(padded, self.plan.ndim, h)
         _validate_finite(padded)
         bounds = _shard_bounds(interior[0], shards, self._shard_align())
         ctx = TraceContext.capture()
         sweep_health = HEALTH.start_sweep(f"sharded-{self.plan.key[:12]}")
-
-        injector = None
-        if faults is not None:
-            from repro.faults import as_injector
-
-            injector = as_injector(faults)
-            if report is None:
-                report = injector.report
-        supervised = (
-            injector is not None or bool(verify) or policy is not None
-        )
-        if supervised:
-            from repro.faults import FaultReport, RecoveryPolicy
-
-            policy = policy or RecoveryPolicy()
-            report = report if report is not None else FaultReport()
-        self.last_fault_report = report
+        policy, report = (armed.policy, armed.report) if armed else (None, None)
 
         def _worker(i: int, s0: int, s1: int):
             sub = padded[s0 : s1 + 2 * h]
@@ -292,18 +227,10 @@ class Runtime:
             ) as sp:
                 # inside the span: an injected crash/hang renders as part
                 # of this shard's lane, not as an orphan root
-                if injector is not None:
-                    injector.on_shard(i)
+                if armed is not None and armed.injector is not None:
+                    armed.injector.on_shard(i)
                 with HEALTH.bind(sweep_health.shard(i, rows=f"{s0}:{s1}")):
-                    device = Device(injector=injector)
-                    out, counters = self.plan.engine.apply_simulated(
-                        sub,
-                        device=device,
-                        verify=verify,
-                        policy=policy,
-                        report=report,
-                        backend=backend,
-                    )
+                    out, counters = self._sweep(sub, backend, armed)
                     sp.add_events(counters)
                     return out, counters
 
@@ -331,6 +258,25 @@ class Runtime:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _sweep(self, padded, backend: str, armed, device=None, profiler=None):
+        """The plan engine's sweep of one validated grid, with ``armed``'s
+        verify mode, policy and report, and its injector on the device."""
+        verify = policy = report = None
+        if armed is not None:
+            verify, policy, report = armed.verify, armed.policy, armed.report
+            if armed.injector is not None:
+                device = device or Device()
+                device.injector = armed.injector
+        return self.plan.engine.apply_simulated(
+            padded,
+            device=device,
+            profiler=profiler,
+            verify=verify,
+            policy=policy,
+            report=report,
+            backend=backend,
+        )
+
     def _shard_align(self) -> int:
         """Interior rows per indivisible shard unit (warp-tile rows)."""
         if self.plan.ndim == 1:

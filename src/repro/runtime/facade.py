@@ -21,11 +21,8 @@ import numpy as np
 
 from repro.core.config import OptimizationConfig
 from repro.errors import ShapeError
-from repro.runtime.backends import (
-    default_backend,
-    get_backend,
-    resolve_backend,
-)
+from repro.faults import arm_faults
+from repro.runtime.backends import default_backend, get_backend
 from repro.runtime.cache import PlanCache
 from repro.runtime.executor import Runtime
 from repro.runtime.plan import StencilPlan, build_plan, plan_key
@@ -55,6 +52,10 @@ class CompiledStencil:
         self.plan = plan
         self.cache = cache
         self.runtime = Runtime(plan)
+        #: the :class:`repro.faults.FaultReport` of the most recent fault
+        #: run (``verify``/``faults``/``policy`` given) on this handle;
+        #: ``None`` until one ran.  Clean runs leave it untouched.
+        self.last_fault_report = None
 
     # -- structure --------------------------------------------------------
     @property
@@ -144,13 +145,6 @@ class CompiledStencil:
         ):
             return self.runtime.apply_batch(grids)
 
-    @property
-    def last_fault_report(self):
-        """The :class:`repro.faults.FaultReport` of the most recent
-        guarded/supervised execution (``None`` if fault tolerance was
-        never active on this handle)."""
-        return self.runtime.last_fault_report
-
     def apply_simulated(
         self,
         padded: np.ndarray,
@@ -208,57 +202,43 @@ class CompiledStencil:
                 "per-instruction profiling does not support sharded "
                 "execution (profiler accumulators are per-thread)"
             )
-        fault_mode = bool(verify) or faults is not None or policy is not None
-        report = None
-        before = None
-        if fault_mode:
-            from repro.faults import FaultReport, as_injector
-
-            faults = as_injector(faults)
-            report = faults.report if faults is not None else FaultReport()
-            before = report.snapshot()
         with telemetry.span(
             "runtime.apply_simulated",
             category="runtime",
             plan=self.key[:16],
             shards=shards,
         ) as sp:
-            # resolved inside the span so a backend.downgrade decision
+            # armed inside the span so a backend.downgrade decision
             # joins the sweep's trace like every other decision
-            backend = resolve_backend(
-                backend, plan_default=self.plan.backend, fault_mode=fault_mode
+            backend, armed = arm_faults(
+                verify,
+                faults,
+                policy,
+                backend=backend,
+                plan_default=self.plan.backend,
             )
+            if armed is not None:
+                self.last_fault_report = armed.report
             if shards > 1:
                 out, events = self.runtime.apply_simulated_sharded(
                     padded,
                     shards=shards,
                     max_workers=max_workers,
-                    verify=verify,
-                    faults=faults,
-                    policy=policy,
-                    report=report,
                     backend=backend,
+                    armed=armed,
                 )
             else:
                 out, events = self.runtime.apply_simulated(
                     padded,
                     device=device,
                     profiler=profiler,
-                    verify=verify,
-                    faults=faults,
-                    policy=policy,
-                    report=report,
                     backend=backend,
+                    armed=armed,
                 )
             sp.add_events(events)
             telemetry.absorb_events(events)
-            if report is not None:
-                sp.annotate(
-                    faults_injected=report.total_injected,
-                    faults_detected=report.total_detected,
-                    faults_recovered=report.total_recovered,
-                )
-                telemetry.absorb_faults(report.delta(before))
+            if armed is not None:
+                armed.finish(sp)
             return out, events
 
     def profile(

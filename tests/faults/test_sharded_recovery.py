@@ -17,6 +17,7 @@ from repro.faults import (
     FaultSpec,
     RecoveryPolicy,
 )
+from repro.parallel import ClusterRuntime, distribute
 from tests.faults.conftest import padded_grid
 
 pytestmark = [
@@ -208,3 +209,31 @@ class TestShardedWithVerification:
         )
         compiled.apply_simulated(x, shards=3, faults=inj, policy=FAST)
         assert compiled.last_fault_report is inj.report
+
+    @pytest.mark.parametrize("path", ["shards=1", "shards=2", "cluster"])
+    def test_clean_run_keeps_last_fault_report(self, path):
+        # one rule on every entry point: only a fault run replaces the
+        # report; a clean run leaves it untouched
+        k, x = padded_grid("Box-2D9P", size=16)
+        if path == "cluster":
+            h = k.weights.radius
+            grid = x[h:-h, h:-h]
+            owner = ClusterRuntime(distribute(k.weights, grid.shape, (2, 1)))
+
+            def run(**kwargs):
+                owner.run(grid, 1, simulate=True, **kwargs)
+
+        else:
+            owner = repro.compile(k.weights)
+            shards = int(path[-1])
+
+            def run(**kwargs):
+                owner.apply_simulated(x, shards=shards, **kwargs)
+
+        run(verify="abft")
+        report = owner.last_fault_report
+        assert report is not None
+        run()
+        assert owner.last_fault_report is report
+        run(verify="abft")
+        assert owner.last_fault_report is not report

@@ -239,12 +239,24 @@ class TestFaultRecovery:
         ],
         ids=["verify", "mma-fault", "stage-fault"],
     )
-    def test_process_rejects_sweep_level_fault_modes(self, rng, kwargs):
+    @pytest.mark.parametrize(
+        "executor, simulate",
+        [("process", True), ("serial", False), ("thread", False)],
+        ids=["process", "serial-functional", "thread-functional"],
+    )
+    def test_process_rejects_sweep_level_fault_modes(
+        self, rng, kwargs, executor, simulate
+    ):
+        # sweep-level modes hook the simulated sweep: ranks that run none
+        # in this process refuse them before any rank runs, instead of
+        # reporting a run that verified or injected nothing
         w = get_kernel("Heat-2D").weights
         x = rng.normal(size=(16, 16))
         runtime = ClusterRuntime(distribute(w, x.shape, (2, 1)))
+        ledger = runtime.halo.exchanged_bytes
         with pytest.raises(BackendError):
-            runtime.run(x, 2, simulate=True, executor="process", **kwargs)
+            runtime.run(x, 2, simulate=simulate, executor=executor, **kwargs)
+        assert runtime.halo.exchanged_bytes == ledger
 
 
 class TestTemporalAcrossDimensions:

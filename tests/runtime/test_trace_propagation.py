@@ -7,6 +7,7 @@ import repro
 from repro import telemetry
 from repro.errors import BackendError
 from repro.faults import FaultPlan, FaultSpec, RecoveryPolicy
+from repro.parallel import ClusterRuntime, distribute
 from repro.stencil.kernels import get_kernel
 from repro.telemetry.log import EVENT_LOG
 from repro.telemetry.spans import TRACER
@@ -113,13 +114,26 @@ class TestBackendDowngrade:
         metric = telemetry.REGISTRY.get("repro_backend_downgrades_total")
         return 0 if metric is None else metric.value
 
-    def test_defaulted_vectorized_downgrades_loudly(self, rng):
-        compiled = _compiled(backend="vectorized")
-        padded = _padded(rng, 16)
+    @pytest.mark.parametrize("path", ["single", "shards=2", "cluster"])
+    def test_defaulted_vectorized_downgrades_loudly(self, rng, path):
+        # one downgrade per call, however many shards, ranks and rounds
+        # the call fans out to
+        weights = get_kernel("Box-2D9P").weights
+        x = rng.normal(size=(16, 16))
+
+        def run(backend=None, **kwargs):
+            if path == "cluster":
+                plan = distribute(weights, x.shape, (2, 2), backend=backend)
+                cluster = ClusterRuntime(plan)
+                return cluster.run(x, 2, simulate=True, **kwargs).field
+            shards = 2 if path == "shards=2" else 1
+            padded = np.pad(x, weights.radius)
+            compiled = _compiled(backend=backend)
+            return compiled.apply_simulated(padded, shards=shards, **kwargs)[0]
+
         before = self._downgrades()
-        out, _ = compiled.apply_simulated(padded, verify="abft")
-        reference, _ = _compiled().apply_simulated(padded)
-        np.testing.assert_array_equal(out, reference)
+        out = run("vectorized", verify="abft")
+        np.testing.assert_array_equal(out, run())
         assert self._downgrades() == before + 1
         (event,) = [
             e for e in EVENT_LOG.events() if e.kind == "backend.downgrade"
