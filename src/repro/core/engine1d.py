@@ -29,10 +29,17 @@ over the ``K/4`` k-blocks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.config import OptimizationConfig
-from repro.core.sweep import SweepSpec, run_block_sweep, validate_padded
+from repro.core.sweep import (
+    SweepSpec,
+    row_strips,
+    run_block_sweep,
+    validate_padded,
+)
 from repro.core.uvbuild import build_u_matrix
 from repro.errors import PerfError, ShapeError
 from repro.stencil.weights import StencilWeights
@@ -126,14 +133,20 @@ class LoRAStencil1D:
     def apply_stack(self, padded: np.ndarray) -> np.ndarray:
         """:meth:`apply` over the last axis of a float64 array.
 
-        Broadcasts over any leading (batch) axes and does no validation:
-        the caller has passed one grid of the stack through
-        :func:`~repro.core.sweep.validate_padded`.
+        Walks the last axis in strips sized by
+        :func:`~repro.core.sweep.row_strips`.  Broadcasts over any
+        leading (batch) axes, which count toward the strip budget, and
+        does no validation: the caller has passed one grid of the stack
+        through :func:`~repro.core.sweep.validate_padded`.
         """
         n = padded.shape[-1] - 2 * self.radius
-        out = np.zeros((*padded.shape[:-1], n), dtype=np.float64)
-        for t, wt in enumerate(self.weight_vector):
-            out += wt * padded[..., t : t + n]
+        lead = padded.shape[:-1]
+        out = np.zeros((*lead, n), dtype=np.float64)
+        # per point: one input, one tap temporary, one output
+        for c0, c1 in row_strips(n, 24 * math.prod(lead)):
+            o = out[..., c0:c1]
+            for t, wt in enumerate(self.weight_vector):
+                o += wt * padded[..., c0 + t : c1 + t]
         return out
 
     # ------------------------------------------------------------------

@@ -4,8 +4,8 @@ Two execution paths share one decomposition:
 
 * :meth:`LoRAStencil2D.apply` — the *functional* path: each rank-1 term
   is a separable filter (vertical pass with ``u``, horizontal with
-  ``v``), vectorized with NumPy over the whole grid.  Used for
-  correctness oracles and large functional runs.  Its kernel,
+  ``v``), vectorized with NumPy one cache-sized row strip at a time.
+  Used for correctness oracles and large functional runs.  Its kernel,
   :meth:`LoRAStencil2D.apply_stack`, broadcasts over leading axes, so
   runtime batches and 3D plane stacks run it once per call.
 * :meth:`LoRAStencil2D.apply_simulated` — the *faithful* path: the grid
@@ -35,12 +35,19 @@ builds (and caches) the same engine inside a
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.config import OptimizationConfig
 from repro.core.lowrank import Decomposition, decompose
 from repro.core.rdg import OUT_TILE, RDGTileCompute
-from repro.core.sweep import SweepSpec, run_block_sweep, validate_padded
+from repro.core.sweep import (
+    SweepSpec,
+    row_strips,
+    run_block_sweep,
+    validate_padded,
+)
 from repro.errors import PerfError, ShapeError
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
@@ -150,23 +157,37 @@ class LoRAStencil2D:
     def apply_stack(self, padded: np.ndarray) -> np.ndarray:
         """:meth:`apply` over the last two axes of a float64 array.
 
-        Broadcasts over any leading axes (a batch, or the z-planes of a
-        3D sweep) and does no validation: the caller has passed one grid
-        of the stack through :func:`~repro.core.sweep.validate_padded`.
+        Walks the output in row strips sized by
+        :func:`~repro.core.sweep.row_strips` and runs every rank-1 term
+        on a strip while its input rows are in cache (the CPU form of
+        §III-B's RDG: load a tile once, reuse it for every term).  Each
+        output element sees the same operations in the same order as a
+        whole-grid pass, so the result does not depend on the strip
+        height.  Broadcasts over any leading axes (a batch, or the
+        z-planes of a 3D sweep), which count toward the strip budget,
+        and does no validation: the caller has passed one grid of the
+        stack through :func:`~repro.core.sweep.validate_padded`.
         """
         h = self.radius
-        rows, cols = (s - 2 * h for s in padded.shape[-2:])
+        width = padded.shape[-1]
+        rows, cols = padded.shape[-2] - 2 * h, width - 2 * h
         lead = padded.shape[:-2]
         out = np.zeros((*lead, rows, cols), dtype=np.float64)
-        for term in self.decomposition.matrix_terms:
-            pd, s = term.pad, term.size
-            tmp = np.zeros((*lead, rows, padded.shape[-1]), dtype=np.float64)
-            for t in range(s):
-                tmp += term.u[t] * padded[..., pd + t : pd + t + rows, :]
-            for r in range(s):
-                out += term.v[r] * tmp[..., pd + r : pd + r + cols]
-        for term in self.decomposition.scalar_terms:
-            out += term.scalar_weight * padded[..., h : h + rows, h : h + cols]
+        row_bytes = 8 * math.prod(lead) * (2 * width + cols)
+        for r0, r1 in row_strips(rows, row_bytes):
+            n = r1 - r0
+            o = out[..., r0:r1, :]
+            for term in self.decomposition.matrix_terms:
+                pd, s = term.pad, term.size
+                # the horizontal pass reads only columns [pd, pd+s-1+cols)
+                x = padded[..., r0 + pd : r1 + pd + s - 1, pd : pd + s - 1 + cols]
+                tmp = np.zeros((*lead, n, s - 1 + cols), dtype=np.float64)
+                for t in range(s):
+                    tmp += term.u[t] * x[..., t : t + n, :]
+                for r in range(s):
+                    o += term.v[r] * tmp[..., r : r + cols]
+            for term in self.decomposition.scalar_terms:
+                o += term.scalar_weight * padded[..., r0 + h : r1 + h, h : h + cols]
         return out
 
     # ------------------------------------------------------------------

@@ -23,11 +23,13 @@ builds (and caches) the same engine inside a
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.config import OptimizationConfig
 from repro.core.engine2d import LoRAStencil2D
-from repro.core.sweep import validate_padded
+from repro.core.sweep import row_strips, validate_padded
 from repro.errors import ShapeError
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
@@ -110,22 +112,32 @@ class LoRAStencil3D:
     def apply_stack(self, padded: np.ndarray) -> np.ndarray:
         """:meth:`apply` over the last three axes of a float64 array.
 
-        Each TCU plane runs once on its whole stack of input slabs
-        (:meth:`LoRAStencil2D.apply_stack`).  Broadcasts over any
-        leading (batch) axes and does no validation: the caller has
+        Walks the output in chunks of z-planes sized by
+        :func:`~repro.core.sweep.row_strips`.  Within a chunk every
+        kernel plane runs on its own slabs (a TCU plane once on the
+        whole chunk, :meth:`LoRAStencil2D.apply_stack`), so input slabs
+        are reused across planes while they are in cache (§IV-C's slab
+        reuse).  Broadcasts over any leading (batch) axes, which count
+        toward the strip budget, and does no validation: the caller has
         passed one grid of the stack through
         :func:`~repro.core.sweep.validate_padded`.
         """
         h = self.radius
         zs, rs, cs = (s - 2 * h for s in padded.shape[-3:])
-        out = np.zeros((*padded.shape[:-3], zs, rs, cs), dtype=np.float64)
-        for task in self.planes:
-            slabs = padded[..., task.index : task.index + zs, :, :]
-            if task.pointwise is not None:
-                pi, pj, wt = task.pointwise
-                out += wt * slabs[..., pi : pi + rs, pj : pj + cs]
-            elif task.engine is not None:
-                out += task.engine.apply_stack(slabs)
+        lead = padded.shape[:-3]
+        out = np.zeros((*lead, zs, rs, cs), dtype=np.float64)
+        in_plane = padded.shape[-2] * padded.shape[-1]
+        plane_bytes = 8 * math.prod(lead) * (2 * in_plane + rs * cs)
+        for z0, z1 in row_strips(zs, plane_bytes):
+            o = out[..., z0:z1, :, :]
+            for task in self.planes:
+                i = task.index
+                slabs = padded[..., i + z0 : i + z1, :, :]
+                if task.pointwise is not None:
+                    pi, pj, wt = task.pointwise
+                    o += wt * slabs[..., pi : pi + rs, pj : pj + cs]
+                elif task.engine is not None:
+                    o += task.engine.apply_stack(slabs)
         return out
 
     # ------------------------------------------------------------------

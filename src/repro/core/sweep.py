@@ -22,12 +22,16 @@ The driver reproduces the exact memory traffic of the engines it
 replaced — same block rounding, same shared-tile shapes, same clamped
 fills — so event counts are bit-for-bit stable across the refactor
 (the schedule-equivalence suite pins this).
+
+The engines' functional kernels use two helpers from here: the pad
+check (:func:`validate_padded`) and :func:`row_strips`, which sizes the
+cache-resident strips their ``apply_stack`` walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +41,11 @@ from repro.tcu.device import Device
 from repro.telemetry.health import current_beat
 from repro.telemetry.spans import TRACER
 
-__all__ = ["SweepSpec", "run_block_sweep", "validate_padded"]
+__all__ = ["SweepSpec", "row_strips", "run_block_sweep", "validate_padded"]
+
+#: Working-set budget of one functional strip (input rows, term
+#: temporary and output rows together): about the size of L2.
+_STRIP_BUDGET = 2 << 20
 
 #: A tile provider: ``(warp, smem, row, col) -> out_tile`` where ``(row,
 #: col)`` is the tile's block-local input-window origin and the returned
@@ -108,6 +116,23 @@ def validate_padded(
             f"padded input {padded.shape} too small for radius {radius}"
         )
     return padded, interior
+
+
+def row_strips(n: int, bytes_per_row: int) -> Sequence[tuple[int, int]]:
+    """Split ``[0, n)`` into equal ``(start, stop)`` strips for the
+    functional kernels.
+
+    Each strip's working set (``bytes_per_row`` per row) fits
+    :data:`_STRIP_BUDGET`, so a strip stays in cache while every term
+    reads it — the CPU form of the paper's RDG tile reuse (§III-B) and
+    3D slab reuse (§IV-C).  A window that fits runs as one strip; only
+    the last strip may be shorter.
+    """
+    per = _STRIP_BUDGET // max(1, bytes_per_row) or 1
+    if n <= per:
+        return ((0, n),)
+    step = -(-n // -(-n // per))  # ceil(n / number of strips)
+    return [(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
 
 
 def run_block_sweep(

@@ -40,6 +40,36 @@ def _padded(weights, shape, seed=0):
     return np.pad(rng.normal(size=shape), weights.radius)
 
 
+def _race(work, n):
+    """Run ``work(i)`` for ``i < n`` on ``n`` threads switching every
+    10 us; returns the results in order, failing on any error."""
+    runs: list = [None] * n
+    errors: list = []
+
+    def run(i):
+        try:
+            runs[i] = work(i)
+        except BaseException as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(i,), daemon=True) for i in range(n)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    return runs
+
+
 BACKENDS = ("interpreter", "vectorized", "oracle")
 
 
@@ -147,34 +177,13 @@ class TestBackendEquivalence:
         inputs = [
             _padded(k.weights, (20 + 5 * i, 44 - 3 * i), seed=i) for i in range(8)
         ]
-        runs: list = [None] * len(inputs)
-        errors: list = []
-
-        def work(i):
-            try:
-                runs[i] = [
-                    compiled.apply_simulated(inputs[i], backend="vectorized")
-                    for _ in range(3)
-                ]
-            except BaseException as exc:  # surfaced by the assert below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=work, args=(i,), daemon=True)
-            for i in range(len(inputs))
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            deadline = time.monotonic() + 60
-            for t in threads:
-                t.join(timeout=max(0.0, deadline - time.monotonic()))
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors
+        runs = _race(
+            lambda i: [
+                compiled.apply_simulated(inputs[i], backend="vectorized")
+                for _ in range(3)
+            ],
+            len(inputs),
+        )
         for padded, results in zip(inputs, runs):
             want_out, want_ev = compiled.apply_simulated(
                 padded, backend="vectorized"
@@ -182,6 +191,35 @@ class TestBackendEquivalence:
             for out, ev in results:
                 assert np.array_equal(out, want_out)
                 assert ev == want_ev
+
+    def test_threads_share_one_plan_functional(self):
+        # the strip-walked functional kernel keeps no buffers on the
+        # shared engine: racing apply/apply_batch calls on multi-strip
+        # shapes match serial runs bit for bit
+        k = get_kernel("Box-2D49P")
+        compiled = repro.compile(k.weights, cache=None)
+        grids = [
+            _padded(k.weights, (38, 6000 + 7 * i), seed=i) for i in range(8)
+        ]
+        batches = [
+            np.stack(
+                [_padded(k.weights, (20 + i, 3000), seed=10 * i + j) for j in range(3)]
+            )
+            for i in range(8)
+        ]
+        runs = _race(
+            lambda i: [
+                (compiled.apply(grids[i]), compiled.apply_batch(batches[i]))
+                for _ in range(3)
+            ],
+            len(grids),
+        )
+        for grid, batch, results in zip(grids, batches, runs):
+            want_one = compiled.apply(grid)
+            want_batch = compiled.apply_batch(batch)
+            for one, many in results:
+                assert np.array_equal(one, want_one)
+                assert np.array_equal(many, want_batch)
 
     def test_cuda_core_plan_falls_back_silently(self):
         # no lowered tile program exists; an explicit vectorized request
