@@ -18,17 +18,20 @@
     python -m repro fig9 / fig10 / table3
     python -m repro precision Heat-2D       # FP16 vs FP64 error growth
     python -m repro scaling --devices 4     # multi-GPU scaling model
+    python -m repro chaos run Box-2D9P      # seeded fault campaign + ABFT
+    python -m repro cluster run|report|resume Heat-2D  # distributed sweep
 
 ``run``/``fig8``/``fig9``/``fig10``/``table3`` accept ``--telemetry``
 to print a span-tree/metrics epilogue; ``run`` and ``plan`` accept
 ``--json`` for machine-readable run-record output (schema
-``repro.telemetry.run-record/v1``, see docs/observability.md).
+``repro.telemetry.run-record/v5``, see docs/observability.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,11 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--no-verify", action="store_true",
                     help="negative control: inject without ABFT verification")
     cr.add_argument("--json", action="store_true")
-    cr.add_argument("--record", default=None, metavar="PATH",
-                    help="write a run-record (with faults, trace, event-log "
-                         "and health sections) to PATH")
-    cr.add_argument("--events", default=None, metavar="PATH",
-                    help="write the structured event log as JSONL to PATH")
+    _add_artifact_flags(cr, history=False)
     cp = chaos_sub.add_parser(
         "report",
         help="print the faults sections of run-record files",
@@ -292,15 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cluster_run_args(clr)
     clr.add_argument("--json", action="store_true")
-    clr.add_argument("--record", default=None, metavar="PATH",
-                     help="write a validated run-record (counters, faults, "
-                          "halo-byte ledger, trace/events/health, cluster "
-                          "report) to PATH")
-    clr.add_argument("--record-history", default=None, metavar="DIR",
-                     help="also append the run-record to this history "
-                          "store (joins the repro perf trend trajectory)")
-    clr.add_argument("--events", default=None, metavar="PATH",
-                     help="write the structured event log as JSONL to PATH")
+    _add_artifact_flags(clr)
     clr.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="snapshot the run into DIR at temporal-round "
                           "barriers (resumable with `repro cluster resume`)")
@@ -323,13 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="resume from this round's checkpoint "
                           "(default: the latest)")
     crs.add_argument("--json", action="store_true")
-    crs.add_argument("--record", default=None, metavar="PATH",
-                     help="write a validated run-record (with resilience "
-                          "section) to PATH")
-    crs.add_argument("--record-history", default=None, metavar="DIR",
-                     help="append the run-record to this history store")
-    crs.add_argument("--events", default=None, metavar="PATH",
-                     help="write the structured event log as JSONL to PATH")
+    _add_artifact_flags(crs)
     crp = cluster_sub.add_parser(
         "report",
         help="run one traced distributed sweep and print the cluster "
@@ -347,13 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     crp.add_argument("--chrome-trace", default=None, metavar="PATH",
                      help="write per-rank timeline lanes as a Chrome "
                           "trace-event file")
-    crp.add_argument("--record", default=None, metavar="PATH",
-                     help="write a v4 run-record embedding the report's "
-                          "cluster section to PATH")
-    crp.add_argument("--record-history", default=None, metavar="DIR",
-                     help="append a cluster-report-<kernel> record "
-                          "(overlap_efficiency / imbalance metrics in "
-                          "extra) to this history store for trend gating")
+    _add_artifact_flags(crp, events=False)
 
     p = sub.add_parser(
         "monitor",
@@ -396,8 +375,28 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_artifact_flags(
+    parser: argparse.ArgumentParser, events: bool = True, history: bool = True
+) -> None:
+    """The artifact flags :func:`_write_artifacts` reads; an omitted one
+    still defaults to ``None`` on the namespace."""
+    parser.set_defaults(events=None, record_history=None)
+    parser.add_argument("--record", default=None, metavar="PATH",
+                        help="write a validated run-record (counters, "
+                             "faults, trace, events, health) to PATH")
+    if history:
+        parser.add_argument("--record-history", default=None, metavar="DIR",
+                            help="also append the run-record to this "
+                                 "history store (repro perf trend input)")
+    if events:
+        parser.add_argument("--events", default=None, metavar="PATH",
+                            help="write the structured event log as JSONL "
+                                 "to PATH")
+
+
 def _add_cluster_run_args(parser: argparse.ArgumentParser) -> None:
-    """The run-configuration flags ``cluster run`` / ``report`` share."""
+    """The run-configuration flags ``cluster run`` / ``report`` share; a
+    checkpoint manifest stores their values for ``cluster resume``."""
     parser.add_argument("kernel")
     parser.add_argument("--size", type=int, default=32,
                         help="grid extent per dimension (default 32)")
@@ -1388,17 +1387,8 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     # under --record/--events the injected sweep runs traced, so the
     # record carries ONE merged trace (shard spans re-parented under the
     # facade root) next to the structured event log and health snapshot
-    observe = bool(args.record or args.events)
-    if observe:
-        from repro import telemetry
-
-        observed = telemetry.capture()
-    else:
-        import contextlib
-
-        observed = contextlib.nullcontext()
     try:
-        with observed:
+        with _observed(args):
             out, events = compiled.apply_simulated(
                 x, shards=args.shards, verify=verify, faults=plan
             )
@@ -1459,36 +1449,23 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
                   + ("bit-identical to the fault-free sweep"
                      if identical else "NOT bit-identical — recovery BUG"))
 
-    if args.events:
-        from repro import telemetry
-
-        path = telemetry.write_event_log(args.events)
-        if not args.json:
-            print(f"event log written to {path} "
-                  f"({len(telemetry.EVENT_LOG)} event(s))")
-    if args.record:
-        from repro import telemetry
-
-        rec = telemetry.run_record(
-            k.name,
-            counters=None if out is None else events,
-            faults=report,
-            extra={
-                "command": "chaos run",
-                "size": args.size,
-                "seed": args.seed,
-                "shards": args.shards,
-                "verify": verify or "off",
-                "plan_key": compiled.key,
-                "fault_plan": [str(s) for s in plan.specs],
-                "output_bit_identical": bool(identical),
-                "exit_code": rc,
-            },
-        )
-        telemetry.validate_run_record(rec)
-        path = telemetry.write_run_record(args.record, rec)
-        if not args.json:
-            print(f"run record written to {path}")
+    _write_artifacts(
+        args,
+        k.name,
+        counters=None if out is None else events,
+        faults=report,
+        extra={
+            "command": "chaos run",
+            "size": args.size,
+            "seed": args.seed,
+            "shards": args.shards,
+            "verify": verify or "off",
+            "plan_key": compiled.key,
+            "fault_plan": [str(s) for s in plan.specs],
+            "output_bit_identical": bool(identical),
+            "exit_code": rc,
+        },
+    )
     return rc
 
 
@@ -1536,13 +1513,81 @@ def _cmd_chaos_report(paths: list[str], as_json: bool) -> int:
     return rc
 
 
-def _cluster_prepare(args: argparse.Namespace):
-    """Shared setup of ``cluster run`` / ``cluster report``.
+class _Verdict(NamedTuple):
+    """A cluster run's reference and recovery checks."""
 
-    Returns ``(prep, rc)``: ``prep`` is a dict of everything the
-    commands need (kernel, plan, runtime, input, fault plan, and the
-    clean-run field for ``--crash-rank`` recovery checks), or ``None``
-    with a non-zero ``rc`` on argument errors.
+    rc: int
+    matches_ref: bool
+    recovered: bool
+    text: str
+
+
+class _ClusterSetup(NamedTuple):
+    """One cluster run built from its run-configuration flags."""
+
+    args: argparse.Namespace
+    kernel: object
+    plan: object
+    runtime: object
+    x: np.ndarray
+    faults: object
+
+    def run(self, clean: bool = False, **kwargs):
+        """The configured sweep (``kwargs`` adds ``checkpoint=`` or
+        ``resume_from=``); ``clean=True`` drops the injected faults and
+        the elastic re-plan — the bit-identity oracle."""
+        a = self.args
+        if not clean:
+            kwargs.update(faults=self.faults, elastic=a.elastic)
+        return self.runtime.run(
+            self.x, a.steps, overlap=a.overlap, executor=a.executor,
+            simulate=a.simulate, **kwargs,
+        )
+
+    def verdict(self, result, clean) -> _Verdict:
+        """The reference check, plus the recovery check when ``clean``
+        (the fault-free field) is given."""
+        from repro.stencil.reference import reference_iterate
+
+        a = self.args
+        ref = reference_iterate(
+            self.x, self.kernel.weights, a.steps, boundary=a.boundary
+        )
+        matches_ref = bool(np.allclose(result.field, ref, atol=1e-6))
+        text = "reference check: " + (
+            "PASS" if matches_ref else "FAIL (diverged)"
+        )
+        recovered = True
+        if clean is not None:
+            report = result.fault_report
+            recovered = bool(
+                np.array_equal(result.field, clean)
+                and report is not None
+                and report.counts["unrecovered"] == 0
+            )
+            text += "\nrecovery check: " + (
+                "bit-identical to fault-free run" if recovered
+                else "FAILED — output differs or faults unrecovered"
+            )
+        rc = 0 if matches_ref and recovered else 1
+        return _Verdict(rc, matches_ref, recovered, text)
+
+
+def _cluster_run_flags() -> tuple[str, ...]:
+    """The destination of every flag :func:`_add_cluster_run_args`
+    defines: the run configuration a checkpoint manifest stores."""
+    probe = argparse.ArgumentParser(add_help=False)
+    _add_cluster_run_args(probe)
+    return tuple(vars(probe.parse_args(["-"])))
+
+
+def _cluster_setup(args: argparse.Namespace) -> _ClusterSetup | None:
+    """Build the kernel, plan, runtime, input and fault plan of ``cluster
+    run``/``report``/``resume`` from the run-configuration flags.
+
+    The runtime's checkpoint manifests store exactly those flag values,
+    so ``cluster resume`` rebuilds the run through this same function.
+    Returns ``None`` (after printing the error) on a bad ``--mesh``.
     """
     from repro.faults import FaultPlan, FaultSpec
     from repro.parallel.cluster import ClusterRuntime
@@ -1551,63 +1596,72 @@ def _cluster_prepare(args: argparse.Namespace):
 
     k = get_kernel(args.kernel)
     ndim = k.weights.ndim
+    mesh = (
+        tuple(args.mesh) if args.mesh is not None
+        else {1: (2,), 2: (2, 2), 3: (1, 2, 2)}[ndim]
+    )
+    if len(mesh) != ndim:
+        print(f"error: {k.name} is {ndim}D; --mesh needs {ndim} "
+              f"integer(s), got {len(mesh)}", file=sys.stderr)
+        return None
     shape = _sweep_shape(ndim, args.size)
-    if args.mesh is not None:
-        mesh = tuple(args.mesh)
-        if len(mesh) != ndim:
-            print(f"error: {k.name} is {ndim}D; --mesh needs {ndim} "
-                  f"integer(s), got {len(mesh)}", file=sys.stderr)
-            return None, 2
-    else:
-        mesh = {1: (2,), 2: (2, 2), 3: (1, 2, 2)}[ndim]
-
     plan = distribute(
-        k.weights,
-        shape,
-        mesh,
-        boundary=args.boundary,
-        block_steps=args.block_steps,
-        tiling=args.tiling,
-        backend=args.backend,
+        k.weights, shape, mesh, boundary=args.boundary,
+        block_steps=args.block_steps, tiling=args.tiling, backend=args.backend,
     )
     runtime = ClusterRuntime(plan)
-    rng = np.random.default_rng(args.seed)
-    x = rng.normal(size=shape)
-
-    run_kwargs = dict(
-        overlap=args.overlap,
-        executor=args.executor,
-        simulate=args.simulate,
+    runtime.checkpoint_meta = {
+        flag: getattr(args, flag) for flag in _cluster_run_flags()
+    }
+    specs = tuple(
+        FaultSpec(kind=kind, site=site, sticky=kind == "rank_crash")
+        for kind, site in (
+            ("shard_crash", args.crash_rank),
+            ("halo_corrupt", args.halo_corrupt_round),
+            ("rank_crash", args.kill_rank),
+        )
+        if site is not None
     )
-    if getattr(args, "elastic", False):
-        run_kwargs["elastic"] = True
-    specs = []
-    if args.crash_rank is not None:
-        specs.append(FaultSpec(kind="shard_crash", site=args.crash_rank))
-    halo_round = getattr(args, "halo_corrupt_round", None)
-    if halo_round is not None:
-        specs.append(FaultSpec(kind="halo_corrupt", site=halo_round))
-    kill_rank = getattr(args, "kill_rank", None)
-    if kill_rank is not None:
-        specs.append(FaultSpec(kind="rank_crash", site=kill_rank, sticky=True))
-    faults = None
-    clean = None
-    if specs:
-        faults = FaultPlan(specs=tuple(specs))
-        clean_kwargs = dict(run_kwargs)
-        clean_kwargs.pop("elastic", None)
-        clean = runtime.run(x, args.steps, **clean_kwargs).field
-    return {
-        "kernel": k,
-        "shape": shape,
-        "mesh": mesh,
-        "plan": plan,
-        "runtime": runtime,
-        "x": x,
-        "run_kwargs": run_kwargs,
-        "faults": faults,
-        "clean": clean,
-    }, 0
+    x = np.random.default_rng(args.seed).normal(size=shape)
+    faults = FaultPlan(specs=specs) if specs else None
+    return _ClusterSetup(args, k, plan, runtime, x, faults)
+
+
+def _observed(args: argparse.Namespace):
+    """A telemetry capture when the command writes artifacts (the
+    record then carries one merged trace), else a no-op context."""
+    import contextlib
+
+    from repro import telemetry
+
+    if args.record or args.events or args.record_history:
+        return telemetry.capture()
+    return contextlib.nullcontext()
+
+
+def _write_artifacts(args: argparse.Namespace, name: str, **record) -> None:
+    """The artifact epilogue of ``cluster run|report|resume`` and ``chaos
+    run``: the ``--events`` log, then one run-record (``record`` holds
+    its sections) written to ``--record`` and appended to
+    ``--record-history``, both of which validate it."""
+    from repro import telemetry
+
+    say = (lambda line: None) if args.json else print
+    if args.events:
+        path = telemetry.write_event_log(args.events)
+        say(f"event log written to {path} "
+            f"({len(telemetry.EVENT_LOG)} event(s))")
+    if not (args.record or args.record_history):
+        return
+    rec = telemetry.run_record(name, **record)
+    if args.record:
+        path = telemetry.write_run_record(args.record, rec)
+        say(f"run record written to {path}")
+    if args.record_history:
+        from repro.telemetry.perf import RunRecordStore
+
+        path = RunRecordStore(args.record_history).append(rec)
+        say(f"run record appended to {path}")
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -1615,60 +1669,27 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     Exit codes: 0 — the run matched the dense reference (and, with
     ``--crash-rank``, recovered to the fault-free bits with nothing
-    unrecovered); 1 — mismatch or unrecovered fault.
+    unrecovered); 1 — mismatch or unrecovered fault; 3 — halted at
+    ``--halt-after-round`` (resumable).
     """
     import contextlib
     import json
 
     from repro import telemetry
     from repro.parallel.checkpoint import CheckpointConfig, CheckpointHalt
-    from repro.stencil.reference import reference_iterate
 
-    prep, rc = _cluster_prepare(args)
-    if prep is None:
-        return rc
-    k, shape, mesh, plan = (
-        prep["kernel"], prep["shape"], prep["mesh"], prep["plan"]
-    )
-    runtime, x, run_kwargs = prep["runtime"], prep["x"], prep["run_kwargs"]
-    faults, clean = prep["faults"], prep["clean"]
-
-    ckpt_cfg = None
-    if args.checkpoint_dir:
-        ckpt_cfg = CheckpointConfig(
-            dir=args.checkpoint_dir,
-            every=args.checkpoint_every,
-            halt_after=args.halt_after_round,
-        )
-        # everything `cluster resume` needs to rebuild the plan and the
-        # input field from the manifest alone
-        runtime.checkpoint_meta = {
-            "kernel": k.name,
-            "size": args.size,
-            "mesh": list(mesh),
-            "steps": args.steps,
-            "block_steps": args.block_steps,
-            "tiling": args.tiling,
-            "boundary": args.boundary,
-            "backend": args.backend,
-            "overlap": args.overlap,
-            "executor": args.executor,
-            "simulate": args.simulate,
-            "seed": args.seed,
-            "elastic": bool(run_kwargs.get("elastic", False)),
-            "faults": (
-                [s.as_dict() for s in faults.specs] if faults else []
-            ),
-        }
-
-    observe = bool(args.record or args.events or args.record_history)
-    observed = telemetry.capture() if observe else contextlib.nullcontext()
+    setup = _cluster_setup(args)
+    if setup is None:
+        return 2
+    k, plan = setup.kernel, setup.plan
+    clean = setup.run(clean=True).field if setup.faults is not None else None
+    ckpt_cfg = CheckpointConfig(
+        dir=args.checkpoint_dir, every=args.checkpoint_every,
+        halt_after=args.halt_after_round,
+    ) if args.checkpoint_dir else None
     try:
-        with observed:
-            result = runtime.run(
-                x, args.steps, faults=faults, checkpoint=ckpt_cfg,
-                **run_kwargs,
-            )
+        with _observed(args):
+            result = setup.run(checkpoint=ckpt_cfg)
     except CheckpointHalt as halt:
         if not args.json:
             print(f"{k.name}: halted after round {halt.round_index}; "
@@ -1687,26 +1708,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(f"{k.name}: interrupted", file=sys.stderr)
         return 130
 
-    ref = reference_iterate(
-        x, k.weights, args.steps, boundary=args.boundary
-    )
-    matches_ref = np.allclose(result.field, ref, atol=1e-6)
-    recovered = True
-    if clean is not None:
-        recovered = (
-            np.array_equal(result.field, clean)
-            and result.fault_report is not None
-            and result.fault_report.counts["unrecovered"] == 0
-        )
-    rc = 0 if (matches_ref and recovered) else 1
-
+    verdict = setup.verdict(result, clean)
     report = result.fault_report
     doc = {
         "kernel": k.name,
         "plan_key": plan.key,
         "rank_plan_key": plan.compiled.key,
-        "shape": list(shape),
-        "mesh": list(mesh),
+        "shape": list(plan.global_shape),
+        "mesh": list(plan.mesh),
         "backend": result.backend or plan.backend,
         "executor": result.executor,
         "overlap": result.overlap,
@@ -1717,23 +1726,22 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         "phases": list(result.phases),
         "halo_bytes_exchanged": result.exchanged_bytes,
         "worker_pids": list(result.worker_pids),
-        "matches_reference": bool(matches_ref),
-        "recovered_bit_identical": bool(recovered),
-        "exit_code": rc,
+        "matches_reference": verdict.matches_ref,
+        "recovered_bit_identical": verdict.recovered,
+        "exit_code": verdict.rc,
     }
     if result.counters is not None:
         doc["counters"] = result.counters.as_dict()
     if report is not None:
         doc["faults"] = report.as_dict()
-    resilience = getattr(result, "resilience", None)
-    if resilience is not None:
-        doc["resilience"] = resilience
+    if result.resilience is not None:
+        doc["resilience"] = result.resilience
 
     if args.json:
         print(json.dumps(doc, indent=1, sort_keys=True))
     else:
-        print(f"{k.name}: distributed sweep over {shape} on mesh {mesh} "
-              f"({plan.num_devices} device(s))")
+        print(f"{k.name}: distributed sweep over {plan.global_shape} on "
+              f"mesh {plan.mesh} ({plan.num_devices} device(s))")
         print(f"  {plan.schedule.describe()}")
         print(f"  executor={result.executor} overlap={result.overlap} "
               f"backend={doc['backend']}")
@@ -1748,64 +1756,39 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             print()
             print(report.describe())
         print()
-        print("reference check: "
-              + ("PASS" if matches_ref else "FAIL (diverged)"))
-        if clean is not None:
-            print("recovery check: "
-                  + ("bit-identical to fault-free run" if recovered
-                     else "FAILED — output differs or faults unrecovered"))
+        print(verdict.text)
 
-    if args.events:
-        path = telemetry.write_event_log(args.events)
-        if not args.json:
-            print(f"event log written to {path} "
-                  f"({len(telemetry.EVENT_LOG)} event(s))")
+    cluster_section = None
     if args.record or args.record_history:
-        cluster_section = None
-        if observe:
-            try:
-                cluster_section = result.report()
-            except telemetry.TelemetryError:
-                cluster_section = None
-        rec = telemetry.run_record(
-            f"cluster-{k.name}",
-            counters=result.counters,
-            faults=report,
-            cluster=cluster_section,
-            resilience=resilience,
-            extra={"command": "cluster", **doc},
-        )
-        telemetry.validate_run_record(rec)
-        if args.record:
-            path = telemetry.write_run_record(args.record, rec)
-            if not args.json:
-                print(f"run record written to {path}")
-        if args.record_history:
-            from repro.telemetry.perf import RunRecordStore
-
-            path = RunRecordStore(args.record_history).append(rec)
-            if not args.json:
-                print(f"run record appended to {path}")
-    return rc
+        with contextlib.suppress(telemetry.TelemetryError):
+            cluster_section = result.report()
+    _write_artifacts(
+        args,
+        f"cluster-{k.name}",
+        counters=result.counters,
+        faults=report,
+        cluster=cluster_section,
+        resilience=result.resilience,
+        extra={"command": "cluster", **doc},
+    )
+    return verdict.rc
 
 
 def _cmd_cluster_resume(args: argparse.Namespace) -> int:
     """Resume a checkpointed distributed sweep from its latest barrier.
 
-    The plan is rebuilt from the checkpoint manifest (written by
-    ``cluster run --checkpoint-dir``), keyed against the snapshot, and
-    the remaining rounds are replayed.  Exit codes: 0 — the completed
-    trajectory is bit-identical to an uninterrupted fault-free run;
-    1 — mismatch; 2 — unusable checkpoint directory/manifest.
+    The run is rebuilt from the run-configuration flags stored in the
+    checkpoint manifest (written by ``cluster run --checkpoint-dir``) on
+    the snapshot's mesh — an elastic run may have re-partitioned before
+    it — keyed against the snapshot, and the remaining rounds are
+    replayed.  Exit codes: 0 — the completed trajectory is
+    bit-identical to an uninterrupted fault-free run; 1 — mismatch;
+    2 — unusable checkpoint directory/manifest.
     """
     import json
 
     from repro import telemetry
-    from repro.faults import FaultPlan, FaultSpec
     from repro.parallel.checkpoint import CheckpointError, load_checkpoint
-    from repro.parallel.cluster import ClusterRuntime
-    from repro.parallel.plan import distribute
-    from repro.stencil.kernels import get_kernel
 
     # the capture opens before load_checkpoint so the
     # ``checkpoint.restored`` event lands in the exported log
@@ -1817,17 +1800,58 @@ def _cmd_cluster_resume(args: argparse.Namespace) -> int:
         except CheckpointError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        rc, result, clean, k, plan, doc = _resume_checkpointed(args, ckpt)
-    if result is None:
-        return rc
-    resilience = doc.get("resilience")
+        flags = _cluster_run_flags()
+        missing = [flag for flag in flags if flag not in ckpt.meta]
+        if missing:
+            print(f"error: checkpoint manifest is missing run metadata "
+                  f"{missing}; was it written by `repro cluster run "
+                  f"--checkpoint-dir`?", file=sys.stderr)
+            return 2
+        run_args = argparse.Namespace(**{f: ckpt.meta[f] for f in flags})
+        run_args.mesh = list(ckpt.mesh)
+        # plan rebuilding and the bit-identity oracle run stay out of the
+        # exported trace: the record must hold exactly one trace — the
+        # one the original run stamped into the snapshot
+        telemetry.disable()
+        setup = _cluster_setup(run_args)
+        if setup is None:
+            return 2
+        if setup.plan.key != ckpt.plan_key:
+            print(f"error: rebuilt plan {setup.plan.key[:12]}… does not "
+                  f"match the checkpointed plan {ckpt.plan_key[:12]}…",
+                  file=sys.stderr)
+            return 2
+        clean = setup.run(clean=True).field
+        telemetry.enable()
+        result = setup.run(resume_from=ckpt)
+
+    identical = bool(np.array_equal(result.field, clean))
+    rc = 0 if identical else 1
     report = result.fault_report
+    doc = {
+        "kernel": setup.kernel.name,
+        "plan_key": setup.plan.key,
+        "shape": list(setup.plan.global_shape),
+        "mesh": list(ckpt.mesh),
+        "steps": run_args.steps,
+        "resumed_from_round": ckpt.round_index,
+        "rounds": result.rounds,
+        "phases": list(result.phases),
+        "halo_bytes_exchanged": result.exchanged_bytes,
+        "resumed_halo_bytes": result.resumed_halo_bytes,
+        "trace_id": ckpt.trace_id,
+        "bit_identical": identical,
+        "exit_code": rc,
+    }
+    if result.resilience is not None:
+        doc["resilience"] = result.resilience
+    if report is not None:
+        doc["faults"] = report.as_dict()
 
     if args.json:
         print(json.dumps(doc, indent=1, sort_keys=True))
     else:
-        identical = doc["bit_identical"]
-        print(f"{k.name}: resumed from round {ckpt.round_index} "
+        print(f"{setup.kernel.name}: resumed from round {ckpt.round_index} "
               f"({ckpt.path})")
         print(f"  {result.steps} step(s) in {result.rounds} round(s) "
               f"{result.phases}")
@@ -1841,128 +1865,15 @@ def _cmd_cluster_resume(args: argparse.Namespace) -> int:
               + ("PASS — identical to the uninterrupted run" if identical
                  else "FAIL — trajectory diverged after resume"))
 
-    if args.events:
-        path = telemetry.write_event_log(args.events)
-        if not args.json:
-            print(f"event log written to {path} "
-                  f"({len(telemetry.EVENT_LOG)} event(s))")
-    if args.record or args.record_history:
-        rec = telemetry.run_record(
-            f"cluster-resume-{k.name}",
-            counters=result.counters,
-            faults=report,
-            resilience=resilience,
-            extra={"command": "cluster resume", **doc},
-        )
-        telemetry.validate_run_record(rec)
-        if args.record:
-            path = telemetry.write_run_record(args.record, rec)
-            if not args.json:
-                print(f"run record written to {path}")
-        if args.record_history:
-            from repro.telemetry.perf import RunRecordStore
-
-            path = RunRecordStore(args.record_history).append(rec)
-            if not args.json:
-                print(f"run record appended to {path}")
+    _write_artifacts(
+        args,
+        f"cluster-resume-{setup.kernel.name}",
+        counters=result.counters,
+        faults=report,
+        resilience=result.resilience,
+        extra={"command": "cluster resume", **doc},
+    )
     return rc
-
-
-def _resume_checkpointed(args, ckpt):
-    """The resume body: rebuild the plan from the manifest, replay.
-
-    Returns ``(rc, result, clean, kernel, plan, doc)``; ``result`` is
-    ``None`` when the checkpoint metadata is unusable (``rc`` then
-    holds the error exit code).
-    """
-    from repro import telemetry
-    from repro.faults import FaultPlan, FaultSpec
-    from repro.parallel.cluster import ClusterRuntime
-    from repro.parallel.plan import distribute
-    from repro.stencil.kernels import get_kernel
-
-    # plan rebuilding and the bit-identity oracle run stay out of the
-    # exported trace: the record must hold exactly one trace — the one
-    # the original run stamped into the snapshot
-    telemetry.disable()
-    meta = ckpt.meta
-    required = ("kernel", "size", "mesh", "steps", "seed")
-    missing = [key for key in required if key not in meta]
-    if missing:
-        print(f"error: checkpoint manifest is missing run metadata "
-              f"{missing}; was it written by `repro cluster run "
-              f"--checkpoint-dir`?", file=sys.stderr)
-        return 2, None, None, None, None, {}
-
-    k = get_kernel(meta["kernel"])
-    shape = _sweep_shape(k.weights.ndim, int(meta["size"]))
-    mesh = tuple(int(m) for m in meta["mesh"])
-    steps = int(meta["steps"])
-    plan = distribute(
-        k.weights,
-        shape,
-        mesh,
-        boundary=meta.get("boundary", "constant"),
-        block_steps=int(meta.get("block_steps", 1)),
-        tiling=meta.get("tiling", "trapezoid"),
-        backend=meta.get("backend"),
-    )
-    if plan.key != ckpt.plan_key:
-        print(f"error: rebuilt plan {plan.key[:12]}… does not match the "
-              f"checkpointed plan {ckpt.plan_key[:12]}…", file=sys.stderr)
-        return 2, None, None, None, None, {}
-
-    rng = np.random.default_rng(int(meta["seed"]))
-    x = rng.normal(size=shape)
-    run_kwargs = dict(
-        overlap=bool(meta.get("overlap", False)),
-        executor=meta.get("executor", "serial"),
-        simulate=bool(meta.get("simulate", False)),
-    )
-    spec_docs = meta.get("faults") or []
-    faults = (
-        FaultPlan(specs=tuple(FaultSpec.from_dict(d) for d in spec_docs))
-        if spec_docs else None
-    )
-
-    # the bit-identity oracle: the same sweep, uninterrupted, fault-free
-    clean = ClusterRuntime(plan).run(x, steps, **run_kwargs).field
-    telemetry.enable()
-
-    runtime = ClusterRuntime(plan)
-    result = runtime.run(
-        x, steps,
-        faults=faults,
-        resume_from=ckpt,
-        elastic=bool(meta.get("elastic", False)),
-        **run_kwargs,
-    )
-
-    identical = np.array_equal(result.field, clean)
-    rc = 0 if identical else 1
-    resilience = getattr(result, "resilience", None)
-    report = result.fault_report
-
-    doc = {
-        "kernel": k.name,
-        "plan_key": plan.key,
-        "shape": list(shape),
-        "mesh": list(mesh),
-        "steps": steps,
-        "resumed_from_round": ckpt.round_index,
-        "rounds": result.rounds,
-        "phases": list(result.phases),
-        "halo_bytes_exchanged": result.exchanged_bytes,
-        "resumed_halo_bytes": result.resumed_halo_bytes,
-        "trace_id": ckpt.trace_id,
-        "bit_identical": bool(identical),
-        "exit_code": rc,
-    }
-    if resilience is not None:
-        doc["resilience"] = resilience
-    if report is not None:
-        doc["faults"] = report.as_dict()
-    return rc, result, clean, k, plan, doc
 
 
 def _cmd_cluster_report(args: argparse.Namespace) -> int:
@@ -1977,48 +1888,25 @@ def _cmd_cluster_report(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro import telemetry
-    from repro.stencil.reference import reference_iterate
     from repro.telemetry.cluster import render_gantt, to_lane_trace
     from repro.telemetry.validate import validate_cluster_report
 
-    prep, rc = _cluster_prepare(args)
-    if prep is None:
-        return rc
-    k = prep["kernel"]
-    runtime, x = prep["runtime"], prep["x"]
-    run_kwargs, faults, clean = (
-        prep["run_kwargs"], prep["faults"], prep["clean"]
-    )
-
+    setup = _cluster_setup(args)
+    if setup is None:
+        return 2
+    clean = setup.run(clean=True).field if setup.faults is not None else None
     with telemetry.capture():
-        result = runtime.run(x, args.steps, faults=faults, **run_kwargs)
+        result = setup.run()
     report = result.report()
     validate_cluster_report(report)
-
-    ref = reference_iterate(
-        x, k.weights, args.steps, boundary=args.boundary
-    )
-    matches_ref = np.allclose(result.field, ref, atol=1e-6)
-    recovered = True
-    if clean is not None:
-        recovered = (
-            np.array_equal(result.field, clean)
-            and result.fault_report is not None
-            and result.fault_report.counts["unrecovered"] == 0
-        )
-    rc = 0 if (matches_ref and recovered) else 1
+    verdict = setup.verdict(result, clean)
 
     if args.json:
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
         print(render_gantt(report, width=args.gantt_width))
         print()
-        print("reference check: "
-              + ("PASS" if matches_ref else "FAIL (diverged)"))
-        if clean is not None:
-            print("recovery check: "
-                  + ("bit-identical to fault-free run" if recovered
-                     else "FAILED — output differs or faults unrecovered"))
+        print(verdict.text)
     if args.output:
         path = pathlib.Path(args.output)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -2031,40 +1919,29 @@ def _cmd_cluster_report(args: argparse.Namespace) -> int:
         path.write_text(json.dumps(to_lane_trace(report), indent=1))
         if not args.json:
             print(f"per-rank lane trace written to {path}")
-    if args.record or args.record_history:
-        rec = telemetry.run_record(
-            f"cluster-report-{k.name}",
-            counters=result.counters,
-            faults=result.fault_report,
-            cluster=report,
-            extra={
-                "command": "cluster report",
-                "kernel": k.name,
-                "executor": result.executor,
-                "overlap": result.overlap,
-                "exit_code": rc,
-                # the trend-gated series: imbalance regresses upward,
-                # overlap efficiency regresses downward
-                "overlap_efficiency": report["overlap"]["efficiency"],
-                "imbalance_max_over_mean": (
-                    report["imbalance"]["max_over_mean"]
-                ),
-                "critical_path_s": report["critical_path"]["s"],
-                "halo_bytes": report["halo"]["total_bytes"],
-            },
-        )
-        telemetry.validate_run_record(rec)
-        if args.record:
-            path = telemetry.write_run_record(args.record, rec)
-            if not args.json:
-                print(f"run record written to {path}")
-        if args.record_history:
-            from repro.telemetry.perf import RunRecordStore
-
-            path = RunRecordStore(args.record_history).append(rec)
-            if not args.json:
-                print(f"run record appended to {path}")
-    return rc
+    _write_artifacts(
+        args,
+        f"cluster-report-{setup.kernel.name}",
+        counters=result.counters,
+        faults=result.fault_report,
+        cluster=report,
+        extra={
+            "command": "cluster report",
+            "kernel": setup.kernel.name,
+            "executor": result.executor,
+            "overlap": result.overlap,
+            "exit_code": verdict.rc,
+            # the trend-gated series: imbalance regresses upward,
+            # overlap efficiency regresses downward
+            "overlap_efficiency": report["overlap"]["efficiency"],
+            "imbalance_max_over_mean": (
+                report["imbalance"]["max_over_mean"]
+            ),
+            "critical_path_s": report["critical_path"]["s"],
+            "halo_bytes": report["halo"]["total_bytes"],
+        },
+    )
+    return verdict.rc
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -69,6 +69,7 @@ from repro.parallel.halo import (
 from repro.parallel.plan import DistributedPlan, HaloSchedule, distribute
 from repro.perf.costmodel import time_per_point
 from repro.perf.machine import A100, MachineSpec
+from repro.runtime.executor import validate_finite
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
 from repro.telemetry.context import TraceContext
@@ -293,13 +294,18 @@ class ClusterRuntime:
         return self.exchanger(self.plan.radius)
 
     def scatter(self, global_field: np.ndarray) -> dict[int, np.ndarray]:
-        """Distribute a global field onto the device mesh."""
+        """Distribute a global field onto the device mesh.
+
+        The one finiteness check of a run's input: ranks apply the
+        engine directly to windows the run produced itself.
+        """
         global_field = np.asarray(global_field, dtype=np.float64)
         if global_field.shape != self.part.global_shape:
             raise ValueError(
                 f"field shape {global_field.shape} != partition "
                 f"{self.part.global_shape}"
             )
+        validate_finite(global_field, "cluster input field")
         return {
             sub.rank: global_field[sub.slices].copy()
             for sub in self.part.subdomains
@@ -526,6 +532,8 @@ class ClusterRuntime:
             rank: np.array(block, dtype=np.float64)
             for rank, block in ck.blocks.items()
         }
+        for rank, block in st.blocks.items():
+            validate_finite(block, f"checkpoint block of rank {rank}")
         st.exchanged = st.resumed_bytes = int(ck.exchanged_bytes)
         st.round_log = [dict(entry) for entry in ck.round_log]
         st.last_round_done = ck.round_index
@@ -730,7 +738,10 @@ class ClusterRuntime:
                 injector.on_rank(rank)
             runtime = self.plan.compiled.runtime
             if not st.simulate:
-                return self._advance(st, rnd, sub, runtime.apply), None, None
+                # the input was checked at scatter/restore and each
+                # round's output at the fold: call the engine directly
+                engine_apply = runtime.plan.engine.apply
+                return self._advance(st, rnd, sub, engine_apply), None, None
             local = EventCounters()
 
             def apply_fn(win: np.ndarray) -> np.ndarray:
@@ -805,10 +816,12 @@ class ClusterRuntime:
             return rnd.handle.wait()[rank]
 
     def _fold(self, st: _Run, rnd: _Round, results: dict, mark: int) -> None:
-        """Commit a completed round: the new blocks, merged counters and
-        the round's exchange-ledger entry."""
+        """Commit a completed round: the new blocks (checked finite, so a
+        run that overflows fails typed), merged counters and the round's
+        exchange-ledger entry."""
         for rank in sorted(results):
             out, ev, info = results[rank]
+            validate_finite(out, f"rank {rank} block after round {rnd.index}")
             st.blocks[rank] = out
             if ev is not None:
                 st.counters += ev

@@ -185,7 +185,8 @@ def _process_worker(payload: dict) -> dict:
 
     def apply_fn(win: np.ndarray) -> np.ndarray:
         if counters is None:
-            return compiled.runtime.apply(win)
+            # the parent checked the input at scatter/restore
+            return compiled.plan.engine.apply(win)
         out, ev = compiled.runtime.apply_simulated(
             win, backend=payload["backend"]
         )

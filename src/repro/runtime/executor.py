@@ -49,7 +49,7 @@ from repro.telemetry.health import HEALTH
 __all__ = ["Runtime"]
 
 
-def _validate_finite(arr: np.ndarray, what: str = "input grid") -> None:
+def validate_finite(arr: np.ndarray, what: str = "input grid") -> None:
     """Reject NaN/Inf poison before it enters a sweep.
 
     Raises :class:`~repro.errors.InputValidationError` (the
@@ -94,7 +94,7 @@ class Runtime:
     def apply(self, padded: np.ndarray) -> np.ndarray:
         """Apply the plan to one padded grid; returns the interior."""
         padded = np.asarray(padded, dtype=np.float64)
-        _validate_finite(padded)
+        validate_finite(padded)
         return self.plan.engine.apply(padded)
 
     def apply_batch(self, grids: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -137,7 +137,7 @@ class Runtime:
         into the engine, and its injector onto the sweep's device.
         """
         padded = np.asarray(padded, dtype=np.float64)
-        _validate_finite(padded)
+        validate_finite(padded)
         return self._sweep(
             padded, backend or self.plan.backend, armed, device, profiler
         )
@@ -211,7 +211,7 @@ class Runtime:
         backend = backend or self.plan.backend
         h = self.plan.radius
         padded, interior = validate_padded(padded, self.plan.ndim, h)
-        _validate_finite(padded)
+        validate_finite(padded)
         bounds = _shard_bounds(interior[0], shards, self._shard_align())
         ctx = TraceContext.capture()
         sweep_health = HEALTH.start_sweep(f"sharded-{self.plan.key[:12]}")
@@ -301,5 +301,5 @@ class Runtime:
         if batch.shape[0] == 0:
             raise ShapeError("apply_batch needs at least one grid")
         validate_padded(batch[0], self.plan.ndim, self.plan.radius)
-        _validate_finite(batch, "input batch")
+        validate_finite(batch, "input batch")
         return batch

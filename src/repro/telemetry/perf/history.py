@@ -1,7 +1,7 @@
 """Run-record history and regression detection.
 
 The missing third leg of the observatory: run-records
-(``repro.telemetry.run-record/v1``) are stamped next to every benchmark
+(``repro.telemetry.run-record/v5``) are stamped next to every benchmark
 artifact, but nothing compared them across runs, so the performance
 trajectory was write-only.  Three pieces close the loop:
 
@@ -59,7 +59,7 @@ class RunRecordStore:
     """Append-only JSONL history of validated run-records.
 
     One ``<name>.jsonl`` file per record name under ``root``; every
-    appended line is a complete ``repro.telemetry.run-record/v1``
+    appended line is a complete ``repro.telemetry.run-record/v5``
     document, validated on the way in so the history never accumulates
     malformed entries.
     """

@@ -119,3 +119,54 @@ class TestWorkerExceptionWrapping:
                 compiled.runtime.apply_simulated_batch([x, x.copy()])
         finally:
             compiled.plan.engine.apply_simulated = original
+
+
+class TestClusterNonFinite:
+    """A cluster run checks finiteness where data enters (scatter and
+    checkpoint restore) and once per round on the folded blocks; the
+    ranks' engine calls on their own windows are unchecked."""
+
+    @staticmethod
+    def _runtime(weights=None, shape=(16, 16)):
+        from repro.parallel.cluster import ClusterRuntime
+        from repro.parallel.plan import distribute
+        from repro.stencil.kernels import get_kernel
+
+        w = weights if weights is not None else get_kernel("Heat-2D").weights
+        return ClusterRuntime(distribute(w, shape, (2, 2), block_steps=2))
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_poisoned_global_field_rejected(self, executor, poison):
+        x = np.random.default_rng(0).normal(size=(16, 16))
+        x[5, 9] = poison
+        with pytest.raises(InputValidationError, match="cluster input"):
+            self._runtime().run(x, 4, executor=executor, overlap=True)
+
+    def test_poisoned_checkpoint_block_rejected_on_resume(self, tmp_path):
+        from repro.parallel.checkpoint import (
+            CheckpointConfig,
+            CheckpointHalt,
+            load_checkpoint,
+        )
+
+        x = np.random.default_rng(0).normal(size=(16, 16))
+        cfg = CheckpointConfig(dir=str(tmp_path), halt_after=0)
+        with pytest.raises(CheckpointHalt):
+            self._runtime().run(x, 6, checkpoint=cfg)
+        ck = load_checkpoint(str(tmp_path))
+        ck.blocks[1] = ck.blocks[1].copy()
+        ck.blocks[1][2, 3] = np.nan
+        with pytest.raises(InputValidationError, match="checkpoint block"):
+            self._runtime().run(x, 6, resume_from=ck)
+
+    def test_mid_run_overflow_fails_typed(self):
+        from repro.stencil.kernels import get_kernel
+        from repro.stencil.weights import StencilWeights
+
+        base = get_kernel("Box-2D9P").weights
+        loud = StencilWeights(base.pattern, base.array * 1e3)
+        x = np.full((16, 16), 1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InputValidationError, match="after round"):
+                self._runtime(loud).run(x, 6)

@@ -576,6 +576,45 @@ class TestClusterCommand:
         )
         assert rec["cluster"]["halo"]["reconciled"] is True
 
+    def test_cluster_checkpoint_resume_round_trip(self, capsys, tmp_path):
+        from repro.telemetry.validate import validate_file
+
+        ckdir, record = str(tmp_path / "ckpt"), tmp_path / "resume.json"
+        assert main(["cluster", "run", "Heat-2D", "--size", "16",
+                     "--steps", "6", "--block-steps", "2",
+                     "--checkpoint-dir", ckdir, "--halt-after-round", "1",
+                     # traced, so the snapshot carries its trace id
+                     "--events", str(tmp_path / "run.jsonl")]) == 3
+        capsys.readouterr()
+        assert main(["cluster", "resume", "--checkpoint-dir", ckdir,
+                     "--record", str(record), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bit_identical"] is True
+        assert doc["resilience"]["checkpoints"]["restored"] == 1
+        assert validate_file(record).endswith("/v5")
+        rec = json.loads(record.read_text())
+        # one trace: the resumed spans continue the snapshot's trace id
+        trace_ids = {s["trace_id"] for s in rec["spans"]}
+        assert trace_ids == {rec["extra"]["trace_id"]}
+
+    def test_cluster_elastic_resume_uses_the_snapshot_mesh(
+        self, capsys, tmp_path
+    ):
+        # the sticky rank kill re-partitions the 2x2 mesh into 3x1
+        # before the snapshot; resume must rebuild on the snapshot's mesh
+        ckdir = str(tmp_path / "ckpt")
+        assert main(["cluster", "run", "Heat-2D", "--size", "24",
+                     "--steps", "9", "--block-steps", "3",
+                     "--mesh", "2", "2", "--kill-rank", "1", "--elastic",
+                     "--checkpoint-dir", ckdir,
+                     "--halt-after-round", "1"]) == 3
+        capsys.readouterr()
+        assert main(["cluster", "resume", "--checkpoint-dir", ckdir,
+                     "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bit_identical"] is True
+        assert doc["mesh"] == [3, 1]
+
     def test_cluster_report_gantt_and_artifacts(self, capsys, tmp_path):
         from repro.telemetry.validate import validate_file
 
