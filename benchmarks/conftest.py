@@ -26,8 +26,11 @@ holds the contract.
 
 Each record is *also* appended to the run-record history store
 (``benchmarks/results/records/history/<name>.jsonl``), which is what
-``repro perf diff``/``repro perf history`` read: the per-run snapshot is
-overwritten each run, the history accumulates.
+``repro perf history`` lists, ``repro perf diff`` compares (a ``.jsonl``
+path reads its newest record) and ``repro perf trend`` gates: the
+per-run snapshot is overwritten each run, the history accumulates.
+Histories hold v5 records only; an older or malformed line makes those
+commands exit 2.
 """
 
 from __future__ import annotations
@@ -37,13 +40,6 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-def pytest_configure(config) -> None:
-    """Silence the engine deprecation shims (see tests/conftest.py)."""
-    config.addinivalue_line(
-        "filterwarnings", r"ignore:.*repro\.compile.*:DeprecationWarning"
-    )
 
 
 @pytest.fixture(scope="session")

@@ -30,8 +30,9 @@ Subpackages: :mod:`repro.stencil` (substrate), :mod:`repro.tcu`
 (A100 cost model), :mod:`repro.analysis` (Eq. 12-16 closed forms),
 :mod:`repro.experiments` (figure/table drivers).
 
-Direct engine construction (``LoRAStencil2D(...)``) still works but is
-deprecated in favour of :func:`repro.compile`.
+Direct engine construction (``LoRAStencil2D(...)``) is supported and
+computes identically to :func:`repro.compile`'s ``apply``; the compiled
+facade adds the plan cache, the simulated backends and telemetry.
 """
 
 from repro.errors import (

@@ -12,7 +12,8 @@
     python -m repro perf check --baseline BENCH_baseline.json  # regression gate
     python -m repro perf diff a.json b.json # compare two run-records
     python -m repro perf fidelity Box-2D9P  # paper equations vs measured
-    python -m repro perf trend --measure    # rolling median/MAD timing gate
+    python -m repro perf check --repeats 3 --record DIR  # measure + append
+    python -m repro perf trend --root DIR   # rolling median/MAD timing gate
     python -m repro monitor health.json     # tail a running sharded sweep
     python -m repro fig8 [--kernels ...]    # figure/table drivers
     python -m repro fig9 / fig10 / table3
@@ -110,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = perf_sub.add_parser(
         "check",
         help="run the reference workload and gate against a baseline "
-             "run-record (exit 1 on regression, 2 on missing baseline)",
+             "run-record (exit 1 on regression, 2 on a missing or "
+             "unreadable baseline)",
     )
     pc.add_argument("--baseline", default=None, metavar="PATH",
                     help="baseline run-record (default BENCH_baseline.json)")
@@ -123,11 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="grid edge (default: the baseline's)")
     pc.add_argument("--seed", type=int, default=None,
                     help="input seed (default: the baseline's)")
-    pc.add_argument("--threshold", type=float, default=None,
-                    help="relative counter-growth tolerance (default 0.01)")
-    pc.add_argument("--time-threshold", type=float, default=None,
-                    help="also gate wall time at this relative tolerance "
-                         "(timing is advisory when omitted)")
+    pc.add_argument("--repeats", type=int, default=1,
+                    help="sweep repetitions; the median timing is stamped "
+                         "(default 1)")
     _add_backend_flag(pc)
     pc.add_argument("--min-speedup", type=float, default=None, metavar="X",
                     help="require baseline_time / current_time >= X "
@@ -144,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pd.add_argument("baseline", help="baseline .json record (or .jsonl history)")
     pd.add_argument("current", help="current .json record (or .jsonl history)")
-    pd.add_argument("--threshold", type=float, default=None,
-                    help="relative counter-growth tolerance (default 0.01)")
-    pd.add_argument("--time-threshold", type=float, default=None,
-                    help="also gate extra.timing_s at this tolerance")
     pd.add_argument("--json", action="store_true",
                     help="emit the comparison as JSON")
 
@@ -175,27 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = perf_sub.add_parser(
         "trend",
-        help="statistical timing gate: latest run vs the rolling "
+        help="statistical timing gate: latest stored run vs the rolling "
              "median/MAD of the record history (exit 1 regressed, "
-             "2 insufficient history)",
+             "2 insufficient or unreadable history)",
     )
     pt.add_argument("name", nargs="?", default=None,
                     help="history record name (default: the reference "
                          "workload's perf-check record)")
     pt.add_argument("--root", default="benchmarks/results/records/history",
                     metavar="DIR", help="history store directory")
-    pt.add_argument("--measure", action="store_true",
-                    help="measure the reference workload first and append "
-                         "it to the history (the gated point)")
-    pt.add_argument("--repeats", type=int, default=3,
-                    help="sweep repetitions per measurement; the median "
-                         "timing is stamped (default 3)")
-    pt.add_argument("--kernel", default=None,
-                    help="workload kernel for --measure")
-    pt.add_argument("--size", type=int, default=None,
-                    help="grid edge for --measure")
-    pt.add_argument("--seed", type=int, default=None,
-                    help="input seed for --measure")
     pt.add_argument("--metric", default="timing_s",
                     help="extra.<metric> to gate (default timing_s)")
     pt.add_argument("--direction", choices=["above", "below"],
@@ -203,13 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'above' flags values rising past the gate "
                          "(timings, imbalance); 'below' flags values "
                          "falling under it (overlap efficiency)")
-    pt.add_argument("--window", type=int, default=None,
-                    help="rolling window size (default 8)")
-    pt.add_argument("--mad-scale", type=float, default=None,
-                    help="MAD sigma multiplier (default 4.0)")
-    pt.add_argument("--rel-floor", type=float, default=None,
-                    help="minimum relative allowance (default 0.05)")
-    _add_backend_flag(pt)
     pt.add_argument("--json", action="store_true",
                     help="emit the verdict as JSON")
 
@@ -677,13 +654,36 @@ def _cmd_stats(prometheus: bool, as_json: bool) -> int:
     return 0
 
 
+def _cmd_perf(args: argparse.Namespace) -> int:
+    """Run one ``perf`` subcommand.  A baseline, history or record that
+    cannot be read or does not validate exits 2 with one stderr line,
+    never 1 (the "regressed" code) and never a traceback."""
+    import json
+
+    from repro.telemetry.validate import TelemetryError
+
+    if args.perf_command == "fidelity":  # reads no run-record
+        return _cmd_perf_fidelity(args)
+    handler = {
+        "check": _cmd_perf_check,
+        "diff": _cmd_perf_diff,
+        "history": _cmd_perf_history,
+        "trend": _cmd_perf_trend,
+    }[args.perf_command]
+    try:
+        return handler(args)
+    except (TelemetryError, OSError, json.JSONDecodeError) as exc:
+        print(f"perf {args.perf_command}: cannot read history or record: "
+              f"{exc}", file=sys.stderr)
+        return 2
+
+
 def _cmd_perf_check(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
     from repro.telemetry.perf import (
         DEFAULT_BASELINE,
-        DEFAULT_THRESHOLD,
         RunRecordStore,
         compare_records,
         load_record,
@@ -706,7 +706,8 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
 
     if args.update_baseline:
         record = measure_reference(
-            kernel, size=size, seed=seed, backend=args.backend
+            kernel, size=size, seed=seed, backend=args.backend,
+            repeats=args.repeats,
         )
         baseline_path.parent.mkdir(parents=True, exist_ok=True)
         baseline_path.write_text(json.dumps(record, indent=1, sort_keys=True))
@@ -720,19 +721,13 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
         return 2
 
     current = measure_reference(
-        kernel, size=size, seed=seed, backend=args.backend
+        kernel, size=size, seed=seed, backend=args.backend,
+        repeats=args.repeats,
     )
     if args.record:
         path = RunRecordStore(args.record).append(current)
         print(f"record appended to {path}")
-    comparison = compare_records(
-        baseline,
-        current,
-        threshold=(
-            args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-        ),
-        time_threshold=args.time_threshold,
-    )
+    comparison = compare_records(baseline, current)
     # optional speedup gate: counters must already be bit-stable across
     # backends, so a vectorized run may additionally pin its wall-clock
     # win over an interpreter baseline
@@ -750,6 +745,7 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(
             {
+                **comparison.as_dict(),
                 "baseline": str(baseline_path),
                 "workload": {
                     "kernel": kernel,
@@ -758,19 +754,8 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
                     "backend": current["extra"]["backend"],
                 },
                 "ok": ok,
-                "threshold": comparison.threshold,
                 "speedup": speedup,
                 "min_speedup": args.min_speedup,
-                "deltas": [
-                    {
-                        "name": d.name,
-                        "baseline": d.baseline,
-                        "current": d.current,
-                        "rel_change": d.rel_change,
-                        "regressed": d.regressed,
-                    }
-                    for d in comparison.deltas
-                ],
             },
             indent=1,
             sort_keys=True,
@@ -795,39 +780,13 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
 def _cmd_perf_diff(args: argparse.Namespace) -> int:
     import json
 
-    from repro.telemetry.perf import (
-        DEFAULT_THRESHOLD,
-        compare_records,
-        load_record,
-    )
+    from repro.telemetry.perf import compare_records, load_record
 
     comparison = compare_records(
-        load_record(args.baseline),
-        load_record(args.current),
-        threshold=(
-            args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-        ),
-        time_threshold=args.time_threshold,
+        load_record(args.baseline), load_record(args.current)
     )
     if args.json:
-        print(json.dumps(
-            {
-                "ok": comparison.ok,
-                "threshold": comparison.threshold,
-                "deltas": [
-                    {
-                        "name": d.name,
-                        "baseline": d.baseline,
-                        "current": d.current,
-                        "rel_change": d.rel_change,
-                        "regressed": d.regressed,
-                    }
-                    for d in comparison.deltas
-                ],
-            },
-            indent=1,
-            sort_keys=True,
-        ))
+        print(json.dumps(comparison.as_dict(), indent=1, sort_keys=True))
     else:
         print(comparison.render())
     return 0 if comparison.ok else 1
@@ -910,59 +869,16 @@ def _cmd_perf_history(args: argparse.Namespace) -> int:
 def _cmd_perf_trend(args: argparse.Namespace) -> int:
     import json
 
-    from repro.telemetry.perf import (
-        DEFAULT_MAD_SCALE,
-        DEFAULT_REL_FLOOR,
-        DEFAULT_WINDOW,
-        RunRecordStore,
-        measure_trend_point,
-        trend_gate,
-    )
+    from repro.telemetry.perf import RunRecordStore, trend_gate
     from repro.telemetry.perf.history import REFERENCE_WORKLOAD
 
     store = RunRecordStore(args.root)
-    name = args.name
-    if name is None:
-        kernel = args.kernel or REFERENCE_WORKLOAD["kernel"]
-        name = f"perf-check-{kernel}"
-    if args.measure:
-        record = measure_trend_point(
-            store,
-            repeats=args.repeats,
-            kernel=args.kernel,
-            size=args.size,
-            seed=args.seed,
-            backend=args.backend,
-        )
-        if not args.json:
-            print(f"measured {record['name']} "
-                  f"({record['extra']['timing_s']:.3f}s median of "
-                  f"{args.repeats} repeat(s)) -> {store.path_for(name)}")
-    try:
-        stats = trend_gate(
-            store,
-            name,
-            metric=args.metric,
-            window=args.window if args.window is not None else DEFAULT_WINDOW,
-            mad_scale=(
-                args.mad_scale
-                if args.mad_scale is not None
-                else DEFAULT_MAD_SCALE
-            ),
-            rel_floor=(
-                args.rel_floor
-                if args.rel_floor is not None
-                else DEFAULT_REL_FLOOR
-            ),
-            direction=args.direction,
-        )
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"perf trend: cannot read history for {name!r} under "
-              f"{store.root}: {exc}", file=sys.stderr)
-        return 2
-    if stats.n_history == 0 and stats.latest is None:
+    name = args.name or f"perf-check-{REFERENCE_WORKLOAD['kernel']}"
+    stats = trend_gate(store, name, metric=args.metric,
+                       direction=args.direction)
+    if stats.latest is None:
         print(f"perf trend: no history for {name!r} under {store.root} — "
-              f"append records first (repro perf trend --measure, "
+              f"append records first (repro perf check --record, "
               f"benchmarks, or repro cluster ... --record-history)",
               file=sys.stderr)
         return 2
@@ -1962,13 +1878,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "stats":
         return _cmd_stats(args.prometheus, args.json)
     if args.command == "perf":
-        return {
-            "check": _cmd_perf_check,
-            "diff": _cmd_perf_diff,
-            "fidelity": _cmd_perf_fidelity,
-            "history": _cmd_perf_history,
-            "trend": _cmd_perf_trend,
-        }[args.perf_command](args)
+        return _cmd_perf(args)
     if args.command == "cluster":
         if args.cluster_command == "report":
             return _cmd_cluster_report(args)

@@ -31,7 +31,6 @@ from repro.telemetry.spans import Span, Tracer, TRACER
 __all__ = [
     "CHROME_TRACE_SCHEMA",
     "RUN_RECORD_SCHEMA",
-    "RUN_RECORD_SCHEMAS",
     "FIDELITY_REPORT_SCHEMA",
     "span_to_dict",
     "to_chrome_trace",
@@ -46,24 +45,13 @@ __all__ = [
 
 #: schema identifiers embedded in (and required of) emitted documents
 CHROME_TRACE_SCHEMA = "repro.telemetry.chrome-trace/v1"
+#: the only run-record version emitted and accepted; its optional
+#: sections are ``faults`` (injection/detection/recovery ledger), ``log``
+#: (structured event stream), ``health`` (shard heartbeat snapshot),
+#: ``cluster`` (the cluster observatory report) and ``resilience``
+#: (checkpoint/restart, halo retransmissions, elastic re-plans)
 RUN_RECORD_SCHEMA = "repro.telemetry.run-record/v5"
 FIDELITY_REPORT_SCHEMA = "repro.telemetry.fidelity-report/v1"
-
-#: run-record schema versions the validator accepts: v2 added the
-#: optional ``faults`` section (injection/detection/recovery ledger),
-#: v3 the optional ``log`` (structured event stream) and ``health``
-#: (shard heartbeat snapshot) sections, v4 the optional ``cluster``
-#: section (the cluster observatory report), v5 the optional
-#: ``resilience`` section (checkpoint/restart, halo retransmissions,
-#: elastic re-plans); v1–v4 records (committed baselines, old
-#: histories) remain valid.
-RUN_RECORD_SCHEMAS = (
-    "repro.telemetry.run-record/v1",
-    "repro.telemetry.run-record/v2",
-    "repro.telemetry.run-record/v3",
-    "repro.telemetry.run-record/v4",
-    RUN_RECORD_SCHEMA,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +236,9 @@ def run_record(
     (same convention against
     :data:`~repro.telemetry.health.HEALTH`), ``cluster`` a cluster
     observatory report (see
-    :func:`repro.telemetry.cluster.build_cluster_report`; run-record
-    v4), ``resilience`` the checkpoint/halo/re-plan ledger of a
-    resilient cluster run (run-record v5), and ``extra`` whatever the
+    :func:`repro.telemetry.cluster.build_cluster_report`),
+    ``resilience`` the checkpoint/halo/re-plan ledger of a resilient
+    cluster run, and ``extra`` whatever the
     producer wants stamped (artifact paths, CLI args, figures).
     """
     from repro.tcu.trace import recorder_stats

@@ -9,11 +9,12 @@ Three modules, one pipeline:
 * :mod:`repro.telemetry.perf.fidelity` — compare the paper's analytical
   predictions (Eq. 12/14/16, Sec. III-B/III-C) against measured events
   (``repro perf fidelity``);
-* :mod:`repro.telemetry.perf.history` — append run-records to a JSONL
-  history and gate on a committed baseline (``repro perf check/diff``);
+* :mod:`repro.telemetry.perf.history` — measure the reference workload,
+  append run-records to a JSONL history and gate counters on a
+  committed baseline (``repro perf check/diff``);
 * :mod:`repro.telemetry.perf.trend` — statistical gating of wall
   timings against the rolling median/MAD of that history
-  (``repro perf trend``).
+  (``repro perf trend``; it reads the history and never measures).
 
 This package is imported lazily by the runtime (``StencilPlan.profile``)
 and never eagerly from :mod:`repro.telemetry` — its history module
@@ -51,7 +52,6 @@ from repro.telemetry.perf.trend import (
     DEFAULT_WINDOW,
     MIN_HISTORY,
     TrendStats,
-    measure_trend_point,
     trend_gate,
 )
 
@@ -81,5 +81,4 @@ __all__ = [
     "MIN_HISTORY",
     "TrendStats",
     "trend_gate",
-    "measure_trend_point",
 ]

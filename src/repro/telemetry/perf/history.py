@@ -9,15 +9,19 @@ trajectory was write-only.  Three pieces close the loop:
   run-records, one JSON-Lines file per record name under
   ``benchmarks/results/records/history/`` (``benchmarks/conftest``
   appends on every artifact write);
-* :func:`compare_records` — counter/timing deltas between two records
-  with a configurable relative threshold.  Event counters are
-  **deterministic** on the simulator, so the default tolerance is tight
-  and any growth is a real algorithmic regression, not noise; wall
-  timings are only gated when a ``time_threshold`` is passed;
+* :func:`compare_records` — event-counter deltas between two records
+  at the :data:`DEFAULT_THRESHOLD` relative tolerance.  Counters are
+  **deterministic** on the simulator, so the tolerance is tight and any
+  growth is a real algorithmic regression, not noise.  Wall time is
+  never gated here: ``repro perf check --min-speedup`` gates it as a
+  ratio, and :mod:`repro.telemetry.perf.trend` against the rolling
+  median/MAD of the history;
 * :func:`measure_reference` — runs the reference workload (256x256
   Box-2D9P by default) and produces the joinable run-record that
   ``repro perf check --baseline BENCH_baseline.json`` gates on, exiting
-  non-zero on regression (the CI ``perf-regression`` job).
+  non-zero on regression (the CI ``perf-regression`` job).  It is the
+  only measuring code path: ``perf check --repeats N --record DIR``
+  appends the median-timed record that ``repro perf trend`` gates.
 """
 
 from __future__ import annotations
@@ -25,9 +29,12 @@ from __future__ import annotations
 import json
 import pathlib
 import re
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Any
+
+from repro.telemetry.validate import TelemetryError, validate_run_record
 
 __all__ = [
     "DEFAULT_BASELINE",
@@ -43,7 +50,7 @@ __all__ = [
 #: repo-root baseline the ``repro perf check`` gate compares against
 DEFAULT_BASELINE = "BENCH_baseline.json"
 
-#: default relative growth tolerated before a counter counts as regressed
+#: relative growth tolerated before a counter counts as regressed
 #: (counters are deterministic; 1% headroom absorbs benign re-blocking)
 DEFAULT_THRESHOLD = 0.01
 
@@ -55,13 +62,25 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name).strip("-") or "record"
 
 
+def _parse_record(text: str, where: str) -> dict[str, Any]:
+    """One validated run-record from JSON text; any defect raises a
+    :class:`TelemetryError` naming ``where`` (file or file:line)."""
+    try:
+        record = json.loads(text)
+        validate_run_record(record)
+    except (json.JSONDecodeError, TelemetryError) as exc:
+        raise TelemetryError(f"{where}: {exc}") from exc
+    return record
+
+
 class RunRecordStore:
     """Append-only JSONL history of validated run-records.
 
     One ``<name>.jsonl`` file per record name under ``root``; every
-    appended line is a complete ``repro.telemetry.run-record/v5``
-    document, validated on the way in so the history never accumulates
-    malformed entries.
+    line is a complete ``repro.telemetry.run-record/v5`` document,
+    validated on the way in and again on the way out, so a hand-edited
+    or foreign line surfaces as a :class:`TelemetryError` rather than a
+    crash in whatever reads the history.
     """
 
     def __init__(self, root: str | pathlib.Path) -> None:
@@ -73,8 +92,6 @@ class RunRecordStore:
 
     def append(self, record: dict[str, Any]) -> pathlib.Path:
         """Validate and append one record; returns the history file."""
-        from repro.telemetry.validate import validate_run_record
-
         validate_run_record(record)
         path = self.path_for(record["name"])
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -83,13 +100,13 @@ class RunRecordStore:
         return path
 
     def load(self, name: str) -> list[dict[str, Any]]:
-        """Every stored record for ``name``, oldest first."""
+        """Every stored record for ``name``, oldest first (validated)."""
         path = self.path_for(name)
         if not path.exists():
             return []
         return [
-            json.loads(line)
-            for line in path.read_text().splitlines()
+            _parse_record(line, f"{path}:{i}")
+            for i, line in enumerate(path.read_text().splitlines(), 1)
             if line.strip()
         ]
 
@@ -134,7 +151,6 @@ class RecordComparison:
 
     baseline_name: str
     current_name: str
-    threshold: float
     deltas: tuple[CounterDelta, ...]
 
     @property
@@ -149,7 +165,7 @@ class RecordComparison:
         """Aligned delta table, regressions flagged."""
         lines = [
             f"baseline {self.baseline_name!r} vs current "
-            f"{self.current_name!r} (threshold {self.threshold:.1%})",
+            f"{self.current_name!r} (threshold {DEFAULT_THRESHOLD:.1%})",
             f"  {'counter':<30} {'baseline':>14} {'current':>14} "
             f"{'change':>9}",
         ]
@@ -169,21 +185,34 @@ class RecordComparison:
         lines.append(f"  -> {verdict}")
         return "\n".join(lines)
 
+    def as_dict(self) -> dict[str, Any]:
+        """JSON-ready form (``repro perf check/diff --json``)."""
+        return {
+            "ok": self.ok,
+            "threshold": DEFAULT_THRESHOLD,
+            "deltas": [
+                {
+                    "name": d.name,
+                    "baseline": d.baseline,
+                    "current": d.current,
+                    "rel_change": d.rel_change,
+                    "regressed": d.regressed,
+                }
+                for d in self.deltas
+            ],
+        }
+
 
 def compare_records(
-    baseline: dict[str, Any],
-    current: dict[str, Any],
-    threshold: float = DEFAULT_THRESHOLD,
-    time_threshold: float | None = None,
+    baseline: dict[str, Any], current: dict[str, Any]
 ) -> RecordComparison:
-    """Compare two run-records' event counters (and optionally timing).
+    """Compare two run-records' event counters.
 
     Every counter is cost-like — more MMAs, more shared traffic, more
     DRAM bytes are all worse — so a regression is growth beyond
-    ``baseline * (1 + threshold)``, or any appearance of a counter the
-    baseline did not have.  Wall time (``extra.timing_s``) is noisy on
-    shared machines and is only compared when ``time_threshold`` is
-    given.
+    ``baseline * (1 + DEFAULT_THRESHOLD)``, or any appearance of a
+    counter the baseline did not have.  Wall time (``extra.timing_s``)
+    is noisy on shared machines and is not compared.
     """
     base_events = baseline.get("events") or {}
     cur_events = current.get("events") or {}
@@ -191,46 +220,29 @@ def compare_records(
     for name in sorted(set(base_events) | set(cur_events)):
         b = float(base_events.get(name, 0))
         c = float(cur_events.get(name, 0))
-        regressed = c > b * (1.0 + threshold) if b else c > 0
+        regressed = c > b * (1.0 + DEFAULT_THRESHOLD) if b else c > 0
         deltas.append(
             CounterDelta(name=name, baseline=b, current=c, regressed=regressed)
         )
-    if time_threshold is not None:
-        b_t = (baseline.get("extra") or {}).get("timing_s")
-        c_t = (current.get("extra") or {}).get("timing_s")
-        if b_t is not None and c_t is not None:
-            deltas.append(
-                CounterDelta(
-                    name="timing_s",
-                    baseline=float(b_t),
-                    current=float(c_t),
-                    regressed=float(c_t) > float(b_t) * (1.0 + time_threshold),
-                )
-            )
     return RecordComparison(
         baseline_name=str(baseline.get("name", "?")),
         current_name=str(current.get("name", "?")),
-        threshold=threshold,
         deltas=tuple(deltas),
     )
 
 
 def load_record(path: str | pathlib.Path) -> dict[str, Any]:
     """Load one run-record from a ``.json`` file (or the most recent
-    entry of a ``.jsonl`` history file) and validate it."""
-    from repro.telemetry.validate import validate_run_record
-
+    entry of a ``.jsonl`` history file) and validate it; a malformed or
+    invalid record raises :class:`TelemetryError`."""
     path = pathlib.Path(path)
     text = path.read_text()
     if path.suffix == ".jsonl":
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
-            raise ValueError(f"{path}: empty history file")
-        record = json.loads(lines[-1])
-    else:
-        record = json.loads(text)
-    validate_run_record(record)
-    return record
+            raise TelemetryError(f"{path}: empty history file")
+        text = lines[-1]
+    return _parse_record(text, str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +295,6 @@ def measure_reference(
             t0 = time.perf_counter()
             _, events = compiled.apply_simulated(padded)
             timings.append(time.perf_counter() - t0)
-    timings.sort()
-    mid = len(timings) // 2
-    elapsed = (
-        timings[mid]
-        if len(timings) % 2
-        else 0.5 * (timings[mid - 1] + timings[mid])
-    )
 
     extra = {
         "command": "perf-check",
@@ -299,7 +304,7 @@ def measure_reference(
         "plan_key": compiled.key,
         "schedule": compiled.schedule,
         "backend": compiled.plan.backend,
-        "timing_s": elapsed,
+        "timing_s": statistics.median(timings),
     }
     if repeats > 1:
         extra["timing_repeats"] = repeats

@@ -7,27 +7,30 @@ either cries wolf (tight threshold) or sleeps through slow drift
 (loose threshold).  This module gates timings *statistically* against
 the :class:`~repro.telemetry.perf.history.RunRecordStore` history:
 
-* the reference is the rolling **median** of the last ``window``
-  historical timings (robust to a few outlier runs);
+* the reference is the rolling **median** of the last
+  :data:`DEFAULT_WINDOW` historical timings (robust to a few outlier
+  runs);
 * the allowance is the **MAD** (median absolute deviation) of that
   window, scaled to a consistent-estimator sigma and multiplied by
-  ``mad_scale`` — machines with noisy clocks automatically get wider
-  gates, quiet CI runners get tight ones;
-* a relative floor (``rel_floor``) keeps the gate meaningful when the
-  history is suspiciously quiet (MAD near zero would otherwise flag
-  sub-millisecond jitter).
+  :data:`DEFAULT_MAD_SCALE` — machines with noisy clocks automatically
+  get wider gates, quiet CI runners get tight ones;
+* a relative floor (:data:`DEFAULT_REL_FLOOR`) keeps the gate
+  meaningful when the history is suspiciously quiet (MAD near zero
+  would otherwise flag sub-millisecond jitter).
 
 ``repro perf trend`` drives :func:`trend_gate` (exit 0 ok / 1
-regressed / 2 insufficient history) and ``repro perf trend --measure``
-appends a fresh N-repeat-median measurement first.
+regressed / 2 insufficient history) over whatever the history holds;
+it never measures.  ``repro perf check --repeats N --record DIR``
+appends a fresh N-repeat-median measurement of the reference workload.
 """
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.telemetry.perf.history import RunRecordStore, measure_reference
+from repro.telemetry.perf.history import RunRecordStore
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -35,17 +38,15 @@ __all__ = [
     "DEFAULT_REL_FLOOR",
     "MIN_HISTORY",
     "TrendStats",
-    "median",
     "mad",
     "timing_history",
     "trend_gate",
-    "measure_trend_point",
 ]
 
 #: rolling window of historical timings the gate is computed over
 DEFAULT_WINDOW = 8
 
-#: MAD multiplier: latest > median + mad_scale * sigma(MAD) regresses
+#: MAD multiplier: latest > median + DEFAULT_MAD_SCALE * sigma(MAD) regresses
 DEFAULT_MAD_SCALE = 4.0
 
 #: minimum relative allowance even when the history's MAD is ~zero
@@ -58,23 +59,11 @@ MIN_HISTORY = 3
 MAD_TO_SIGMA = 1.4826
 
 
-def median(values: Sequence[float]) -> float:
-    """The sample median (mean of the middle pair for even counts)."""
-    if not values:
-        raise ValueError("median of an empty sequence")
-    ordered = sorted(float(v) for v in values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 def mad(values: Sequence[float], center: float | None = None) -> float:
     """Median absolute deviation around ``center`` (default: median)."""
     if center is None:
-        center = median(values)
-    return median([abs(float(v) - center) for v in values])
+        center = statistics.median(values)
+    return statistics.median([abs(float(v) - center) for v in values])
 
 
 @dataclass(frozen=True)
@@ -89,7 +78,6 @@ class TrendStats:
     name: str
     metric: str
     n_history: int
-    window: int
     center: float | None
     spread: float | None
     threshold: float | None
@@ -108,7 +96,7 @@ class TrendStats:
         """Multi-line human-readable verdict for the CLI."""
         lines = [
             f"trend gate for {self.name!r} ({self.metric}, "
-            f"window {self.window})"
+            f"window {DEFAULT_WINDOW})"
         ]
         if self.insufficient:
             lines.append(
@@ -140,7 +128,7 @@ class TrendStats:
             "name": self.name,
             "metric": self.metric,
             "n_history": self.n_history,
-            "window": self.window,
+            "window": DEFAULT_WINDOW,
             "center": self.center,
             "spread": self.spread,
             "threshold": self.threshold,
@@ -170,54 +158,33 @@ def trend_gate(
     store: RunRecordStore,
     name: str,
     metric: str = "timing_s",
-    window: int = DEFAULT_WINDOW,
-    mad_scale: float = DEFAULT_MAD_SCALE,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-    min_history: int = MIN_HISTORY,
-    latest: float | None = None,
     direction: str = "above",
 ) -> TrendStats:
-    """Gate the newest timing against the rolling median/MAD window.
+    """Gate the newest stored value against the rolling median/MAD window.
 
-    The newest stored point is the *gated* value (override with
-    ``latest``); the reference window is the up-to-``window`` points
-    before it.  With ``direction="above"`` (the default: timings,
-    imbalance — smaller is better) the threshold is
-    ``median + max(mad_scale * 1.4826 * MAD, rel_floor * |median|)``
-    and a latest above it regresses; with ``direction="below"``
-    (overlap efficiency — larger is better) the threshold is the
-    median *minus* the same allowance and a latest below it regresses.
-    Noise-adaptive either way, with a relative floor.  Too little
-    history yields ``ok=None`` (see :class:`TrendStats`).
+    The newest stored point is the *gated* value; the reference window
+    is the up-to-:data:`DEFAULT_WINDOW` points before it.  With
+    ``direction="above"`` (the default: timings, imbalance — smaller is
+    better) the threshold is ``median + max(DEFAULT_MAD_SCALE * 1.4826 *
+    MAD, DEFAULT_REL_FLOOR * |median|)`` and a latest above it
+    regresses; with ``direction="below"`` (overlap efficiency — larger
+    is better) the threshold is the median *minus* the same allowance
+    and a latest below it regresses.  Noise-adaptive either way, with a
+    relative floor.  Fewer than :data:`MIN_HISTORY` prior points yield
+    ``ok=None`` (see :class:`TrendStats`).
     """
     if direction not in ("above", "below"):
         raise ValueError(
             f"direction must be 'above' or 'below', got {direction!r}"
         )
     timings = timing_history(store.load(name), metric=metric)
-    if latest is None:
-        if not timings:
-            return TrendStats(
-                name=name,
-                metric=metric,
-                n_history=0,
-                window=window,
-                center=None,
-                spread=None,
-                threshold=None,
-                latest=None,
-                ok=None,
-                direction=direction,
-            )
-        latest = timings[-1]
-        timings = timings[:-1]
-    history = timings[-window:]
-    if len(history) < min_history:
+    latest = timings[-1] if timings else None
+    history = timings[:-1][-DEFAULT_WINDOW:]
+    if len(history) < MIN_HISTORY:
         return TrendStats(
             name=name,
             metric=metric,
             n_history=len(history),
-            window=window,
             center=None,
             spread=None,
             threshold=None,
@@ -225,10 +192,11 @@ def trend_gate(
             ok=None,
             direction=direction,
         )
-    center = median(history)
+    center = statistics.median(history)
     spread = mad(history, center)
     allowance = max(
-        mad_scale * MAD_TO_SIGMA * spread, rel_floor * abs(center)
+        DEFAULT_MAD_SCALE * MAD_TO_SIGMA * spread,
+        DEFAULT_REL_FLOOR * abs(center),
     )
     if direction == "above":
         threshold = center + allowance
@@ -240,7 +208,6 @@ def trend_gate(
         name=name,
         metric=metric,
         n_history=len(history),
-        window=window,
         center=center,
         spread=spread,
         threshold=threshold,
@@ -249,30 +216,3 @@ def trend_gate(
         direction=direction,
     )
 
-
-def measure_trend_point(
-    store: RunRecordStore,
-    repeats: int = 3,
-    kernel: str | None = None,
-    size: int | None = None,
-    seed: int | None = None,
-    backend: str | None = None,
-) -> dict[str, Any]:
-    """Measure the reference workload and append it to the history.
-
-    Runs :func:`~repro.telemetry.perf.history.measure_reference` with
-    ``repeats`` sweep repetitions (the stamped ``timing_s`` is the
-    median — one slow scheduler hiccup does not poison the history) and
-    appends the validated record to ``store`` so the next
-    :func:`trend_gate` call sees it.
-    """
-    kwargs: dict[str, Any] = {"repeats": repeats, "backend": backend}
-    if kernel is not None:
-        kwargs["kernel"] = kernel
-    if size is not None:
-        kwargs["size"] = size
-    if seed is not None:
-        kwargs["seed"] = seed
-    record = measure_reference(**kwargs)
-    store.append(record)
-    return record

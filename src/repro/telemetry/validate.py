@@ -25,7 +25,6 @@ from repro.telemetry.export import (
     CHROME_TRACE_SCHEMA,
     FIDELITY_REPORT_SCHEMA,
     RUN_RECORD_SCHEMA,
-    RUN_RECORD_SCHEMAS,
 )
 from repro.telemetry.log import EVENT_SCHEMA, LEVELS
 
@@ -123,7 +122,7 @@ def validate_event(event: Any, path: str = "event") -> None:
 
 
 def _validate_log_section(log: Any, path: str = "record.log") -> None:
-    """Validate the optional ``log`` section (run-record v3)."""
+    """Validate the optional ``log`` section."""
     _require_type(log, dict, path)
     for key in ("events", "dropped", "max_events"):
         _require(key in log, path, f"missing key {key!r}")
@@ -135,7 +134,7 @@ def _validate_log_section(log: Any, path: str = "record.log") -> None:
 
 
 def _validate_health_section(health: Any, path: str = "record.health") -> None:
-    """Validate the optional ``health`` section (run-record v3)."""
+    """Validate the optional ``health`` section."""
     _require_type(health, dict, path)
     _require("sweeps" in health, path, "missing key 'sweeps'")
     _require_type(health["sweeps"], list, f"{path}.sweeps")
@@ -166,7 +165,7 @@ def _validate_health_section(health: Any, path: str = "record.health") -> None:
 
 
 def _validate_faults_section(faults: Any, path: str = "record.faults") -> None:
-    """Validate the optional ``faults`` ledger (run-record v2).
+    """Validate the optional ``faults`` ledger.
 
     Shape: a dict of counters, where each value is either a number or
     one nesting level of ``{kind: number}`` (the per-kind/per-mechanism
@@ -229,18 +228,16 @@ def _validate_resilience_section(
 
 
 def validate_run_record(record: Any) -> None:
-    """Validate a run-record against :data:`RUN_RECORD_SCHEMAS`.
+    """Validate a run-record against :data:`RUN_RECORD_SCHEMA` (v5).
 
-    v1 (no ``faults`` section), v2, v3 (optional ``log`` and ``health``
-    sections), v4 (optional ``cluster`` observatory section), and v5
-    (optional ``resilience`` section) records are all accepted;
-    committed baselines and perf histories predate the newer versions.
+    Older versions (v1–v4) are rejected; every section they could carry
+    is an optional v5 section, so re-stamping ``schema`` migrates them.
     """
     _require_type(record, dict, "record")
     _require(
-        record.get("schema") in RUN_RECORD_SCHEMAS,
+        record.get("schema") == RUN_RECORD_SCHEMA,
         "record.schema",
-        f"expected one of {RUN_RECORD_SCHEMAS!r}, got {record.get('schema')!r}",
+        f"expected {RUN_RECORD_SCHEMA!r}, got {record.get('schema')!r}",
     )
     for key, types in (
         ("name", str),
@@ -315,7 +312,7 @@ def validate_run_record(record: Any) -> None:
 def validate_cluster_report(report: Any, path: str = "report") -> None:
     """Validate a cluster observatory report
     (``repro.telemetry.cluster-report/v1``), standalone or as the
-    ``cluster`` section of a v4 run-record."""
+    ``cluster`` section of a run-record."""
     from repro.telemetry.cluster import CLUSTER_REPORT_SCHEMA, LANE_NAMES
 
     _require_type(report, dict, path)
@@ -548,7 +545,7 @@ def _validate_document(document: Any, path: str | pathlib.Path) -> str:
     schema = document.get("schema") if isinstance(document, dict) else None
     if schema == CHROME_TRACE_SCHEMA:
         validate_chrome_trace(document)
-    elif schema in RUN_RECORD_SCHEMAS:
+    elif schema == RUN_RECORD_SCHEMA:
         validate_run_record(document)
     elif schema == FIDELITY_REPORT_SCHEMA:
         validate_fidelity_report(document)
@@ -559,7 +556,7 @@ def _validate_document(document: Any, path: str | pathlib.Path) -> str:
     else:
         raise TelemetryError(
             f"{path}: unknown or missing schema {schema!r} (expected "
-            f"{CHROME_TRACE_SCHEMA!r}, one of {RUN_RECORD_SCHEMAS!r}, "
+            f"{CHROME_TRACE_SCHEMA!r}, {RUN_RECORD_SCHEMA!r}, "
             f"{FIDELITY_REPORT_SCHEMA!r}, {CLUSTER_REPORT_SCHEMA!r} or "
             f"{EVENT_SCHEMA!r})"
         )

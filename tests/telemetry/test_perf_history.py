@@ -3,8 +3,8 @@
 Counters on the simulator are deterministic, so the gate's contract is
 sharp: identical records pass, any counter growth beyond the threshold
 (or a counter appearing from nowhere) fails, and the CLI turns that
-verdict into exit codes CI can act on — 0 ok, 1 regressed, 2 no
-baseline.
+verdict into exit codes CI can act on — 0 ok, 1 regressed, 2 a missing
+or unreadable baseline.
 """
 
 import copy
@@ -20,6 +20,7 @@ from repro.telemetry.perf import (
     load_record,
     measure_reference,
 )
+from repro.telemetry.perf.history import REFERENCE_WORKLOAD
 from repro.telemetry.validate import TelemetryError
 
 
@@ -77,7 +78,7 @@ class TestCompareRecords:
     def test_growth_within_threshold_tolerated(self, record):
         slightly = copy.deepcopy(record)
         slightly["events"]["shared_store_requests"] += 1
-        assert compare_records(record, slightly, threshold=0.5).ok
+        assert compare_records(record, slightly).ok
 
     def test_counter_appearing_from_zero_regresses(self, record):
         worse = copy.deepcopy(record)
@@ -86,11 +87,13 @@ class TestCompareRecords:
         assert [d.name for d in comparison.regressions] == ["shuffle_ops"]
 
     def test_timing_is_advisory_unless_gated(self, record):
+        # counters only: wall time is gated as a ratio (perf check
+        # --min-speedup) or against the rolling trend, never here
         slow = copy.deepcopy(record)
         slow["extra"]["timing_s"] = record["extra"]["timing_s"] * 100
-        assert compare_records(record, slow).ok
-        gated = compare_records(record, slow, time_threshold=0.25)
-        assert [d.name for d in gated.regressions] == ["timing_s"]
+        comparison = compare_records(record, slow)
+        assert comparison.ok
+        assert "timing_s" not in {d.name for d in comparison.deltas}
 
     def test_improvement_never_regresses(self, record):
         better = copy.deepcopy(record)
@@ -114,6 +117,14 @@ class TestLoadRecord:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             load_record(path)
+
+    def test_non_record_history_line_rejected(self, tmp_path, record):
+        store = RunRecordStore(tmp_path)
+        path = store.append(record)
+        with path.open("a") as fh:
+            fh.write("[1, 2]\n")
+        with pytest.raises(TelemetryError, match=r"\.jsonl:2: record"):
+            store.load(record["name"])
 
 
 class TestPerfCheckCli:
@@ -144,6 +155,59 @@ class TestPerfCheckCli:
         rc = main(["perf", "check", "--baseline", str(baseline)])
         assert rc == 1
         assert "REGRESSED" in capsys.readouterr().out
+
+    def test_check_json_keys(self, tmp_path, record, capsys):
+        baseline = tmp_path / "b.json"
+        baseline.write_text(json.dumps(record))
+        out = json.loads(_capture_json(
+            capsys, ["perf", "check", "--baseline", str(baseline), "--json"]
+        ))
+        assert set(out) == {
+            "baseline", "deltas", "min_speedup", "ok", "speedup",
+            "threshold", "workload",
+        }
+        assert set(out["workload"]) == {"backend", "kernel", "seed", "size"}
+        assert set(out["deltas"][0]) == {
+            "baseline", "current", "name", "regressed", "rel_change",
+        }
+        assert out["ok"] is True and out["threshold"] == 0.01
+
+    def test_invalid_baseline_exits_2(self, tmp_path, record, capsys):
+        baseline = tmp_path / "b.json"
+        for doc in ([1, 2], {"schema": "nonsense"}):
+            baseline.write_text(json.dumps(doc))
+            rc = main(["perf", "check", "--baseline", str(baseline)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("perf check: cannot read")
+            assert len(err.strip().splitlines()) == 1
+
+    def test_check_repeats_record_feeds_trend(self, tmp_path, capsys):
+        import pathlib
+
+        from repro.telemetry.export import run_record
+
+        name = f"perf-check-{REFERENCE_WORKLOAD['kernel']}"
+        hist = tmp_path / "history"
+        store = RunRecordStore(hist)
+        for _ in range(4):  # a slow history the fresh point beats
+            store.append(run_record(
+                name, log=False, health=False, extra={"timing_s": 10.0}
+            ))
+        baseline = pathlib.Path(__file__).parents[2] / "BENCH_baseline.json"
+        assert main([
+            "perf", "check", "--baseline", str(baseline), "--size", "32",
+            "--repeats", "3", "--record", str(hist),
+        ]) == 0
+        latest = store.latest(name)
+        assert latest["extra"]["timing_repeats"] == 3
+        assert latest["extra"]["size"] == 32
+        capsys.readouterr()
+        assert main(["perf", "trend", "--root", str(hist), "--json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["name"] == name
+        assert verdict["n_history"] == 4
+        assert verdict["latest"] == latest["extra"]["timing_s"]
 
     def test_check_reruns_the_baselines_workload(self, tmp_path, record):
         baseline = tmp_path / "b.json"
@@ -177,6 +241,22 @@ class TestPerfCheckCli:
             _capture_json(capsys, ["perf", "diff", str(a), str(b), "--json"])
         )
         assert out["ok"] is False
+        assert set(out) == {"deltas", "ok", "threshold"}
+        assert set(out["deltas"][0]) == {
+            "baseline", "current", "name", "regressed", "rel_change",
+        }
+
+    def test_diff_invalid_input_exits_2(self, tmp_path, record, capsys):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(record))
+        legacy = copy.deepcopy(record)
+        legacy["schema"] = "repro.telemetry.run-record/v4"
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps(legacy))
+        assert main(["perf", "diff", str(a), str(b)]) == 2
+        assert main(["perf", "diff", str(a), str(tmp_path / "no.json")]) == 2
+        err = capsys.readouterr().err
+        assert "run-record/v4" in err and "Traceback" not in err
 
     def test_committed_repo_baseline_passes(self, capsys):
         # the acceptance gate: the checked-in baseline must be green

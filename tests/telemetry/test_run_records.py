@@ -131,18 +131,28 @@ class TestFaultsSection:
         path = telemetry.write_run_record(tmp_path / "chaos.json", record)
         assert validate_file(path) == RUN_RECORD_SCHEMA
 
-    def test_v1_record_without_faults_still_validates(self, tmp_path):
-        """Records stamped by older builds must keep validating."""
+    def test_v1_to_v4_records_are_rejected(self, tmp_path):
+        """Only the current schema validates; the error names the
+        rejected version."""
         import json
+
+        from repro.telemetry.validate import (
+            TelemetryError,
+            validate_run_record,
+        )
 
         record = telemetry.run_record(
             "legacy", registry=telemetry.REGISTRY, extra={}
         )
-        record["schema"] = "repro.telemetry.run-record/v1"
-        assert "faults" not in record
         path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(record))
-        assert validate_file(path) == "repro.telemetry.run-record/v1"
+        for version in (1, 2, 3, 4):
+            schema = f"repro.telemetry.run-record/v{version}"
+            record["schema"] = schema
+            with pytest.raises(TelemetryError, match=schema):
+                validate_run_record(record)
+            path.write_text(json.dumps(record))
+            with pytest.raises(TelemetryError, match=schema):
+                validate_file(path)
 
     def test_malformed_faults_section_rejected(self):
         from repro.telemetry.validate import validate_run_record

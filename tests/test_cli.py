@@ -443,6 +443,30 @@ class TestObservabilityCommands:
         assert main(["perf", "trend", "w", "--root", str(tmp_path)]) == 2
         assert "cannot read history" in capsys.readouterr().err
 
+    def _non_record_history(self, tmp_path):
+        from repro.telemetry.perf import RunRecordStore
+
+        store = RunRecordStore(tmp_path)
+        for t in (1.0, 1.0, 1.0):
+            self._stamp(store, t)
+        with store.path_for("w").open("a") as fh:
+            fh.write("[1, 2]\n")  # valid JSON, but not a run-record
+
+    def test_perf_trend_non_record_line_is_exit_2(self, capsys, tmp_path):
+        self._non_record_history(tmp_path)
+        assert main(["perf", "trend", "w", "--root", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "w.jsonl:4" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_perf_history_non_record_line_is_exit_2(self, capsys, tmp_path):
+        self._non_record_history(tmp_path)
+        assert main(["perf", "history", "w", "--root", str(tmp_path)]) == 2
+        assert main(["perf", "history", "--root", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("perf history: ") for line in err)
+
     def test_perf_trend_direction_below_flags_drops(self, capsys, tmp_path):
         from repro.telemetry.perf import RunRecordStore
 
