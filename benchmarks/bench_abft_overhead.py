@@ -24,7 +24,7 @@ Three end-to-end paths are reported for context:
   recovered (adds one tile recomputation to the clean verify cost).
 
 The stamped run-record carries the chaos run's ``faults`` section
-(schema ``repro.telemetry.run-record/v5``).
+(schema ``repro.telemetry.run-record/v6``).
 """
 
 from __future__ import annotations

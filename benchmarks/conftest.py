@@ -11,9 +11,9 @@ leaves the full set of paper artifacts on disk.
 
 Alongside each artifact, :func:`write_result` stamps a structured
 telemetry **run-record** (``benchmarks/results/records/<name>.json``,
-schema ``repro.telemetry.run-record/v5``) carrying the process-wide
-metrics registry and plan-cache stats at write time — the machine-
-readable sibling of the printed figure.  Benchmarks may pass
+schema ``repro.telemetry.run-record/v6``) carrying the plan-cache
+stats at write time — the machine-readable sibling of the printed
+figure.  Benchmarks may pass
 ``extra={...}`` to fold measured headline numbers (e.g. the cluster
 observatory's ``overlap_efficiency``) into the record, where the
 rolling ``repro perf trend`` gates pick them up from the history
@@ -29,7 +29,7 @@ Each record is *also* appended to the run-record history store
 ``repro perf history`` lists, ``repro perf diff`` compares (a ``.jsonl``
 path reads its newest record) and ``repro perf trend`` gates: the
 per-run snapshot is overwritten each run, the history accumulates.
-Histories hold v5 records only; an older or malformed line makes those
+Histories hold v6 records only; an older or malformed line makes those
 commands exit 2.
 """
 
@@ -80,7 +80,6 @@ def _stamp_run_record(
 
     record = telemetry.run_record(
         name,
-        registry=telemetry.REGISTRY,
         cache_stats=DEFAULT_PLAN_CACHE.stats(),
         extra={
             "benchmark": name,

@@ -115,7 +115,7 @@ class LoRAStencilMethod(StencilMethod):
         rng = np.random.default_rng(seed)
         h = self._engine_radius()
         padded = rng.normal(size=tuple(s + 2 * h for s in grid_shape))
-        # through the compiled facade, so telemetry spans/metrics see it
+        # through the compiled facade, so telemetry spans see it
         if isinstance(self.engine, LoRAStencil1D):
             return self.compiled.apply_simulated(
                 padded.reshape(-1), backend=backend

@@ -8,7 +8,6 @@
     python -m repro run Box-2D49P --size 64 # simulated sweep + events
     python -m repro profile Heat-2D --emit trace.json  # span tree + trace
     python -m repro profile Box-2D9P --per-instr  # per-opcode/term attribution
-    python -m repro stats [--prometheus]    # metrics registry + cache stats
     python -m repro perf check --baseline BENCH_baseline.json  # regression gate
     python -m repro perf diff a.json b.json # compare two run-records
     python -m repro perf fidelity Box-2D9P  # paper equations vs measured
@@ -23,9 +22,9 @@
     python -m repro cluster run|report|resume Heat-2D  # distributed sweep
 
 ``run``/``fig8``/``fig9``/``fig10``/``table3`` accept ``--telemetry``
-to print a span-tree/metrics epilogue; ``run`` and ``plan`` accept
-``--json`` for machine-readable run-record output (schema
-``repro.telemetry.run-record/v5``, see docs/observability.md).
+to print a span-tree epilogue; ``run`` and ``plan`` accept ``--json``
+for machine-readable run-record output (schema
+``repro.telemetry.run-record/v6``, see docs/observability.md).
 """
 
 from __future__ import annotations
@@ -92,14 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attribute events per TileProgram instruction "
                         "(opcode / rank-1 term tables; single shard only)")
     _add_backend_flag(p)
-
-    p = sub.add_parser(
-        "stats", help="dump the metrics registry and plan-cache stats"
-    )
-    p.add_argument("--prometheus", action="store_true",
-                   help="Prometheus text exposition format")
-    p.add_argument("--json", action="store_true",
-                   help="JSON snapshot of the registry")
 
     p = sub.add_parser(
         "perf",
@@ -338,7 +329,7 @@ def _add_telemetry_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry",
         action="store_true",
-        help="trace the command and print a span-tree/metrics epilogue",
+        help="trace the command and print a span-tree epilogue",
     )
 
 
@@ -608,7 +599,6 @@ def _cmd_profile(
             extra["per_instr"] = profile.as_dict()
         rec = telemetry.run_record(
             k.name,
-            registry=telemetry.REGISTRY,
             cache_stats=DEFAULT_PLAN_CACHE.stats(),
             counters=events,
             extra=extra,
@@ -616,42 +606,6 @@ def _cmd_profile(
         path = telemetry.write_run_record(record_path, rec)
         print(f"run record written to {path}")
     return 1 if mismatch else 0
-
-
-def _cmd_stats(prometheus: bool, as_json: bool) -> int:
-    import json
-
-    from repro import telemetry
-    from repro.runtime import DEFAULT_PLAN_CACHE
-
-    if prometheus:
-        print(telemetry.to_prometheus(telemetry.REGISTRY), end="")
-        return 0
-    stats = DEFAULT_PLAN_CACHE.stats()
-    if as_json:
-        print(json.dumps(
-            {
-                "metrics": telemetry.REGISTRY.snapshot(),
-                "plan_cache": {
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "evictions": stats.evictions,
-                    "size": stats.size,
-                    "maxsize": stats.maxsize,
-                    "hit_rate": stats.hit_rate,
-                    "keys": DEFAULT_PLAN_CACHE.keys(),
-                    "entries": DEFAULT_PLAN_CACHE.entries(),
-                },
-            },
-            indent=1,
-            sort_keys=True,
-        ))
-        return 0
-    print("metrics registry:")
-    print(telemetry.REGISTRY.render())
-    print()
-    print(f"plan cache: {stats.summary()}")
-    return 0
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
@@ -1875,8 +1829,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_profile(args.kernel, args.size, args.seed, args.shards,
                             args.emit, args.record, args.per_instr,
                             args.backend)
-    if args.command == "stats":
-        return _cmd_stats(args.prometheus, args.json)
     if args.command == "perf":
         return _cmd_perf(args)
     if args.command == "cluster":
@@ -1928,9 +1880,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    # --telemetry: trace the whole command, then append a span-tree and
-    # metrics epilogue (skipped under --json so stdout stays parseable —
-    # the spans are still collected and exportable via `repro stats`).
+    # --telemetry: trace the whole command, then append the span tree
+    # (skipped under --json so stdout stays parseable).
     from repro import telemetry
 
     telemetry.reset()
@@ -1948,10 +1899,6 @@ def main(argv: list[str] | None = None) -> int:
         print("\n— telemetry —")
         if root is not None:
             print(root.render_tree())
-        print("\nmetrics:")
-        print(telemetry.REGISTRY.render())
-        print(f"\n({len(telemetry.REGISTRY)} metrics; export with "
-              f"`repro stats --prometheus`)")
     return rc
 
 

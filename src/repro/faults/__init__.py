@@ -19,8 +19,8 @@ prove detection and bit-exact recovery end-to-end.  Three pieces:
   → :class:`~repro.errors.FaultError` recovery ladder under a
   :class:`RecoveryPolicy`;
 * **report** (:mod:`repro.faults.report`): the :class:`FaultReport`
-  ledger every injection/detection/recovery lands in, absorbed into
-  the metrics registry and the run-record ``faults`` section.
+  ledger every injection/detection/recovery lands in, stamped into
+  the run-record ``faults`` section.
 
 Typical use — the ``repro chaos run`` subcommand in one paragraph::
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import telemetry
 from repro.errors import BackendError, ExecutionError, FaultError, InputValidationError
 from repro.faults.abft import (
     VERIFY_MODES,
@@ -124,17 +123,14 @@ class ArmedFaults:
     injector: FaultInjector | None
     report: FaultReport
     policy: RecoveryPolicy
-    before: dict  # report.snapshot() at arming: this run's delta baseline
 
     def finish(self, span) -> None:
-        """Annotate ``span`` with the report's totals and fold this run's
-        delta into the metrics registry."""
+        """Annotate ``span`` with the report's totals."""
         span.annotate(
             faults_injected=self.report.total_injected,
             faults_detected=self.report.total_detected,
             faults_recovered=self.report.total_recovered,
         )
-        telemetry.absorb_faults(self.report.delta(self.before))
 
 
 def arm_faults(
@@ -149,10 +145,10 @@ def arm_faults(
     """Decide once what a run's fault arguments mean: ``(backend, armed)``.
 
     With none of ``verify`` / ``faults`` / ``policy`` the run is clean:
-    ``armed`` is ``None`` and no injector, report or snapshot is built.
+    ``armed`` is ``None`` and no injector or report is built.
     Otherwise ``armed`` holds the injector, the report it tallies into
-    (the injector's, else a fresh one), the policy (default
-    :class:`RecoveryPolicy`) and the report's before-snapshot.
+    (the injector's, else a fresh one) and the policy (default
+    :class:`RecoveryPolicy`).
 
     ``kind`` names where the run executes: ``"sweep"`` (a simulated
     sweep in this process), ``"process"`` (simulated sweeps in worker
@@ -185,7 +181,6 @@ def arm_faults(
             injector=injector,
             report=report,
             policy=policy or RecoveryPolicy(),
-            before=report.snapshot(),
         )
     if kind == "functional":
         return None, armed

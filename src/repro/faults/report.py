@@ -2,9 +2,8 @@
 
 One :class:`FaultReport` accompanies a guarded run.  The injector
 records what it broke, the sweep guard and the sharded executor record
-what they caught and how it was repaired, and the facade folds the
-result into the process :class:`~repro.telemetry.metrics.MetricsRegistry`
-and the run-record ``faults`` section.  All mutation is lock-protected
+what they caught and how it was repaired, and run-records stamp the
+result as their ``faults`` section.  All mutation is lock-protected
 — shard workers on a thread pool share one report.
 """
 
@@ -120,38 +119,6 @@ class FaultReport:
                 "reassignments": counts["rank_reassignments"],
             },
             "unrecovered": counts["unrecovered"],
-        }
-
-    def flatten(self, prefix: str = "repro_faults_") -> dict[str, int]:
-        """Metric-style flat view (``{counter_name: value}``)."""
-        with self._lock:
-            flat = {
-                f"{prefix}injected_total": sum(self.injected.values()),
-                **{
-                    f"{prefix}injected_{kind}_total": n
-                    for kind, n in sorted(self.injected.items())
-                },
-                **{f"{prefix}{key}_total": n for key, n in self.counts.items()},
-            }
-        flat[f"{prefix}detected_total"] = (
-            self.counts["tile_detections"]
-            + self.counts["stage_detections"]
-            + self.counts["halo_detections"]
-        )
-        flat[f"{prefix}recovered_total"] = self.total_recovered
-        return flat
-
-    def snapshot(self) -> dict[str, int]:
-        """Freeze the flat view for later :meth:`delta` differencing."""
-        return self.flatten()
-
-    def delta(self, snapshot: dict[str, int]) -> dict[str, int]:
-        """Flat counters accumulated since ``snapshot`` was taken."""
-        now = self.flatten()
-        return {
-            key: value - snapshot.get(key, 0)
-            for key, value in now.items()
-            if value - snapshot.get(key, 0)
         }
 
     def merge(self, other: "FaultReport") -> None:

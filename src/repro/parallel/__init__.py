@@ -15,8 +15,8 @@ sweep.
   compilation through ``repro.compile``, yielding a
   :class:`~repro.parallel.plan.DistributedPlan`;
 * :class:`repro.parallel.halo.HaloExchanger` — halo exchange
-  (synchronous or ``cp.async``-modeled double-buffered) with byte
-  accounting on the ``repro_halo_bytes_total`` counter;
+  (synchronous or ``cp.async``-modeled double-buffered) with exact
+  per-device byte accounting;
 * :class:`repro.parallel.cluster.ClusterRuntime` — executes a
   distributed plan: per-step / temporal rounds, overlapped transfers,
   serial/thread/process executors, fault tolerance, scaling model;
@@ -30,11 +30,7 @@ single-grid reference trajectory in the test suite.
 """
 
 from repro.parallel.decomposition import Partition, Subdomain, partition
-from repro.parallel.halo import (
-    HALO_BYTES_METRIC,
-    AsyncHaloHandle,
-    HaloExchanger,
-)
+from repro.parallel.halo import AsyncHaloHandle, HaloExchanger
 from repro.parallel.plan import (
     TILINGS,
     DistributedPlan,
@@ -71,7 +67,6 @@ __all__ = [
     "partition",
     "HaloExchanger",
     "AsyncHaloHandle",
-    "HALO_BYTES_METRIC",
     "DistributedPlan",
     "HaloSchedule",
     "TILINGS",

@@ -7,9 +7,8 @@ compute+exchange completes).  The snapshot carries everything needed to
 continue *bit-identically*:
 
 * every rank's block (the full distributed state — FP64, lossless);
-* the halo ledger (per-round byte log plus the reconciled running
-  total), so the three-ledger reconciliation still balances across a
-  resume;
+* the halo ledger (per-round byte log plus the running total), so the
+  per-round log still sums to the run total across a resume;
 * the round index and phase schedule;
 * the fault injector's firing clocks (one-shot faults already spent
   before the checkpoint must not re-fire after a resume);
@@ -39,7 +38,6 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.telemetry.log import emit as emit_event
-from repro.telemetry.metrics import REGISTRY
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -147,27 +145,6 @@ def _content_hash(
     return digest.hexdigest()
 
 
-def _saves_counter():
-    return REGISTRY.counter(
-        "repro_checkpoint_saves_total",
-        help="cluster checkpoints written to disk",
-    )
-
-
-def _restores_counter():
-    return REGISTRY.counter(
-        "repro_checkpoint_restores_total",
-        help="cluster checkpoints loaded for a resume",
-    )
-
-
-def _bytes_counter():
-    return REGISTRY.counter(
-        "repro_checkpoint_bytes_total",
-        help="bytes of block state written into cluster checkpoints",
-    )
-
-
 def _paths(directory: str, round_index: int) -> tuple[str, str]:
     stem = os.path.join(directory, f"ckpt-{round_index:06d}")
     return stem + ".npz", stem + ".json"
@@ -236,8 +213,6 @@ def save_checkpoint(
         raise CheckpointError(
             f"could not write checkpoint at round {round_index}: {exc}"
         ) from exc
-    _saves_counter().inc()
-    _bytes_counter().inc(block_bytes)
     emit_event(
         "checkpoint.saved",
         message=f"checkpoint saved at round barrier {round_index}",
@@ -336,7 +311,6 @@ def load_checkpoint(
             f"checkpoint {json_path!r} failed content verification — "
             "the snapshot was modified or truncated after it was saved"
         )
-    _restores_counter().inc()
     emit_event(
         "checkpoint.restored",
         message=f"checkpoint restored from round barrier {round_index}",

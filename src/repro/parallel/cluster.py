@@ -24,7 +24,7 @@ mode:
 A run's fault arguments are decided once, in ``_start``, by
 :func:`repro.faults.arm_faults`: a clean run arms nothing, a fault run
 carries one :class:`~repro.faults.ArmedFaults` record (injector,
-report, policy, before-snapshot) through every phase.  ``verify=`` and
+report, policy) through every phase.  ``verify=`` and
 MMA/staging faults need simulated ranks in this process; functional and
 process ranks refuse them before any rank runs.
 
@@ -61,11 +61,7 @@ from repro.parallel.distributed import (
     process_advance,
     strip_window,
 )
-from repro.parallel.halo import (
-    AsyncHaloHandle,
-    HaloExchanger,
-    halo_bytes_counter,
-)
+from repro.parallel.halo import AsyncHaloHandle, HaloExchanger
 from repro.parallel.plan import DistributedPlan, HaloSchedule, distribute
 from repro.perf.costmodel import time_per_point
 from repro.perf.machine import A100, MachineSpec
@@ -75,7 +71,6 @@ from repro.tcu.counters import EventCounters
 from repro.telemetry.context import TraceContext
 from repro.telemetry.health import HEALTH
 from repro.telemetry.log import emit as emit_event
-from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.spans import TRACER
 
 __all__ = [
@@ -165,10 +160,6 @@ class ClusterResult:
     #: ``comm_bytes_max`` (the largest single-rank receive, the volume
     #: the :class:`ClusterTimings` interconnect model charges)
     round_log: tuple[dict, ...] = ()
-    #: growth of the process-wide ``repro_halo_bytes_total`` counter
-    #: across this run — reconciles bit-exactly with
-    #: :attr:`exchanged_bytes` (one accounting source)
-    halo_counter_delta: int = 0
     #: the plan this run executed (the report needs its partition and
     #: timing model); ``None`` only for hand-built results
     plan: DistributedPlan | None = None
@@ -176,9 +167,8 @@ class ClusterResult:
     #: was off) — :meth:`report` finds the span forest by it
     trace_id: str | None = None
     #: halo bytes inherited from the checkpoint a resumed run restarted
-    #: from — the three-ledger reconciliation adds these to the fresh
-    #: counter growth (:attr:`exchanged_bytes` spans the *whole* run,
-    #: :attr:`halo_counter_delta` only the resumed part)
+    #: from (already part of :attr:`exchanged_bytes` and the restored
+    #: :attr:`round_log`, which both span the *whole* run)
     resumed_halo_bytes: int = 0
     #: resilience ledger (checkpoints saved/restored, halo detections
     #: and retransmits, elastic re-plans) — ``None`` when the run used
@@ -234,6 +224,7 @@ class _Run:
     blocks: dict[int, np.ndarray] = field(default_factory=dict)
     last_round_done: int = -1
     exchanged: int = 0
+    round_bytes: int = 0  # the open round's bytes, across elastic retries
     resumed_bytes: int = 0
     round_log: list[dict] = field(default_factory=list)
     counters: EventCounters | None = None
@@ -268,9 +259,8 @@ class ClusterRuntime:
         self.plan = plan
         self.machine = machine
         self.part: Partition = plan.part
-        # one exchanger per halo depth, shared across runs so the byte
-        # ledger (and the repro_halo_bytes_total counter behind it)
-        # accumulates in exactly one place
+        # one exchanger per halo depth, shared across runs (each run
+        # keeps its own byte ledger from its exchange calls)
         self._exchangers: dict[int, HaloExchanger] = {}
         self.last_result: ClusterResult | None = None
         self.last_fault_report = None
@@ -385,7 +375,6 @@ class ClusterRuntime:
             st, global_field, block_steps, tiling, verify, faults, policy,
             backend, resume_from,
         )
-        ledger_before = halo_bytes_counter().value
         with self._run_span(st) as run_span:
             st.ctx = TraceContext.capture()
             st.health = HEALTH.start_sweep(f"cluster-{self.plan.key[:12]}")
@@ -396,12 +385,8 @@ class ClusterRuntime:
                         max_workers=max_workers
                         or min(self.part.num_devices, os.cpu_count() or 1)
                     )
-                round_i, mark = st.last_round_done + 1, None
+                round_i = st.last_round_done + 1
                 while round_i < len(st.phases):
-                    # the byte mark survives elastic retries, so aborted
-                    # attempts' traffic still lands in the round's entry
-                    if mark is None:
-                        mark = halo_bytes_counter().value
                     rnd = self._exchange(st, round_i)
                     try:
                         if st.halo_guard and rnd.depth > 0:
@@ -415,16 +400,15 @@ class ClusterRuntime:
                             raise
                         self._replan(st, dead, round_i)
                         continue
-                    self._fold(st, rnd, results, mark)
+                    self._fold(st, rnd, results)
                     self._checkpoint(st, round_i)
-                    round_i, mark = round_i + 1, None
+                    round_i += 1
             except KeyboardInterrupt:
                 self._interrupted(st)
                 raise
             finally:
                 if st.pool is not None:
                     st.pool.shutdown(wait=True)
-                HEALTH.publish()
                 HEALTH.write_file()
             self._close_span(st, run_span)
 
@@ -441,9 +425,6 @@ class ClusterRuntime:
             worker_pids=tuple(sorted(st.pids)),
             rank_plan_keys=tuple(sorted(st.plan_keys)),
             round_log=tuple(st.round_log),
-            halo_counter_delta=int(
-                halo_bytes_counter().value - ledger_before
-            ),
             plan=self.plan,
             trace_id=st.trace_id,
             resumed_halo_bytes=st.resumed_bytes,
@@ -571,7 +552,9 @@ class ClusterRuntime:
         returns and the transfer materializes on the exchanger's
         background lane while ranks compute their interiors.  Halo
         verification needs the materialized windows before any rank
-        computes, so the halo guard forces the synchronous path.
+        computes, so the halo guard forces the synchronous path.  The
+        round's bytes join ``st.round_bytes``, which keeps an aborted
+        elastic attempt's traffic in the round's ledger entry.
         """
         k = st.phases[round_i]
         depth = st.schedule.depth(k)
@@ -586,11 +569,11 @@ class ClusterRuntime:
         ) as span:
             if mode == "async":
                 rnd.handle = rnd.exchanger.exchange_async(st.blocks)
-                span.annotate(bytes=rnd.handle.bytes_issued)
             else:
-                issued = rnd.exchanger.exchanged_bytes
                 rnd.windows = rnd.exchanger.exchange(st.blocks)
-                span.annotate(bytes=rnd.exchanger.exchanged_bytes - issued)
+            moved = rnd.exchanger.total_bytes_per_exchange()
+            st.round_bytes += moved
+            span.annotate(bytes=moved)
         return rnd
 
     def _guard_halos(self, st: _Run, rnd: _Round) -> None:
@@ -632,6 +615,7 @@ class ClusterRuntime:
                 report.bump("halo_retransmits")
                 halo["retransmits"] += 1
                 win = rnd.exchanger.retransmit(rank)
+                st.round_bytes += rnd.exchanger.bytes_per_exchange(rank)
                 # sticky wire faults re-corrupt the replacement
                 injector.on_halo_window(win, round_i, rank, depth)
                 windows[rank] = win
@@ -815,7 +799,7 @@ class ClusterRuntime:
         ):
             return rnd.handle.wait()[rank]
 
-    def _fold(self, st: _Run, rnd: _Round, results: dict, mark: int) -> None:
+    def _fold(self, st: _Run, rnd: _Round, results: dict) -> None:
         """Commit a completed round: the new blocks (checked finite, so a
         run that overflows fails typed), merged counters and the round's
         exchange-ledger entry."""
@@ -828,7 +812,7 @@ class ClusterRuntime:
             if info:
                 st.pids.add(info["pid"])
                 st.plan_keys.add(info["plan_key"])
-        moved = int(halo_bytes_counter().value - mark)
+        moved, st.round_bytes = st.round_bytes, 0
         st.exchanged += moved
         st.round_log.append(
             {
@@ -920,10 +904,6 @@ class ClusterRuntime:
                 # unrecovered before the replan ran; the re-partition
                 # *is* the recovery
                 report.bump("unrecovered", -1)
-        REGISTRY.counter(
-            "repro_rank_reassignments_total",
-            help="cluster ranks replaced by an elastic re-partition",
-        ).inc()
         st.resilience["reassignments"] += 1
         st.resilience["replans"].append(
             {
@@ -980,11 +960,10 @@ class ClusterRuntime:
             self._save(st, st.last_round_done)
 
     def _close_span(self, st: _Run, run_span) -> None:
-        """Fold the run's counters, fault deltas and halo bytes into the
-        root span and the process-wide telemetry."""
+        """Annotate the root span with the run's counters, fault totals
+        and halo bytes."""
         if st.counters is not None:
             run_span.add_events(st.counters)
-            telemetry.absorb_events(st.counters)
         if st.armed is not None:
             st.armed.finish(run_span)
         run_span.annotate(halo_bytes=st.exchanged)

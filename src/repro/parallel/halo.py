@@ -7,7 +7,7 @@ for 1D, 2D and 3D partitions — and counts every FP64 value that crosses
 a device boundary, the quantity the cluster timing model charges to the
 interconnect.
 
-Two execution paths share one accounting source:
+Two execution paths share one byte count:
 
 * :meth:`HaloExchanger.exchange` — the synchronous path: assemble,
   pad, slice, return windows.
@@ -23,10 +23,11 @@ Two execution paths share one accounting source:
 The data movement is performed through a global assembly (simulation
 convenience); the byte accounting is computed per device from exact
 ownership of every halo cell, which is what a point-to-point
-implementation would transfer.  Every accounted byte lands exactly once
-in :attr:`HaloExchanger.exchanged_bytes` *and* the process-wide
-``repro_halo_bytes_total`` metrics counter — callers must never re-sum
-``bytes_per_exchange`` on the side.
+implementation would transfer.  Every exchange moves
+:meth:`HaloExchanger.total_bytes_per_exchange` bytes and every
+retransmission :meth:`HaloExchanger.bytes_per_exchange` of its rank;
+:attr:`HaloExchanger.exchanged_bytes` is the exchanger's lifetime total,
+and a cluster run keeps its own per-run ledger from the same figures.
 """
 
 from __future__ import annotations
@@ -37,22 +38,10 @@ from concurrent.futures import Future, ThreadPoolExecutor
 import numpy as np
 
 from repro.parallel.decomposition import Partition, Subdomain
-from repro.telemetry.metrics import REGISTRY
 
-__all__ = ["HaloExchanger", "AsyncHaloHandle", "HALO_BYTES_METRIC"]
+__all__ = ["HaloExchanger", "AsyncHaloHandle"]
 
 _FP64 = 8
-
-#: the process-wide counter every exchanged halo byte is folded into
-HALO_BYTES_METRIC = "repro_halo_bytes_total"
-
-
-def halo_bytes_counter():
-    """The process-wide ``repro_halo_bytes_total`` metrics counter."""
-    return REGISTRY.counter(
-        HALO_BYTES_METRIC,
-        help="FP64 bytes moved across device boundaries by halo exchanges",
-    )
 
 
 class AsyncHaloHandle:
@@ -97,9 +86,8 @@ class HaloExchanger:
         self.part = part
         self.radius = radius
         self.boundary = boundary
-        #: total interconnect bytes this exchanger has moved — the single
-        #: source of truth for halo traffic (mirrored into the
-        #: ``repro_halo_bytes_total`` metrics counter)
+        #: total interconnect bytes this exchanger has moved, over every
+        #: exchange and retransmission it served
         self.exchanged_bytes = 0
         self._remote_cells = {
             sub.rank: self._count_remote_cells(sub) for sub in part.subdomains
@@ -190,8 +178,8 @@ class HaloExchanger:
         that failed strip-checksum verification: the sender still holds
         the padded snapshot, so the replacement window is sliced from
         identical bits.  The re-sent bytes are real interconnect
-        traffic — they fold into :attr:`exchanged_bytes` and the
-        process counter like any first transmission.
+        traffic — they fold into :attr:`exchanged_bytes` like any
+        first transmission.
         """
         padded = getattr(self, "_last_padded", None)
         if padded is None:
@@ -200,15 +188,13 @@ class HaloExchanger:
         moved = self.bytes_per_exchange(rank)
         with self._lock:
             self.exchanged_bytes += moved
-        halo_bytes_counter().inc(moved)
         return padded[sub.window_slices(self.radius)].copy()
 
     def _account(self) -> int:
-        """Fold one full exchange into the byte ledgers; returns bytes."""
+        """Fold one full exchange into the byte ledger; returns bytes."""
         moved = self.total_bytes_per_exchange()
         with self._lock:
             self.exchanged_bytes += moved
-        halo_bytes_counter().inc(moved)
         return moved
 
     # ------------------------------------------------------------------

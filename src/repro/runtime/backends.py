@@ -179,16 +179,10 @@ def _signal_downgrade(requested: str, resolved: str) -> None:
     or a plan compiled with ``backend="vectorized"``) must fall back to
     the interpreter — but silently losing an order of magnitude of
     speedup is exactly the kind of decision the observability plane
-    exists to surface.  One counter bump plus one structured warning
-    event per downgrade.
+    exists to surface.  One structured warning event per downgrade.
     """
     from repro.telemetry.log import emit
-    from repro.telemetry.metrics import REGISTRY
 
-    REGISTRY.counter(
-        "repro_backend_downgrades_total",
-        help="fault-mode executions downgraded to the interpreter backend",
-    ).inc()
     emit(
         "backend.downgrade",
         level="warning",

@@ -148,24 +148,6 @@ class PlanCache:
         with self._lock:
             return list(self._plans)
 
-    def entries(self) -> list[dict[str, object]]:
-        """JSON-ready ``(key, schedule, ndim, radius)`` rows, LRU first.
-
-        This is the join table between run-records (which stamp
-        ``plan_key``) and the plans that produced them.
-        """
-        with self._lock:
-            plans = list(self._plans.values())
-        return [
-            {
-                "key": p.key,
-                "schedule": p.schedule,
-                "ndim": p.ndim,
-                "radius": p.radius,
-            }
-            for p in plans
-        ]
-
     def stats(self) -> CacheStats:
         """Snapshot of the cache's hit/miss/eviction counters."""
         with self._lock:

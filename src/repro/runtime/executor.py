@@ -244,7 +244,6 @@ class Runtime:
                 health=sweep_health,
             )
         finally:
-            HEALTH.publish()
             HEALTH.write_file()
 
         out = np.concatenate(

@@ -185,9 +185,8 @@ class CompiledStencil:
         :class:`repro.faults.FaultPlan` or
         :class:`repro.faults.FaultInjector`) arms deterministic fault
         injection.  The resulting ledger is exposed as
-        :attr:`last_fault_report`, folded into the metrics registry
-        when telemetry is on, and stamped into run-records' ``faults``
-        section.
+        :attr:`last_fault_report` and stamped into run-records'
+        ``faults`` section.
         """
         if (
             isinstance(shards, bool)
@@ -236,7 +235,6 @@ class CompiledStencil:
                     armed=armed,
                 )
             sp.add_events(events)
-            telemetry.absorb_events(events)
             if armed is not None:
                 armed.finish(sp)
             return out, events
@@ -271,7 +269,6 @@ class CompiledStencil:
         ) as sp:
             out, events = self.runtime.apply_simulated_batch(grids, max_workers)
             sp.add_events(events)
-            telemetry.absorb_events(events)
             return out, events
 
     def describe(self) -> str:
@@ -349,5 +346,4 @@ def compile(
             ),
         )
         sp.annotate(key=key[:16])
-        telemetry.absorb_cache_stats(cache.stats())
         return CompiledStencil(plan, cache)

@@ -1,4 +1,4 @@
-"""``repro.telemetry`` — spans, metrics, and exporters for the runtime.
+"""``repro.telemetry`` — spans, events and exporters for the runtime.
 
 The observability layer the paper's evaluation implies: where Nsight
 Compute attributes a real kernel's time and hardware events, this
@@ -8,15 +8,17 @@ package attributes the simulator's.  Three pieces:
   nestable, thread-safe :class:`Span` trees over the
   compile → plan-cache → execute → TCU-sweep pipeline.  Disabled by
   default and free when disabled;
-* **metrics** (:mod:`repro.telemetry.metrics`): a process-wide
-  :class:`MetricsRegistry` of counters/gauges/histograms that absorbs
-  :class:`~repro.tcu.counters.EventCounters` deltas and plan-cache
-  stats, so a serving process accumulates a hardware-event ledger
-  across requests;
+* **events** (:mod:`repro.telemetry.log`): a bounded structured event
+  log of the runtime's decisions (downgrades, recoveries, re-plans);
 * **export** (:mod:`repro.telemetry.export`): Chrome trace-event JSON
-  (``chrome://tracing`` / Perfetto), structured run-records
-  (schema-validated, stamped onto every benchmark result), and
-  Prometheus text exposition.
+  (``chrome://tracing`` / Perfetto) and structured run-records
+  (schema-validated, stamped onto every benchmark result).
+
+Every quantity has one owner: hardware events are the
+:class:`~repro.tcu.counters.EventCounters` each sweep returns, faults
+the run's :class:`~repro.faults.FaultReport`, plan-cache traffic
+``PlanCache.stats()``, durations the spans, shard progress
+:data:`HEALTH`, and halo bytes the cluster run's own exchange ledger.
 
 Typical use — the ``repro profile`` subcommand in one paragraph::
 
@@ -44,7 +46,6 @@ from repro.telemetry import (
     export,
     health,
     log,
-    metrics,
     spans,
     validate,
 )
@@ -59,13 +60,11 @@ from repro.telemetry.export import (
     load_chrome_trace,
     run_record,
     to_chrome_trace,
-    to_prometheus,
     write_chrome_trace,
     write_run_record,
 )
 from repro.telemetry.health import HEALTH, HealthRegistry
 from repro.telemetry.log import EVENT_LOG, EventLog, emit, write_event_log
-from repro.telemetry.metrics import REGISTRY, MetricsRegistry
 from repro.telemetry.spans import NULL_SPAN, TRACER, Span, Tracer
 from repro.telemetry.validate import (
     TelemetryError,
@@ -82,8 +81,6 @@ __all__ = [
     "NULL_CONTEXT",
     "WorkerTracer",
     "revive_spans",
-    "MetricsRegistry",
-    "REGISTRY",
     "EventLog",
     "EVENT_LOG",
     "emit",
@@ -98,15 +95,11 @@ __all__ = [
     "is_enabled",
     "reset",
     "capture",
-    "absorb_events",
-    "absorb_cache_stats",
-    "absorb_faults",
     "to_chrome_trace",
     "write_chrome_trace",
     "load_chrome_trace",
     "run_record",
     "write_run_record",
-    "to_prometheus",
     "validate_event",
     "validate_run_record",
     "build_cluster_report",
@@ -116,13 +109,9 @@ __all__ = [
     "export",
     "health",
     "log",
-    "metrics",
     "spans",
     "validate",
 ]
-
-# span durations feed per-name histograms in the process registry
-TRACER.registry = REGISTRY
 
 #: alias for ``TRACER.span`` — the way runtime code opens spans
 span = TRACER.span
@@ -132,7 +121,7 @@ trace = TRACER.wrap
 
 
 def enable() -> None:
-    """Turn telemetry on process-wide (spans and metric absorption)."""
+    """Turn telemetry on process-wide (span recording)."""
     TRACER.enable()
 
 
@@ -147,10 +136,9 @@ def is_enabled() -> bool:
 
 
 def reset() -> None:
-    """Clear collected spans, metrics, events and health state (the
-    enabled switch is kept)."""
+    """Clear collected spans, events and health state (the enabled
+    switch is kept)."""
     TRACER.clear()
-    REGISTRY.clear()
     EVENT_LOG.clear()
     HEALTH.clear()
 
@@ -161,7 +149,7 @@ def capture(fresh: bool = True):
 
     Restores the previous enabled/disabled state on exit;
     ``fresh=True`` (default) clears previously collected spans and
-    metrics first, so the block's trees are the only ones present.
+    events first, so the block's trees are the only ones present.
     """
     was_enabled = TRACER.enabled
     if fresh:
@@ -173,29 +161,3 @@ def capture(fresh: bool = True):
         if not was_enabled:
             disable()
 
-
-def absorb_events(events, prefix: str = "repro_tcu_") -> None:
-    """Fold a hardware-event delta into the registry (if enabled).
-
-    The single place the instrumented facade reports counters from, so
-    each sweep's events are absorbed exactly once no matter how many
-    nested spans also attach them.
-    """
-    if TRACER.enabled:
-        REGISTRY.absorb_events(events, prefix=prefix)
-
-
-def absorb_cache_stats(stats, name: str = "plan_cache") -> None:
-    """Mirror plan-cache stats into the registry (if enabled)."""
-    if TRACER.enabled:
-        REGISTRY.absorb_cache_stats(stats, name=name)
-
-
-def absorb_faults(flat: dict) -> None:
-    """Fold a fault-report delta into the registry (if enabled).
-
-    ``flat`` is a :meth:`repro.faults.FaultReport.delta` dict; the
-    single place the instrumented facade reports fault counters from.
-    """
-    if TRACER.enabled:
-        REGISTRY.absorb_faults(flat)

@@ -2,11 +2,11 @@
 
 A distributed run leaves three artifacts behind: the merged span forest
 (every rank's lanes revived under the ``cluster.run`` root, across
-threads and processes), the per-round exchange ledger
-(:attr:`~repro.parallel.cluster.ClusterResult.round_log`, reconciling
-bit-exactly with the process-wide ``repro_halo_bytes_total`` counter),
-and the :class:`~repro.parallel.cluster.ClusterTimings` interconnect
-model.  :func:`build_cluster_report` folds them into one
+threads and processes), the run's own exchange ledger
+(:attr:`~repro.parallel.cluster.ClusterResult.round_log` and
+:attr:`~repro.parallel.cluster.ClusterResult.exchanged_bytes`), and
+the :class:`~repro.parallel.cluster.ClusterTimings` interconnect model.
+:func:`build_cluster_report` folds them into one
 :data:`CLUSTER_REPORT_SCHEMA` document answering the questions aggregate
 GStencil/s cannot:
 
@@ -24,10 +24,8 @@ GStencil/s cannot:
 * **load imbalance** — max/mean and MAD across ranks per round (ragged
   temporal rounds included), plus run-level headline ratios the perf
   trend gate watches;
-* **halo attribution** — per-round byte volumes reconciled bit-exactly
-  against ``ClusterResult.exchanged_bytes`` *and* the growth of the
-  ``repro_halo_bytes_total`` counter (three accounting sources, one
-  truth).
+* **halo attribution** — per-round byte volumes, reconciled when the
+  per-round log sums bit-exactly to ``ClusterResult.exchanged_bytes``.
 
 All lane arithmetic is integer nanoseconds, so the report's invariants
 are exact, not approximate: per-rank lanes sum to per-rank wall time,
@@ -53,11 +51,10 @@ __all__ = [
     "build_cluster_report",
     "render_gantt",
     "to_lane_trace",
-    "last_report",
 ]
 
 #: schema identifier embedded in every emitted cluster report
-CLUSTER_REPORT_SCHEMA = "repro.telemetry.cluster-report/v1"
+CLUSTER_REPORT_SCHEMA = "repro.telemetry.cluster-report/v2"
 
 #: child-span name → report lane (everything else folds into ``other``)
 _SPAN_LANES = {
@@ -69,17 +66,6 @@ _SPAN_LANES = {
 
 #: every lane a per-rank breakdown carries, in rendering order
 LANE_NAMES = ("compute", "interior", "stitch", "wait", "retry", "other")
-
-#: the most recent report built in this process; the Prometheus
-#: exporter reads it so ``repro_cluster_*`` gauges survive scraping
-#: without re-deriving the report per scrape
-LAST_REPORT: dict[str, Any] | None = None
-
-
-def last_report() -> dict[str, Any] | None:
-    """The most recent cluster report built in this process, if any."""
-    return LAST_REPORT
-
 
 def modeled_transfer_s(comm_bytes: int) -> float:
     """Modeled wall time of one halo exchange round, in seconds.
@@ -168,7 +154,6 @@ def build_cluster_report(
     Raises :class:`~repro.telemetry.validate.TelemetryError` when the
     trace is gone — evicted from the bounded buffer or never recorded.
     """
-    global LAST_REPORT
     tracer = tracer or TRACER
     if result.trace_id is None:
         raise TelemetryError(
@@ -330,7 +315,7 @@ def build_cluster_report(
     max_over_mean = sum_max / sum_mean if sum_mean > 0 else 1.0
     mad_frac = sum_mad / sum_median if sum_median > 0 else 0.0
 
-    # -- halo attribution: three ledgers, one truth ----------------------
+    # -- halo attribution: the per-round log against the run total -------
     halo_rounds = [
         {
             "round": entry["round"],
@@ -343,18 +328,13 @@ def build_cluster_report(
         for entry in result.round_log
     ]
     halo_total = sum(entry["halo_bytes"] for entry in halo_rounds)
-    # a resumed run inherits its pre-checkpoint bytes from the manifest:
-    # the per-round log and exchanged_bytes span the whole run, while
-    # the process counter only grew during the resumed part
+    # a resumed run inherits its pre-checkpoint rounds and bytes from the
+    # manifest, so both ledgers span the whole run
     resumed = int(getattr(result, "resumed_halo_bytes", 0))
-    reconciled = (
-        halo_total == result.exchanged_bytes
-        and halo_total == result.halo_counter_delta + resumed
-    )
 
     plan = getattr(result, "plan", None)
     name = f"cluster-{plan.key[:12]}" if plan is not None else "cluster"
-    report: dict[str, Any] = {
+    return {
         "schema": CLUSTER_REPORT_SCHEMA,
         "name": name,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -415,14 +395,11 @@ def build_cluster_report(
         "halo": {
             "total_bytes": halo_total,
             "ledger_bytes": result.exchanged_bytes,
-            "counter_delta": result.halo_counter_delta,
             "resumed_bytes": resumed,
-            "reconciled": reconciled,
+            "reconciled": halo_total == result.exchanged_bytes,
             "per_round": halo_rounds,
         },
     }
-    LAST_REPORT = report
-    return report
 
 
 def _modeled_section(result) -> dict[str, Any] | None:
@@ -527,6 +504,11 @@ def render_gantt(report: dict[str, Any], width: int = 72) -> str:
         f"{len(halo['per_round'])} rounds  "
         f"(ledger reconciled: {halo['reconciled']})"
     )
+    if not halo["reconciled"]:
+        lines.append(
+            f"  round log sums to {halo['total_bytes']:,} B but the run "
+            f"exchanged {halo['ledger_bytes']:,} B"
+        )
     return "\n".join(lines)
 
 

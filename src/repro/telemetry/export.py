@@ -1,6 +1,6 @@
-"""Exporters: Chrome trace-event JSON, run-records, Prometheus text.
+"""Exporters: Chrome trace-event JSON and run-records.
 
-Three consumers, three formats, one span/metric source:
+Two consumers, two formats, one span source:
 
 * :func:`to_chrome_trace` / :func:`write_chrome_trace` — the Trace Event
   Format (``{"traceEvents": [{"ph": "X", ...}]}``) that
@@ -14,8 +14,6 @@ Three consumers, three formats, one span/metric source:
   record (schema :data:`RUN_RECORD_SCHEMA`) that ``benchmarks/conftest``
   stamps next to every reproduced artifact and ``repro run --json``
   prints; validated by :func:`repro.telemetry.validate.validate_run_record`.
-* :func:`to_prometheus` — the text exposition format (``# HELP`` /
-  ``# TYPE`` / samples) for scraping a long-lived serving process.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import pathlib
 import time
 from typing import Any, Iterable
 
-from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.spans import Span, Tracer, TRACER
 
 __all__ = [
@@ -38,19 +35,17 @@ __all__ = [
     "load_chrome_trace",
     "run_record",
     "write_run_record",
-    "to_prometheus",
-    "escape_label_value",
-    "format_labels",
 ]
 
 #: schema identifiers embedded in (and required of) emitted documents
 CHROME_TRACE_SCHEMA = "repro.telemetry.chrome-trace/v1"
-#: the only run-record version emitted and accepted; its optional
-#: sections are ``faults`` (injection/detection/recovery ledger), ``log``
+#: the only run-record version emitted and accepted (v5 without the
+#: process-wide ``metrics`` section); its optional sections are
+#: ``faults`` (injection/detection/recovery ledger), ``log``
 #: (structured event stream), ``health`` (shard heartbeat snapshot),
 #: ``cluster`` (the cluster observatory report) and ``resilience``
 #: (checkpoint/restart, halo retransmissions, elastic re-plans)
-RUN_RECORD_SCHEMA = "repro.telemetry.run-record/v5"
+RUN_RECORD_SCHEMA = "repro.telemetry.run-record/v6"
 FIDELITY_REPORT_SCHEMA = "repro.telemetry.fidelity-report/v1"
 
 
@@ -212,7 +207,6 @@ def run_record(
     name: str,
     *,
     tracer: Tracer | None = None,
-    registry: MetricsRegistry | None = None,
     cache_stats=None,
     counters=None,
     faults=None,
@@ -226,9 +220,8 @@ def run_record(
 
     The record is self-describing (``schema`` key) and deliberately
     flat: ``spans`` is the serialized span forest (empty when tracing
-    was off), ``metrics`` the registry snapshot, ``cache`` the plan-
-    cache stats, ``events`` a raw counter dict, ``faults`` the
-    injection/detection/recovery ledger (a
+    was off), ``cache`` the plan-cache stats, ``events`` a raw counter
+    dict, ``faults`` the injection/detection/recovery ledger (a
     :class:`repro.faults.FaultReport` or its ``as_dict()``), ``log``
     the structured event stream (defaults to the process-wide
     :data:`~repro.telemetry.log.EVENT_LOG` when it holds events; pass
@@ -251,7 +244,6 @@ def run_record(
         "name": name,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "spans": [span_to_dict(r) for r in tracer.roots()],
-        "metrics": registry.snapshot() if registry is not None else {},
         "tracer": {
             "finished_spans": len(tracer.roots()),
             "dropped_spans": tracer.dropped,
@@ -302,244 +294,6 @@ def write_run_record(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(record, indent=1, sort_keys=True))
     return path
-
-
-# ---------------------------------------------------------------------------
-# Prometheus text exposition
-# ---------------------------------------------------------------------------
-def to_prometheus(
-    registry: MetricsRegistry, tracer: Tracer | None = None
-) -> str:
-    """Prometheus text exposition (version 0.0.4) of the registry.
-
-    Also exposes the span-buffer and warp-trace health gauges (finished/
-    dropped spans against the ring capacity, and the recorder aggregate
-    from :func:`repro.tcu.trace.recorder_stats`) so a scraper can alarm
-    on trace loss — a saturated ring silently truncates the very data a
-    post-mortem needs.  Pass ``tracer=None`` (the default) for the
-    process-global tracer.
-    """
-    from repro.tcu.trace import recorder_stats
-
-    lines: list[str] = []
-    with registry._lock:
-        metrics = sorted(registry._metrics.items())
-    for name, metric in metrics:
-        if metric.help:
-            lines.append(f"# HELP {name} {metric.help}")
-        lines.append(f"# TYPE {name} {metric.kind}")
-        if isinstance(metric, Histogram):
-            cumulative = metric.cumulative_counts()
-            for bound, count in zip(metric.buckets, cumulative):
-                lines.append(f'{name}_bucket{{le="{_fmt(bound)}"}} {count}')
-            lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative[-1]}')
-            lines.append(f"{name}_sum {_fmt(metric.sum)}")
-            lines.append(f"{name}_count {metric.count}")
-        else:
-            lines.append(f"{name} {_fmt(metric.value)}")
-    tracer = tracer or TRACER
-    for gauge, help_text, value in [
-        (
-            "repro_tracer_finished_spans",
-            "Finished root spans retained in the tracer buffer",
-            len(tracer.roots()),
-        ),
-        (
-            "repro_tracer_dropped_spans",
-            "Root spans dropped by the bounded tracer buffer",
-            tracer.dropped,
-        ),
-        (
-            "repro_tracer_max_finished",
-            "Capacity of the tracer's finished-span ring buffer",
-            tracer.max_finished,
-        ),
-    ]:
-        lines.append(f"# HELP {gauge} {help_text}")
-        lines.append(f"# TYPE {gauge} gauge")
-        lines.append(f"{gauge} {_fmt(value)}")
-    for key, value in recorder_stats().items():
-        gauge = f"repro_warp_trace_{key}"
-        lines.append(f"# TYPE {gauge} gauge")
-        lines.append(f"{gauge} {_fmt(value)}")
-    lines.extend(_event_log_lines())
-    lines.extend(_health_lines())
-    lines.extend(_cluster_lines())
-    return "\n".join(lines) + "\n"
-
-
-def escape_label_value(value: str) -> str:
-    """Escape a Prometheus label value per the text-format spec.
-
-    Backslash, double-quote and newline are the three characters the
-    exposition format requires escaping inside ``label="value"``.
-    """
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def format_labels(labels: dict[str, Any]) -> str:
-    """Render a ``{name="value",...}`` label set, sorted and escaped.
-
-    Returns an empty string for an empty label set, so
-    ``f"{name}{format_labels(labels)} {value}"`` is always a legal
-    sample line.
-    """
-    if not labels:
-        return ""
-    body = ",".join(
-        f'{key}="{escape_label_value(value)}"'
-        for key, value in sorted(labels.items())
-    )
-    return "{" + body + "}"
-
-
-def _event_log_lines() -> list[str]:
-    """Ring-health gauges of the process-wide structured event log."""
-    from repro.telemetry.log import EVENT_LOG
-
-    lines = []
-    for key, help_text, value in (
-        (
-            "repro_event_log_events",
-            "structured events retained in the ring buffer",
-            len(EVENT_LOG),
-        ),
-        (
-            "repro_event_log_dropped",
-            "structured events dropped by the bounded ring",
-            EVENT_LOG.dropped,
-        ),
-        (
-            "repro_event_log_max_events",
-            "capacity of the structured event ring buffer",
-            EVENT_LOG.max_events,
-        ),
-    ):
-        lines.append(f"# HELP {key} {help_text}")
-        lines.append(f"# TYPE {key} gauge")
-        lines.append(f"{key} {_fmt(value)}")
-    # the dropped count again, as a *counter*: the gauge above reports
-    # ring health, this is the monotone series alerting rules rate()
-    lines.append(
-        "# HELP repro_events_dropped_total structured events lost to "
-        "ring buffer overflow since process start"
-    )
-    lines.append("# TYPE repro_events_dropped_total counter")
-    lines.append(f"repro_events_dropped_total {_fmt(EVENT_LOG.dropped)}")
-    return lines
-
-
-def _health_lines() -> list[str]:
-    """Per-shard labeled gauges from the live health registry.
-
-    Output ordering is deterministic: gauge name, then sweep
-    registration order, then shard index; label keys sort inside each
-    sample.
-    """
-    from repro.telemetry.health import HEALTH
-
-    rows = list(HEALTH.shard_rows())
-    if not rows:
-        return []
-    gauges = (
-        ("repro_health_shard_tiles_done", "tiles completed by the shard",
-         lambda s: s.tiles_done),
-        ("repro_health_shard_tiles_total", "shard tile denominator",
-         lambda s: s.tiles_total),
-        ("repro_health_shard_retries", "supervisor resubmissions of the shard",
-         lambda s: s.retries),
-        ("repro_health_shard_last_beat_age_seconds",
-         "seconds since the shard's last heartbeat (monotonic)",
-         lambda s: s.last_beat_age()),
-        ("repro_health_shard_running",
-         "1 while the shard is in a non-terminal state",
-         lambda s: int(s.state not in ("done", "failed"))),
-    )
-    lines = []
-    for name, help_text, value_of in gauges:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} gauge")
-        for sweep, shard in rows:
-            labels = format_labels(
-                {
-                    "sweep": sweep.sweep_id,
-                    "name": sweep.name,
-                    "shard": shard.shard,
-                    "state": shard.state,
-                }
-            )
-            lines.append(f"{name}{labels} {_fmt(value_of(shard))}")
-    return lines
-
-
-def _cluster_lines() -> list[str]:
-    """Per-rank labeled gauges from the last cluster observatory report.
-
-    Empty until :func:`repro.telemetry.cluster.build_cluster_report`
-    has run in this process; afterwards a scraper sees the cluster-level
-    headline numbers (overlap efficiency, imbalance) plus per-rank
-    busy/wait/retry seconds and per-round halo volumes — the series the
-    trend gates and straggler alerts watch.
-    """
-    from repro.telemetry.cluster import last_report
-
-    report = last_report()
-    if report is None:
-        return []
-    lines = []
-    for name, help_text, value in (
-        (
-            "repro_cluster_overlap_efficiency",
-            "hidden transfer time over total modeled transfer time",
-            report["overlap"]["efficiency"],
-        ),
-        (
-            "repro_cluster_imbalance_max_over_mean",
-            "slowest-rank over mean-rank round time",
-            report["imbalance"]["max_over_mean"],
-        ),
-        (
-            "repro_cluster_critical_path_seconds",
-            "critical path through the rank-by-round dependency DAG",
-            report["critical_path"]["s"],
-        ),
-    ):
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name} {_fmt(value)}")
-    rank_gauges = (
-        ("repro_cluster_rank_busy_seconds",
-         "compute+interior+stitch time of the rank",
-         lambda row: row["busy_s"]),
-        ("repro_cluster_rank_wait_seconds",
-         "exchange-wait time of the rank",
-         lambda row: row["lanes"]["wait_s"]),
-        ("repro_cluster_rank_retry_seconds",
-         "time the rank spent in retried attempts",
-         lambda row: row["lanes"]["retry_s"]),
-    )
-    for name, help_text, value_of in rank_gauges:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} gauge")
-        for row in report["ranks"]:
-            labels = format_labels({"rank": row["rank"]})
-            lines.append(f"{name}{labels} {_fmt(value_of(row))}")
-    name = "repro_cluster_round_halo_bytes"
-    lines.append(f"# HELP {name} halo bytes moved in the exchange round")
-    lines.append(f"# TYPE {name} gauge")
-    for entry in report["halo"]["per_round"]:
-        labels = format_labels({"round": entry["round"]})
-        lines.append(f"{name}{labels} {_fmt(entry['halo_bytes'])}")
-    return lines
-
-
-def _fmt(value: float) -> str:
-    return f"{int(value)}" if float(value).is_integer() else repr(float(value))
 
 
 def _jsonable(value: Any) -> Any:

@@ -13,10 +13,7 @@ gives every shard a heartbeat the rest of the system can watch:
   ``tiles_total`` and the last-beat timestamp;
 * the supervisor bumps ``retries`` on every resubmission, and the bind
   context marks the terminal state (``done`` / ``failed``);
-* :meth:`HealthRegistry.publish` folds aggregates into the
-  :class:`~repro.telemetry.metrics.MetricsRegistry`, and the
-  Prometheus exporter renders per-shard labeled gauges
-  (``repro_health_shard_*{sweep=...,shard=...}``);
+* run-records stamp the snapshot as their ``health`` section;
 * when ``REPRO_HEALTH_FILE`` is set (or
   :meth:`HealthRegistry.configure_file` is called), every beat
   throttle-publishes a JSON snapshot atomically to that path — the
@@ -35,7 +32,7 @@ import os
 import pathlib
 import threading
 import time
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "ENV_HEALTH_FILE",
@@ -243,54 +240,9 @@ class HealthRegistry:
             "sweeps": [s.as_dict() for s in self.sweeps()],
         }
 
-    def shard_rows(self) -> Iterator[tuple[SweepHealth, ShardHealth]]:
-        """Every (sweep, shard) pair — the Prometheus label space."""
-        for sweep in self.sweeps():
-            with sweep._lock:
-                shards = sorted(sweep.shards.values(), key=lambda s: s.shard)
-            for shard in shards:
-                yield sweep, shard
-
     def render(self) -> str:
         """Human-readable progress table (the ``repro monitor`` view)."""
         return render_snapshot(self.snapshot())
-
-    # -- publishing --------------------------------------------------------
-    def publish(self, registry=None) -> None:
-        """Fold aggregate health gauges into a metrics registry."""
-        if registry is None:
-            from repro.telemetry.metrics import REGISTRY as registry  # noqa: N813
-        sweeps = self.sweeps()
-        rows = [shard for _, shard in self.shard_rows()]
-        running = sum(1 for s in rows if s.state not in _TERMINAL)
-        for name, help_text, value in (
-            (
-                "repro_health_sweeps",
-                "sweeps registered in the health registry",
-                len(sweeps),
-            ),
-            (
-                "repro_health_shards_running",
-                "shards not yet in a terminal state",
-                running,
-            ),
-            (
-                "repro_health_tiles_done",
-                "tiles completed across all registered shards",
-                sum(s.tiles_done for s in rows),
-            ),
-            (
-                "repro_health_tiles_total",
-                "tile denominator across all registered shards",
-                sum(s.tiles_total for s in rows),
-            ),
-            (
-                "repro_health_shard_retries",
-                "supervisor resubmissions across all registered shards",
-                sum(s.retries for s in rows),
-            ),
-        ):
-            registry.gauge(name, help=help_text).set(value)
 
     def configure_file(
         self, path: str | pathlib.Path, min_interval_s: float = 0.2

@@ -1,7 +1,7 @@
 """Run-record history and regression detection.
 
 The missing third leg of the observatory: run-records
-(``repro.telemetry.run-record/v5``) are stamped next to every benchmark
+(``repro.telemetry.run-record/v6``) are stamped next to every benchmark
 artifact, but nothing compared them across runs, so the performance
 trajectory was write-only.  Three pieces close the loop:
 
@@ -77,7 +77,7 @@ class RunRecordStore:
     """Append-only JSONL history of validated run-records.
 
     One ``<name>.jsonl`` file per record name under ``root``; every
-    line is a complete ``repro.telemetry.run-record/v5`` document,
+    line is a complete ``repro.telemetry.run-record/v6`` document,
     validated on the way in and again on the way out, so a hand-edited
     or foreign line surfaces as a :class:`TelemetryError` rather than a
     crash in whatever reads the history.

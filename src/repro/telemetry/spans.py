@@ -289,9 +289,6 @@ class Tracer:
         self.dropped = 0
         #: wall-clock anchor: (time.time(), perf_counter_ns) at enable()
         self.epoch: tuple[float, int] = (0.0, 0)
-        #: optional MetricsRegistry observing span durations (wired up by
-        #: :mod:`repro.telemetry`; kept as an attribute to avoid imports)
-        self.registry = None
 
     # -- switches ----------------------------------------------------------
     @property
@@ -378,8 +375,6 @@ class Tracer:
         return stack
 
     def _finish(self, span: Span) -> None:
-        if self.registry is not None:
-            self.registry.observe_span(span.name, span.category, span.duration_s)
         parent = span.parent
         if parent is not None:
             # same-thread children append from their own thread; shard

@@ -184,7 +184,7 @@ def _validate_faults_section(faults: Any, path: str = "record.faults") -> None:
 def _validate_resilience_section(
     resilience: Any, path: str = "record.resilience"
 ) -> None:
-    """Validate the optional ``resilience`` ledger (run-record v5).
+    """Validate the optional ``resilience`` ledger.
 
     Shape: ``checkpoints`` (saved/restored counts), ``halo``
     (detection/retransmission counters), ``replans`` (one entry per
@@ -228,10 +228,11 @@ def _validate_resilience_section(
 
 
 def validate_run_record(record: Any) -> None:
-    """Validate a run-record against :data:`RUN_RECORD_SCHEMA` (v5).
+    """Validate a run-record against :data:`RUN_RECORD_SCHEMA` (v6).
 
-    Older versions (v1–v4) are rejected; every section they could carry
-    is an optional v5 section, so re-stamping ``schema`` migrates them.
+    Older versions (v1–v5) are rejected.  v6 is v5 without the
+    ``metrics`` section, so deleting that key and re-stamping
+    ``schema`` migrates a v5 record.
     """
     _require_type(record, dict, "record")
     _require(
@@ -243,33 +244,12 @@ def validate_run_record(record: Any) -> None:
         ("name", str),
         ("timestamp", str),
         ("spans", list),
-        ("metrics", dict),
         ("extra", dict),
     ):
         _require(key in record, "record", f"missing key {key!r}")
         _require_type(record[key], types, f"record.{key}")
     for i, span in enumerate(record["spans"]):
         validate_span_dict(span, f"record.spans[{i}]")
-    for name, snap in record["metrics"].items():
-        path = f"record.metrics[{name!r}]"
-        _require_type(snap, dict, path)
-        kind = snap.get("kind")
-        _require(
-            kind in ("counter", "gauge", "histogram"),
-            f"{path}.kind",
-            f"unknown metric kind {kind!r}",
-        )
-        if kind == "histogram":
-            for key in ("buckets", "counts", "sum", "count"):
-                _require(key in snap, path, f"missing key {key!r}")
-            _require(
-                len(snap["counts"]) == len(snap["buckets"]) + 1,
-                f"{path}.counts",
-                "must have one more entry than buckets (+Inf)",
-            )
-        else:
-            _require("value" in snap, path, "missing key 'value'")
-            _require_type(snap["value"], (int, float), f"{path}.value")
     cache = record.get("cache")
     if cache is not None:
         _require_type(cache, dict, "record.cache")
@@ -311,7 +291,7 @@ def validate_run_record(record: Any) -> None:
 
 def validate_cluster_report(report: Any, path: str = "report") -> None:
     """Validate a cluster observatory report
-    (``repro.telemetry.cluster-report/v1``), standalone or as the
+    (``repro.telemetry.cluster-report/v2``), standalone or as the
     ``cluster`` section of a run-record."""
     from repro.telemetry.cluster import CLUSTER_REPORT_SCHEMA, LANE_NAMES
 
@@ -427,7 +407,6 @@ def validate_cluster_report(report: Any, path: str = "report") -> None:
     for key, types in (
         ("total_bytes", int),
         ("ledger_bytes", int),
-        ("counter_delta", int),
         ("reconciled", bool),
         ("per_round", list),
     ):

@@ -1,7 +1,8 @@
 """ClusterRuntime: executors, fault recovery, process-trace revival,
-temporal tiling across dimensions."""
+temporal tiling across dimensions, the per-run halo ledger."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -50,6 +51,39 @@ class TestClusterResult:
         plan = distribute(w, (12, 12), (1, 1))
         with pytest.raises(ValueError):
             ClusterRuntime(plan).run(np.zeros((12, 12)), 1, executor="mpi")
+
+
+class TestHaloLedger:
+    """Each run counts only its own exchange and retransmit traffic."""
+
+    @staticmethod
+    def _run(barrier=None):
+        w = get_kernel("Box-2D9P").weights
+        x = np.random.default_rng(7).normal(size=(64, 64))
+        runtime = ClusterRuntime(distribute(w, x.shape, (2, 2)))
+        if barrier is not None:
+            barrier.wait()
+        return runtime.run(x, 8)
+
+    def test_concurrent_runs_count_only_their_own_bytes(self):
+        solo = self._run()
+        assert solo.exchanged_bytes > 0
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(i):
+            results[i] = self._run(barrier)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for result in results:
+            assert result.exchanged_bytes == solo.exchanged_bytes
+            assert result.round_log == solo.round_log
 
 
 class TestProcessExecutor:

@@ -2,10 +2,9 @@
 
 The observatory leans on three counter operations — ``snapshot``/
 ``diff`` (per-instruction deltas), ``__iadd__`` (profile aggregation)
-and ``scaled`` (model extrapolation) — and on the MetricsRegistry
-absorbing the results.  These tests pin the algebra: composing the
-operations and absorbing the outcome must be indistinguishable from
-absorbing the original, field for field.
+and ``scaled`` (model extrapolation).  These tests pin the algebra:
+composing the operations and summing the outcome must be
+indistinguishable from the original, field for field.
 """
 
 import numpy as np
@@ -14,7 +13,6 @@ import pytest
 from repro.runtime import compile as compile_stencil
 from repro.stencil.kernels import get_kernel
 from repro.tcu.counters import EventCounters
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.perf import InstrProfiler
 
 
@@ -57,16 +55,16 @@ class TestAlgebraRoundTrips:
         assert s.tensor_core_flops == 3 * measured.tensor_core_flops
 
 
-class TestRegistryAbsorption:
-    def test_absorbing_reassembled_equals_absorbing_original(self, measured):
-        direct, rebuilt = MetricsRegistry(), MetricsRegistry()
-        direct.absorb_events(measured)
+class TestEventSums:
+    def test_reassembled_sum_equals_original(self, measured):
+        direct, rebuilt = EventCounters(), EventCounters()
+        direct += measured
         half = measured.scaled(0.5)
-        rebuilt.absorb_events(half)
-        rebuilt.absorb_events(measured.diff(half))
-        assert direct.snapshot() == rebuilt.snapshot()
+        rebuilt += half
+        rebuilt += measured.diff(half)
+        assert direct.as_dict() == rebuilt.as_dict()
 
-    def test_absorbing_per_instruction_deltas_equals_sweep_total(self):
+    def test_per_op_deltas_plus_residue_equal_total(self):
         plan = compile_stencil(get_kernel("Box-2D9P").weights).plan
         rng = np.random.default_rng(1)
         padded = np.pad(rng.normal(size=(16, 16)), plan.radius)
@@ -74,9 +72,8 @@ class TestRegistryAbsorption:
         profiler = InstrProfiler()
         _, events = plan.engine.apply_simulated(padded, profiler=profiler)
 
-        from_total, from_parts = MetricsRegistry(), MetricsRegistry()
-        from_total.absorb_events(events)
+        from_parts = EventCounters()
         for stats in profiler.by_op.values():
-            from_parts.absorb_events(stats.events)
-        from_parts.absorb_events(events.diff(profiler.program_events()))
-        assert from_total.snapshot() == from_parts.snapshot()
+            from_parts += stats.events
+        from_parts += events.diff(profiler.program_events())
+        assert from_parts.as_dict() == events.as_dict()

@@ -164,10 +164,3 @@ class TestExport:
         emit("something")
         record = telemetry.run_record("t", log=False)
         assert "log" not in record
-
-    def test_prometheus_exposes_ring_health(self):
-        emit("a")
-        emit("b")
-        text = telemetry.to_prometheus(telemetry.REGISTRY)
-        assert "repro_event_log_events 2" in text
-        assert "repro_event_log_dropped 0" in text

@@ -1,8 +1,7 @@
-"""Exporter round-trips: Chrome traces, run-records, Prometheus text."""
+"""Exporter round-trips: Chrome traces and run-records."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import telemetry
@@ -13,7 +12,6 @@ from repro.telemetry.export import (
     load_chrome_trace,
     span_to_dict,
     to_chrome_trace,
-    to_prometheus,
 )
 from repro.telemetry.validate import (
     TelemetryError,
@@ -84,11 +82,10 @@ class TestRunRecord:
         record = telemetry.run_record("smoke")
         validate_run_record(record)
         assert record["schema"] == RUN_RECORD_SCHEMA
-        assert record["spans"] == [] and record["metrics"] == {}
+        assert record["spans"] == [] and "metrics" not in record
 
     def test_full_record_round_trips_through_disk(self, tmp_path):
         root = _sample_forest()
-        telemetry.REGISTRY.counter("repro_runs_total").inc()
 
         class FakeStats:
             hits, misses, evictions, size, maxsize = 2, 1, 0, 1, 128
@@ -98,7 +95,6 @@ class TestRunRecord:
         events.mma_ops = 36
         record = telemetry.run_record(
             "full",
-            registry=telemetry.REGISTRY,
             cache_stats=FakeStats(),
             counters=events,
             extra={"size": 64, "shape": (64, 64)},
@@ -130,29 +126,3 @@ class TestRunRecord:
         path.write_text('{"schema": "something/else"}')
         with pytest.raises(TelemetryError, match="unknown or missing"):
             validate_file(path)
-
-
-class TestPrometheus:
-    def test_exposition_format(self):
-        reg = telemetry.MetricsRegistry()
-        reg.counter("repro_runs_total", help="runs").inc(3)
-        reg.gauge("repro_cache_size").set(2)
-        h = reg.histogram("repro_sweep_seconds", buckets=(0.1, 1.0))
-        h.observe(0.05)
-        h.observe(0.5)
-        text = to_prometheus(reg)
-        assert "# HELP repro_runs_total runs" in text
-        assert "# TYPE repro_runs_total counter" in text
-        assert "repro_runs_total 3" in text
-        assert "repro_cache_size 2" in text
-        assert 'repro_sweep_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_sweep_seconds_bucket{le="1"} 2' in text
-        assert 'repro_sweep_seconds_bucket{le="+Inf"} 2' in text
-        assert "repro_sweep_seconds_sum 0.55" in text
-        assert "repro_sweep_seconds_count 2" in text
-        assert text.endswith("\n")
-
-    def test_numpy_values_render_plain(self):
-        reg = telemetry.MetricsRegistry()
-        reg.gauge("g").set(np.float64(1.0))
-        assert "g 1" in to_prometheus(reg)

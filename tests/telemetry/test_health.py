@@ -1,4 +1,4 @@
-"""Shard health registry: heartbeats, binding, snapshots, publishing."""
+"""Shard health registry: heartbeats, binding, snapshots, run-records."""
 
 import json
 import threading
@@ -156,21 +156,6 @@ class TestSnapshots:
 
 
 class TestPublishing:
-    def test_publish_folds_aggregates_into_metrics(self):
-        reg = HealthRegistry()
-        sweep = reg.start_sweep("s")
-        with reg.bind(sweep.shard(0)) as shard:
-            shard.beat(5, 10)
-        shard2 = sweep.shard(1)
-        shard2.bump_retries()
-        reg.publish(telemetry.REGISTRY)
-        get = telemetry.REGISTRY.get
-        assert get("repro_health_sweeps").value == 1
-        assert get("repro_health_tiles_done").value == 5
-        assert get("repro_health_tiles_total").value == 10
-        assert get("repro_health_shard_retries").value == 1
-        assert get("repro_health_shards_running").value == 1  # shard2
-
     def test_run_record_folds_health_in(self):
         sweep = HEALTH.start_sweep("record-me")
         with HEALTH.bind(sweep.shard(0)) as shard:

@@ -37,16 +37,14 @@ class TestPipelineSpans:
         } <= names
 
     def test_sweep_events_attach_and_absorb_once(self, traced_run):
+        """The sweep span and the facade span each carry the sweep's
+        events once: nesting does not double-count them."""
         tracer, _, _, events = traced_run
-        sweep = next(
-            s
-            for r in tracer.roots()
-            for s in r.walk()
-            if s.name == "tcu.sweep"
-        )
+        spans = {s.name: s for r in tracer.roots() for s in r.walk()}
+        sweep = spans["tcu.sweep"]
         assert sweep.events.mma_ops == events.mma_ops > 0
-        total = telemetry.REGISTRY.get("repro_tcu_mma_ops_total")
-        assert total.value == events.mma_ops  # absorbed exactly once
+        facade = spans["runtime.apply_simulated"]
+        assert facade.events.as_dict() == events.as_dict()
 
     def test_children_sum_to_root_within_5pct(self, traced_run):
         """Acceptance: per-phase durations account for the root ±5%."""
@@ -83,7 +81,6 @@ class TestBenchmarkRecordContract:
         _, cache, _, _ = traced_run
         record = telemetry.run_record(
             "fig8",
-            registry=telemetry.REGISTRY,
             cache_stats=cache.stats(),
             extra={"benchmark": "fig8", "artifact": "results/fig8.txt"},
         )
@@ -94,15 +91,14 @@ class TestBenchmarkRecordContract:
 
         assert validate_file(path) == RUN_RECORD_SCHEMA
         assert record["cache"]["misses"] == 1
-        assert "repro_tcu_mma_ops_total" in record["metrics"]
+        assert "metrics" not in record
         assert record["extra"]["benchmark"] == "fig8"
 
     def test_record_with_tracing_off_still_validates(self, tmp_path):
         """Benchmarks run with telemetry off: records must still be valid
-        (empty spans, whatever metrics the process accumulated)."""
+        (empty spans)."""
         record = telemetry.run_record(
             "quiet",
-            registry=telemetry.REGISTRY,
             cache_stats=PlanCache(maxsize=4).stats(),
             extra={},
         )
@@ -119,12 +115,7 @@ class TestFaultsSection:
         report.record_injection("flip_a")
         report.bump("tile_detections")
         report.bump("tile_recoveries")
-        record = telemetry.run_record(
-            "chaos",
-            registry=telemetry.REGISTRY,
-            extra={},
-            faults=report,
-        )
+        record = telemetry.run_record("chaos", extra={}, faults=report)
         assert record["schema"] == RUN_RECORD_SCHEMA
         assert record["faults"]["injected"] == {"flip_a": 1}
         assert record["faults"]["detected"]["tile"] == 1
@@ -141,9 +132,7 @@ class TestFaultsSection:
             validate_run_record,
         )
 
-        record = telemetry.run_record(
-            "legacy", registry=telemetry.REGISTRY, extra={}
-        )
+        record = telemetry.run_record("legacy", extra={})
         path = tmp_path / "legacy.json"
         for version in (1, 2, 3, 4):
             schema = f"repro.telemetry.run-record/v{version}"
@@ -157,9 +146,7 @@ class TestFaultsSection:
     def test_malformed_faults_section_rejected(self):
         from repro.telemetry.validate import validate_run_record
 
-        record = telemetry.run_record(
-            "bad", registry=telemetry.REGISTRY, extra={}
-        )
+        record = telemetry.run_record("bad", extra={})
         record["faults"] = {"injected": {"flip_a": "lots"}}
         with pytest.raises(ValueError, match="faults"):
             validate_run_record(record)

@@ -26,16 +26,6 @@ class TestDisabledPath:
         with telemetry.span("off"):
             pass
         assert telemetry.TRACER.roots() == []
-        assert len(telemetry.REGISTRY) == 0
-
-    def test_absorb_helpers_gate_on_enabled(self):
-        events = EventCounters()
-        events.mma_ops = 7
-        telemetry.absorb_events(events)
-        assert len(telemetry.REGISTRY) == 0
-        telemetry.enable()
-        telemetry.absorb_events(events)
-        assert telemetry.REGISTRY.get("repro_tcu_mma_ops_total").value == 7
 
 
 class TestNesting:
@@ -235,10 +225,3 @@ class TestCapture:
         with telemetry.capture():
             pass
         assert telemetry.TRACER.roots() == []
-
-    def test_span_durations_feed_registry(self):
-        telemetry.enable()
-        with telemetry.span("timed.phase"):
-            pass
-        hist = telemetry.REGISTRY.get("repro_span_timed_phase_seconds")
-        assert hist is not None and hist.count == 1

@@ -8,10 +8,9 @@ from a truncated one.
 
 import numpy as np
 
-from repro import telemetry
 from repro.tcu import trace
 from repro.tcu.counters import EventCounters
-from repro.telemetry.export import run_record, to_prometheus
+from repro.telemetry.export import run_record
 from repro.telemetry.spans import Tracer
 from repro.telemetry.validate import validate_run_record
 
@@ -56,32 +55,3 @@ class TestRunRecordTracerBlock:
         assert record["tracer"]["dropped_spans"] == 0
         assert record["tracer"]["warp_trace"]["recorders"] == 0
         validate_run_record(record)
-
-
-class TestPrometheusTracerGauges:
-    def test_tracer_gauges_exposed(self):
-        tracer = _saturated_tracer(max_finished=2, spans=5)
-        text = to_prometheus(telemetry.REGISTRY, tracer=tracer)
-        assert "# TYPE repro_tracer_finished_spans gauge" in text
-        assert "repro_tracer_finished_spans 2" in text
-        assert "repro_tracer_dropped_spans 3" in text
-        assert "repro_tracer_max_finished 2" in text
-
-    def test_warp_trace_gauges_exposed(self):
-        counters = EventCounters()
-        recorder = trace.install(counters, max_events=4)
-        try:
-            for _ in range(6):
-                recorder.record("op")
-            text = to_prometheus(telemetry.REGISTRY)
-            assert "repro_warp_trace_recorders 1" in text
-            assert "repro_warp_trace_events_dropped 2" in text
-            assert "repro_warp_trace_max_events 4" in text
-        finally:
-            trace.uninstall(counters)
-
-    def test_gauges_coexist_with_registry_metrics(self):
-        telemetry.REGISTRY.counter("repro_demo_total").inc(3)
-        text = to_prometheus(telemetry.REGISTRY)
-        assert "repro_demo_total 3" in text
-        assert "repro_tracer_finished_spans" in text
