@@ -30,7 +30,13 @@ from repro.stencil.kernels import BenchmarkKernel
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
 
-__all__ = ["MethodTraits", "StencilMethod", "FootprintScale"]
+__all__ = [
+    "MethodTraits",
+    "StencilMethod",
+    "FootprintScale",
+    "LORASTENCIL_TRAITS",
+    "LORASTENCIL_CUDA_CORE_TRAITS",
+]
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,26 @@ class MethodTraits:
     launch_overhead: float = 1.0
     time_scale: float = 1.0
     fixed_time_s: float = 0.0
+
+
+#: LoRAStencil's calibration on tensor cores: the baseline method, the
+#: plan's cost prediction and the autotuner all price with this one set.
+LORASTENCIL_TRAITS = MethodTraits(
+    tcu_efficiency=0.86,
+    cuda_efficiency=0.40,
+    dram_efficiency=0.85,
+    smem_efficiency=0.85,
+    issue_efficiency=0.60,
+)
+
+#: Fig. 9 level 0: the dense banded MCM on CUDA cores reaches a small
+#: fraction of FP64 peak (unfused inner products over mostly-zero bands).
+LORASTENCIL_CUDA_CORE_TRAITS = MethodTraits(
+    cuda_efficiency=0.157,
+    dram_efficiency=0.85,
+    smem_efficiency=0.85,
+    issue_efficiency=0.60,
+)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import FootprintScale, MethodTraits, StencilMethod
+from repro.baselines.base import (
+    LORASTENCIL_CUDA_CORE_TRAITS,
+    LORASTENCIL_TRAITS,
+    FootprintScale,
+    MethodTraits,
+    StencilMethod,
+)
 from repro.core.config import OptimizationConfig
 from repro.core.engine1d import LoRAStencil1D
 from repro.core.engine2d import LoRAStencil2D
@@ -136,22 +142,8 @@ class LoRAStencilMethod(StencilMethod):
 
     def traits(self) -> MethodTraits:
         if not self.config.use_tensor_cores:
-            # Fig. 9 level 0: the dense banded MCM on CUDA cores reaches
-            # a small fraction of FP64 peak (unfused inner products over
-            # mostly-zero bands)
-            return MethodTraits(
-                cuda_efficiency=0.157,
-                dram_efficiency=0.85,
-                smem_efficiency=0.85,
-                issue_efficiency=0.60,
-            )
-        return MethodTraits(
-            tcu_efficiency=0.86,
-            cuda_efficiency=0.40,
-            dram_efficiency=0.85,
-            smem_efficiency=0.85,
-            issue_efficiency=0.60,
-        )
+            return LORASTENCIL_CUDA_CORE_TRAITS
+        return LORASTENCIL_TRAITS
 
     def _engine_radius(self) -> int:
         return self.engine.radius

@@ -1369,7 +1369,7 @@ def _cmd_chaos_report(paths: list[str], as_json: bool) -> int:
             continue
         print(f"{path}: {record.get('name')}")
         if faults is None:
-            print("  (no faults section — v1 record or fault-free run)")
+            print("  (no faults section — fault-free run)")
             continue
         for key in ("injected", "detected", "recovered", "retries", "shard"):
             section = faults.get(key)

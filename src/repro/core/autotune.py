@@ -14,7 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.base import FootprintScale, MethodTraits
+from repro.baselines.base import (
+    LORASTENCIL_TRAITS,
+    FootprintScale,
+    MethodTraits,
+)
 from repro.core.engine2d import LoRAStencil2D
 from repro.core.fusion import fuse_kernel
 from repro.perf.costmodel import gstencil_per_second
@@ -23,13 +27,8 @@ from repro.stencil.weights import StencilWeights
 
 __all__ = ["Candidate", "TuneResult", "autotune_2d", "DEFAULT_TRAITS"]
 
-DEFAULT_TRAITS = MethodTraits(
-    tcu_efficiency=0.86,
-    cuda_efficiency=0.40,
-    dram_efficiency=0.85,
-    smem_efficiency=0.85,
-    issue_efficiency=0.60,
-)
+#: the autotuner ranks candidates with LoRAStencil's own calibration
+DEFAULT_TRAITS = LORASTENCIL_TRAITS
 
 
 @dataclass(frozen=True)

@@ -158,28 +158,18 @@ class LoRAStencil1D:
         device: Device | None = None,
         block: int = DEFAULT_BLOCK_1D,
         profiler=None,
-        verify=None,
-        policy=None,
-        report=None,
         backend: str | None = None,
+        armed=None,
     ) -> tuple[np.ndarray, EventCounters]:
         """Warp-level execution; returns ``(interior, counters)``.
 
         Sweeps through the shared block-sweep driver as a ``1 x n``
-        grid; ``backend`` selects the execution backend, with
-        ``backend="oracle"`` running the eager accumulator chain instead
-        of the lowered program.  The vectorized backend computes every
-        tile at once, bit-identically, but rejects
-        ``verify``/``policy``/``report`` with a typed
-        :class:`~repro.errors.BackendError`.  ``verify="abft"``
-        checksum-verifies tiles/stagings with recovery bounded by
-        ``policy``, counting into ``report`` (see :mod:`repro.faults`).
+        grid.  ``backend`` (``None``: the interpreter) and ``armed`` (a
+        :class:`repro.faults.ArmedFaults`, ``None`` for a clean sweep)
+        go straight to :func:`repro.core.sweep.run_block_sweep`, which
+        picks the tile provider and the ABFT guard and refuses the
+        vectorized walk in fault mode.
         """
-        from repro.runtime.backends import check_fault_support
-
-        backend = check_fault_support(
-            backend, bool(verify) or policy is not None or report is not None
-        )
         padded, (n,) = validate_padded(padded, 1, self.radius)
         # last tile of a block reads up to block - 64 + 8*7 + k_rows
         spec = SweepSpec(
@@ -191,34 +181,14 @@ class LoRAStencil1D:
             ndim=1,
             shape_label=str(n),
         )
-        if backend == "vectorized":
-            lowered = self.lowered
-            vector = lowered.vector if lowered is not None else None
-            if vector is not None:
-                out, events = run_block_sweep(
-                    padded.reshape(1, -1),
-                    spec,
-                    None,
-                    device=device,
-                    profiler=profiler,
-                    vector=vector,
-                )
-                return out.reshape(-1), events
-            backend = "interpreter"  # CUDA-core config: nothing to batch
-        guard = None
-        if verify:
-            from repro.faults.abft import make_guard
-
-            guard = make_guard(
-                self, verify, policy=policy, report=report, label="1d"
-            )
         out, events = run_block_sweep(
             padded.reshape(1, -1),
             spec,
-            self.tile_source(oracle=backend == "oracle", profiler=profiler),
+            self,
             device=device,
             profiler=profiler,
-            guard=guard,
+            backend=backend,
+            armed=armed,
         )
         return out.reshape(-1), events
 

@@ -199,33 +199,21 @@ class LoRAStencil2D:
         device: Device | None = None,
         block: tuple[int, int] | None = None,
         profiler=None,
-        verify=None,
-        policy=None,
-        report=None,
         backend: str | None = None,
+        armed=None,
     ) -> tuple[np.ndarray, EventCounters]:
         """Warp-level execution on the TCU simulator.
 
         Returns ``(interior, counters)`` where ``counters`` holds the
-        events of this sweep only.  ``backend`` selects the execution
-        backend (``"interpreter"`` | ``"vectorized"`` | ``"oracle"``);
-        ``backend="oracle"`` runs the eager tile computation instead
-        of the lowered program (identical by the schedule-equivalence
-        guarantee; kept as the oracle).  The vectorized backend computes
-        all tiles at once with bit-identical numerics and counters, but
-        does not compose with ``verify``/``policy``/``report`` (typed
-        :class:`~repro.errors.BackendError`).
+        events of this sweep only.  ``backend`` (``"interpreter"`` |
+        ``"vectorized"`` | ``"oracle"``; ``None``: the interpreter) and
+        ``armed`` (a :class:`repro.faults.ArmedFaults`, ``None`` for a
+        clean sweep) go straight to the sweep driver, which picks the
+        tile provider and the ABFT guard and refuses the vectorized walk
+        in fault mode — see :func:`repro.core.sweep.run_block_sweep`.
         ``profiler`` opts into per-instruction attribution (see
-        :mod:`repro.telemetry.perf`).  ``verify="abft"`` checksum-
-        verifies every tile and staging copy with recovery bounded by
-        ``policy`` (a :class:`repro.faults.RecoveryPolicy`), counting
-        into ``report`` (a :class:`repro.faults.FaultReport`).
+        :mod:`repro.telemetry.perf`).
         """
-        from repro.runtime.backends import check_fault_support
-
-        backend = check_fault_support(
-            backend, bool(verify) or policy is not None or report is not None
-        )
         padded, (rows, cols) = validate_padded(padded, 2, self.radius)
         t = self.tile
         spec = SweepSpec(
@@ -237,33 +225,14 @@ class LoRAStencil2D:
             ndim=2,
             shape_label=f"{rows}x{cols}",
         )
-        if backend == "vectorized":
-            lowered = self.lowered
-            vector = lowered.vector if lowered is not None else None
-            if vector is not None:
-                return run_block_sweep(
-                    padded,
-                    spec,
-                    None,
-                    device=device,
-                    profiler=profiler,
-                    vector=vector,
-                )
-            backend = "interpreter"  # CUDA-core config: nothing to batch
-        guard = None
-        if verify:
-            from repro.faults.abft import make_guard
-
-            guard = make_guard(
-                self, verify, policy=policy, report=report, label="2d"
-            )
         return run_block_sweep(
             padded,
             spec,
-            self.tile_source(oracle=backend == "oracle", profiler=profiler),
+            self,
             device=device,
             profiler=profiler,
-            guard=guard,
+            backend=backend,
+            armed=armed,
         )
 
     # ------------------------------------------------------------------

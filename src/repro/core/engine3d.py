@@ -149,10 +149,8 @@ class LoRAStencil3D:
         device: Device | None = None,
         block: tuple[int, int] | None = None,
         profiler=None,
-        verify=None,
-        policy=None,
-        report=None,
         backend: str | None = None,
+        armed=None,
     ) -> tuple[np.ndarray, EventCounters]:
         """Warp-level execution; returns ``(interior, counters)``.
 
@@ -160,21 +158,13 @@ class LoRAStencil3D:
         block-sweep driver (each plane engine interprets its own lowered
         tile program); the point-wise planes charge CUDA-core FLOPs and
         DRAM traffic without touching the tensor cores (Alg. 2's
-        dual-unit split).  ``backend`` threads into every plane engine's
-        sweep; ``backend="oracle"`` puts every plane engine on its eager
-        tile path.  The vectorized backend rejects ``verify``/``policy``/
-        ``report`` with a typed :class:`~repro.errors.BackendError`.
-        ``profiler`` is threaded into every plane engine's sweep; the
-        point-wise plane traffic lands in the profile's driver residue.
-        ``verify``/``policy``/``report`` thread into every plane
-        engine's guarded sweep (the point-wise planes carry no MM chain
-        to checksum).
+        dual-unit split).  ``backend``, ``armed`` (a
+        :class:`repro.faults.ArmedFaults`) and ``profiler`` thread into
+        every plane engine's sweep, where the sweep driver decides what
+        they mean (:func:`repro.core.sweep.run_block_sweep`); the
+        point-wise planes carry no MM chain to checksum, and their
+        traffic lands in the profile's driver residue.
         """
-        from repro.runtime.backends import check_fault_support
-
-        backend = check_fault_support(
-            backend, bool(verify) or policy is not None or report is not None
-        )
         padded, (zs, rs, cs) = validate_padded(padded, 3, self.radius)
         device = device or Device()
         start = device.snapshot()
@@ -205,10 +195,8 @@ class LoRAStencil3D:
                             device=device,
                             block=block,
                             profiler=profiler,
-                            verify=verify,
-                            policy=policy,
-                            report=report,
                             backend=backend,
+                            armed=armed,
                         )
                         warp.cuda_core_axpy(out[z], 1.0, tile)
             gmem_out = device.global_array(np.zeros_like(out), name="output")

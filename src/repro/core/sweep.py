@@ -7,8 +7,10 @@ shared-memory staging tile, copy global -> shared (``cp.async`` when
 enabled), loop warp tiles over the block, trim the grid-overhanging
 edge tiles, and book the hardware events into one
 :class:`~repro.tcu.counters.EventCounters` span.  That orchestration now
-lives here once; an engine shrinks to a *tile provider* — a callable
-computing one warp tile from shared memory — plus a
+lives here once, and so does the choice of backend and fault guard
+(:func:`run_block_sweep`).  An engine shrinks to a *tile source* — its
+``tile_source()`` callable computing one warp tile from shared memory,
+and its ``lowered`` program for the vectorized walk — plus a
 :class:`SweepSpec` describing its geometry:
 
 * 2D sweeps pass their interior/tile/block shapes directly;
@@ -31,7 +33,7 @@ cache-resident strips their ``apply_stack`` walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,11 +48,6 @@ __all__ = ["SweepSpec", "row_strips", "run_block_sweep", "validate_padded"]
 #: Working-set budget of one functional strip (input rows, term
 #: temporary and output rows together): about the size of L2.
 _STRIP_BUDGET = 2 << 20
-
-#: A tile provider: ``(warp, smem, row, col) -> out_tile`` where ``(row,
-#: col)`` is the tile's block-local input-window origin and the returned
-#: array has the spec's tile shape.
-TileProvider = Callable[..., np.ndarray]
 
 
 def _round_up(x: int, to: int) -> int:
@@ -138,64 +135,83 @@ def row_strips(n: int, bytes_per_row: int) -> Sequence[tuple[int, int]]:
 def run_block_sweep(
     padded2d: np.ndarray,
     spec: SweepSpec,
-    compute_tile: TileProvider,
+    engine,
     device: Device | None = None,
     profiler=None,
-    guard=None,
-    vector=None,
+    backend: str | None = None,
+    armed=None,
 ) -> tuple[np.ndarray, EventCounters]:
     """Sweep one grid block by block; returns ``(interior, counters)``.
 
     ``padded2d`` is the padded input viewed as 2D (1D engines reshape to
-    ``(1, n)``); ``compute_tile(warp, smem, row, col)`` computes one
-    warp tile from the block's shared staging tile.  The driver owns
-    everything else: global arrays, block rounding, the shared fill
-    (clamped at the grid edge; shared memory is zero-initialized so
+    ``(1, n)``).  ``engine`` supplies its scheduled program
+    (``engine.lowered``) and its tile provider
+    (``engine.tile_source(oracle=, profiler=)``): a callable
+    ``(warp, smem, row, col) -> out_tile`` computing one warp tile of
+    the spec's tile shape from the block's shared staging tile, ``(row,
+    col)`` being the tile's block-local input-window origin.  The driver
+    owns everything else: global arrays, block rounding, the shared
+    fill (clamped at the grid edge; shared memory is zero-initialized so
     out-of-range reads contribute through zero weights only), the tile
     loop with edge trimming, and the ``tcu.sweep`` telemetry span whose
     events are the sweep's own.
+
+    This is the one place a backend meets fault mode.  ``backend``
+    (``None``: the interpreter) picks the tile provider: the lowered
+    program, or ``"oracle"``'s eager tile path.  ``"vectorized"`` runs
+    the plan's :class:`~repro.core.vectorize.VectorProgram` over all
+    tiles at once (bit-identical numerics and counters, no per-tile
+    hooks); a CUDA-core engine has no program to batch and silently
+    runs the interpreter path instead.  ``armed`` (a
+    :class:`repro.faults.ArmedFaults`; ``None`` for a clean sweep)
+    attaches its injector to the device — offered every staging copy
+    (``on_stage``; warp-level MMA injection happens inside the tile
+    provider's ``mma_sync`` calls) — and, under ``verify="abft"``,
+    builds the :class:`repro.faults.abft.SweepGuard` that scrubs each
+    staged block against its DRAM source and ABFT-verifies each
+    computed tile, recovering per the armed policy.  The vectorized
+    walk meeting an armed run or a device with an attached injector is
+    a typed :class:`~repro.errors.BackendError`.  The unguarded path
+    pays one ``is not None`` check per hook.
 
     ``profiler`` (a :class:`repro.telemetry.perf.InstrProfiler`) only
     receives the sweep's geometry and event total here
     (``note_sweep``); per-instruction attribution happens inside the
     tile provider, which closes over the same profiler.
-
-    Fault tolerance rides on two optional hooks: a fault injector
-    attached to the device (``Device(injector=...)``) is offered every
-    staging copy (``on_stage``; warp-level MMA injection happens inside
-    the tile provider's ``mma_sync`` calls), and ``guard`` (a
-    :class:`repro.faults.abft.SweepGuard`) scrubs each staged block
-    against its DRAM source and ABFT-verifies each computed tile,
-    recovering per its policy.  Both default to ``None`` and cost one
-    ``is not None`` check each on the unguarded path.
-
-    ``vector`` (a :class:`~repro.core.vectorize.VectorProgram`) switches
-    the sweep to the vectorized backend: all tiles at once, bit-identical
-    numerics and counters, no per-tile hooks — so it refuses to combine
-    with ``guard`` or a device-attached fault injector.
     """
+    from repro.runtime.backends import check_fault_support
+
+    backend = check_fault_support(
+        backend,
+        armed is not None or getattr(device, "injector", None) is not None,
+    )
     beat = current_beat()
     n_tiles = (
         -(-spec.interior[0] // spec.tile[0])
         * -(-spec.interior[1] // spec.tile[1])
     )
-    if vector is not None:
+    lowered = engine.lowered if backend == "vectorized" else None
+    if lowered is not None and lowered.vector is not None:
         from repro.core.vectorize import run_vector_sweep
-        from repro.runtime.backends import check_fault_support
 
-        check_fault_support(
-            "vectorized",
-            guard is not None
-            or getattr(device, "injector", None) is not None,
-        )
         out = run_vector_sweep(
-            padded2d, spec, vector, device=device, profiler=profiler
+            padded2d, spec, lowered.vector, device=device, profiler=profiler
         )
         if beat is not None:
             beat(n_tiles, n_tiles)  # one-shot: all tiles at once
         return out
+    compute_tile = engine.tile_source(
+        oracle=backend == "oracle", profiler=profiler
+    )
     device = device or Device()
-    injector = getattr(device, "injector", None)
+    guard = None
+    if armed is not None:
+        from repro.faults.abft import make_guard
+
+        guard = make_guard(engine, armed, label=f"{spec.ndim}d")
+        if armed.injector is not None:
+            device.injector = armed.injector
+    injector = device.injector
     start = device.snapshot()
     warp = device.warp()
     rows, cols = spec.interior

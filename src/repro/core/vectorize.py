@@ -42,9 +42,10 @@ result matches the interpreter **bit-for-bit**, which the
 schedule-equivalence property suite pins.
 
 Fault injection and ABFT verification hook the per-thread execution the
-vectorized path skips, so the sweep driver refuses a guard or a device
-with an attached injector, and engines reject ``verify=`` up front,
-both through :func:`repro.runtime.backends.check_fault_support`.
+vectorized path skips, so the sweep driver
+(:func:`repro.core.sweep.run_block_sweep`) refuses this backend for an
+armed run or a device with an attached injector, through
+:func:`repro.runtime.backends.check_fault_support`.
 """
 
 from __future__ import annotations

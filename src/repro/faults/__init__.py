@@ -117,7 +117,12 @@ def as_injector(faults) -> FaultInjector | None:
 
 @dataclass(frozen=True)
 class ArmedFaults:
-    """One fault run's armed state, built once by :func:`arm_faults`."""
+    """One fault run's armed state, built once by :func:`arm_faults`.
+
+    Passed unread through ``Runtime`` and the engines to
+    :func:`repro.core.sweep.run_block_sweep`, which builds the guard
+    from it and attaches the injector to the sweep's device.
+    """
 
     verify: str | None
     injector: FaultInjector | None

@@ -335,20 +335,18 @@ class SweepGuard:
         )
 
 
-def make_guard(
-    engine,
-    verify,
-    policy: RecoveryPolicy | None = None,
-    report: FaultReport | None = None,
-    label: str = "",
-) -> SweepGuard | None:
-    """Build a :class:`SweepGuard` for an engine, or ``None`` if off."""
-    mode = validate_verify_mode(verify)
-    if mode is None:
+def make_guard(engine, armed, label: str = "") -> SweepGuard | None:
+    """Build an armed run's :class:`SweepGuard` for an engine.
+
+    ``armed`` is the run's :class:`repro.faults.ArmedFaults`; the guard
+    verifies under its verify mode, recovers under its policy and counts
+    into its report.  ``None`` when the run does not verify.
+    """
+    if validate_verify_mode(armed.verify) is None:
         return None
     return SweepGuard(
         engine.tile_source(oracle=True),
-        policy=policy,
-        report=report,
+        policy=armed.policy,
+        report=armed.report,
         label=label,
     )

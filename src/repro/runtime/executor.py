@@ -133,13 +133,17 @@ class Runtime:
 
         ``armed`` (a :class:`repro.faults.ArmedFaults` from
         :func:`repro.faults.arm_faults`; ``None`` for a clean sweep)
-        carries the fault run's verify mode, recovery policy and report
-        into the engine, and its injector onto the sweep's device.
+        passes through the engine to the sweep driver, which builds the
+        ABFT guard from it and attaches its injector to the device.
         """
         padded = np.asarray(padded, dtype=np.float64)
         validate_finite(padded)
-        return self._sweep(
-            padded, backend or self.plan.backend, armed, device, profiler
+        return self.plan.engine.apply_simulated(
+            padded,
+            device=device,
+            profiler=profiler,
+            backend=backend or self.plan.backend,
+            armed=armed,
         )
 
     def apply_simulated_batch(
@@ -230,7 +234,9 @@ class Runtime:
                 if armed is not None and armed.injector is not None:
                     armed.injector.on_shard(i)
                 with HEALTH.bind(sweep_health.shard(i, rows=f"{s0}:{s1}")):
-                    out, counters = self._sweep(sub, backend, armed)
+                    out, counters = self.plan.engine.apply_simulated(
+                        sub, backend=backend, armed=armed
+                    )
                     sp.add_events(counters)
                     return out, counters
 
@@ -257,25 +263,6 @@ class Runtime:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _sweep(self, padded, backend: str, armed, device=None, profiler=None):
-        """The plan engine's sweep of one validated grid, with ``armed``'s
-        verify mode, policy and report, and its injector on the device."""
-        verify = policy = report = None
-        if armed is not None:
-            verify, policy, report = armed.verify, armed.policy, armed.report
-            if armed.injector is not None:
-                device = device or Device()
-                device.injector = armed.injector
-        return self.plan.engine.apply_simulated(
-            padded,
-            device=device,
-            profiler=profiler,
-            verify=verify,
-            policy=policy,
-            report=report,
-            backend=backend,
-        )
-
     def _shard_align(self) -> int:
         """Interior rows per indivisible shard unit (warp-tile rows)."""
         if self.plan.ndim == 1:

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.config import OptimizationConfig
 from repro.errors import ShapeError
 from repro.faults import arm_faults
-from repro.runtime.backends import default_backend, get_backend
+from repro.runtime.backends import default_backend
 from repro.runtime.cache import PlanCache
 from repro.runtime.executor import Runtime
 from repro.runtime.plan import StencilPlan, build_plan, plan_key
@@ -325,10 +325,7 @@ def compile(
     """
     if cache is _MISSING:
         cache = DEFAULT_PLAN_CACHE
-    if backend is None:
-        backend = default_backend()
-    else:
-        get_backend(backend)
+    backend = default_backend(backend)
     with telemetry.span("runtime.compile", category="runtime") as sp:
         if cache is None:
             sp.annotate(cache="bypass")

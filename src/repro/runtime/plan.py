@@ -102,17 +102,16 @@ def plan_key(
     The key covers the exact weight values and shape, the optimization
     config, the output tile shape, the compute dtype and the execution
     backend (``None`` resolves through
-    :func:`repro.runtime.backends.default_backend`); two plans with
-    equal keys are interchangeable.
+    :func:`repro.runtime.backends.default_backend`; :func:`repro.compile`
+    passes the name it already resolved); two plans with equal keys are
+    interchangeable.
     """
-    from repro.runtime.backends import default_backend, get_backend
+    from repro.runtime.backends import default_backend
 
     arr, nd = canonical_weights(weights, ndim)
     cfg = config or OptimizationConfig()
     if backend is None:
         backend = default_backend()
-    else:
-        get_backend(backend)
     h = hashlib.sha256()
     h.update(_KEY_VERSION)
     h.update(f"ndim={nd};shape={arr.shape}".encode())
@@ -346,7 +345,7 @@ def build_plan(
     ``backend`` (default: :func:`~repro.runtime.backends.default_backend`)
     becomes the plan's apply-path default.
     """
-    from repro.runtime.backends import default_backend, get_backend
+    from repro.runtime.backends import default_backend
 
     arr, nd = canonical_weights(weights, ndim)
     if np.dtype(dtype) != np.float64:
@@ -357,8 +356,6 @@ def build_plan(
     cfg = config or OptimizationConfig()
     if backend is None:
         backend = default_backend()
-    else:
-        get_backend(backend)
     key = plan_key(arr, nd, cfg, tile_shape, dtype, backend=backend)
 
     if nd != 2 and tile_shape is not None:
@@ -442,23 +439,17 @@ def _per_point_counters(plan: StencilPlan):
 
 def _predict_time_per_point(plan: StencilPlan) -> float:
     """Price the analytic footprint with the A100 roofline model."""
-    from repro.baselines.base import FootprintScale, MethodTraits
+    from repro.baselines.base import (
+        LORASTENCIL_CUDA_CORE_TRAITS,
+        LORASTENCIL_TRAITS,
+        FootprintScale,
+    )
     from repro.perf.costmodel import time_per_point
 
     counters, points = _per_point_counters(plan)
-    if plan.config.use_tensor_cores:
-        traits = MethodTraits(
-            tcu_efficiency=0.86,
-            cuda_efficiency=0.40,
-            dram_efficiency=0.85,
-            smem_efficiency=0.85,
-            issue_efficiency=0.60,
-        )
-    else:
-        traits = MethodTraits(
-            cuda_efficiency=0.157,
-            dram_efficiency=0.85,
-            smem_efficiency=0.85,
-            issue_efficiency=0.60,
-        )
+    traits = (
+        LORASTENCIL_TRAITS
+        if plan.config.use_tensor_cores
+        else LORASTENCIL_CUDA_CORE_TRAITS
+    )
     return time_per_point(FootprintScale(counters=counters, points=points), traits)

@@ -53,7 +53,6 @@ from repro.telemetry.cluster import build_cluster_report, render_gantt
 from repro.telemetry.context import (
     NULL_CONTEXT,
     TraceContext,
-    WorkerTracer,
     revive_spans,
 )
 from repro.telemetry.export import (
@@ -79,7 +78,6 @@ __all__ = [
     "NULL_SPAN",
     "TraceContext",
     "NULL_CONTEXT",
-    "WorkerTracer",
     "revive_spans",
     "EventLog",
     "EVENT_LOG",

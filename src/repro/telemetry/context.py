@@ -19,15 +19,13 @@ Two primitives fix both:
   spawning span and stamped with the spawning trace id — so one
   sharded sweep with retries renders as a single tree under a single
   ``trace_id``.
-* :class:`WorkerTracer` — a private, already-enabled
-  :class:`~repro.telemetry.spans.Tracer` for workers that cannot share
-  the process tracer (out-of-process shards, the future serving
-  layer).  The worker records spans locally; on join,
-  :meth:`WorkerTracer.merge_into` re-parents every finished root under
-  the captured context — rewriting the whole subtree's ``trace_id`` —
-  and appends them into the target tracer's buffer, so the parent's
-  ``render_tree`` / Chrome-trace export shows the worker's lane as if
-  it had always been a child.
+* :func:`revive_spans` / :func:`merge_roots` — for workers whose spans
+  the process tracer never sees (process-executor ranks): the spawning
+  side rebuilds the worker's serialized span trees and re-parents every
+  finished root under the captured context — rewriting the whole
+  subtree's ``trace_id`` — so the parent's ``render_tree`` /
+  Chrome-trace export shows the worker's lane as if it had always been
+  a child.
 
 Both are zero-overhead when telemetry is off: :meth:`capture` returns
 the shared :data:`NULL_CONTEXT` whose :meth:`~TraceContext.span`
@@ -50,7 +48,6 @@ from repro.telemetry.spans import (
 __all__ = [
     "TraceContext",
     "NULL_CONTEXT",
-    "WorkerTracer",
     "merge_roots",
     "revive_spans",
 ]
@@ -185,8 +182,7 @@ def revive_spans(
 ) -> int:
     """Rebuild serialized span trees and merge them under a context.
 
-    The cross-*process* counterpart of :class:`WorkerTracer`: a worker
-    process serializes its finished roots with
+    A worker process serializes its finished roots with
     :func:`repro.telemetry.export.span_to_dict`, ships them back as
     plain dicts, and the spawning side revives them here — re-parented
     under the captured context, the whole subtree rewritten onto the
@@ -227,36 +223,3 @@ def _revive_one(d: dict, tracer: Tracer, rebase_ns: int) -> Span:
         child.parent = span
         span.children.append(child)
     return span
-
-
-class WorkerTracer(Tracer):
-    """A private tracer for one spawned worker, merged on join.
-
-    The worker opens spans against *this* tracer (its roots collect
-    locally, never touching the process buffer mid-flight); the
-    spawning side calls :meth:`merge_into` after the join to fold the
-    worker's finished trees into the parent trace.  Enabled iff the
-    captured context is recording, so a worker under disabled
-    telemetry pays the usual single attribute check per span.
-    """
-
-    def __init__(
-        self, context: TraceContext, max_finished: int = 256
-    ) -> None:
-        super().__init__(max_finished=max_finished)
-        self.context = context
-        if context.trace_id is not None:
-            self.enable()
-            # share the parent's wall-clock anchor so merged spans land
-            # on the same exporter timeline
-            self.epoch = context.tracer.epoch
-
-    def merge_into(self, tracer: Tracer | None = None) -> int:
-        """Re-parent and hand over every finished root; returns count.
-
-        The local buffer is cleared — merging twice cannot duplicate
-        spans.
-        """
-        roots = self.roots()
-        self.clear()
-        return merge_roots(roots, self.context, tracer=tracer)

@@ -21,18 +21,17 @@ import repro
 from repro.core.config import OptimizationConfig
 from repro.errors import BackendError
 from repro.runtime import PlanCache
+from repro.faults import FaultInjector, FaultPlan, arm_faults
+from repro.runtime import backends
 from repro.runtime.backends import (
     DEFAULT_BACKEND,
-    ExecutionBackend,
-    _BACKENDS,
-    available_backends,
+    check_fault_support,
     default_backend,
-    get_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.runtime.plan import plan_key
 from repro.stencil.kernels import get_kernel
+from repro.tcu.device import Device
 
 
 def _padded(weights, shape, seed=0):
@@ -78,33 +77,19 @@ BACKENDS = ("interpreter", "vectorized", "oracle")
 # ---------------------------------------------------------------------------
 class TestRegistry:
     def test_builtin_backends_registered_in_order(self):
-        assert available_backends() == BACKENDS
+        assert backends.BACKENDS == BACKENDS
 
     def test_get_backend_attributes(self):
-        assert get_backend("interpreter").supports_faults
-        assert get_backend("oracle").supports_faults
-        vec = get_backend("vectorized")
-        assert not vec.supports_faults
-        assert vec.counters == "derived"
-        assert get_backend("interpreter").counters == "measured"
+        # fault support: every backend but the vectorized walk
+        assert check_fault_support("interpreter", True) == "interpreter"
+        assert check_fault_support("oracle", True) == "oracle"
+        assert check_fault_support(None, True) == DEFAULT_BACKEND
+        with pytest.raises(BackendError, match="does not support"):
+            check_fault_support("vectorized", True)
 
     def test_unknown_backend_is_typed_error(self):
         with pytest.raises(BackendError, match="unknown execution backend"):
-            get_backend("simd")
-
-    def test_register_backend_roundtrip(self):
-        custom = ExecutionBackend(
-            name="test-only",
-            description="registry round-trip fixture",
-            counters="measured",
-            supports_faults=False,
-        )
-        try:
-            assert register_backend(custom) is custom
-            assert get_backend("test-only") is custom
-            assert "test-only" in available_backends()
-        finally:
-            _BACKENDS.pop("test-only", None)
+            default_backend("simd")
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +262,62 @@ class TestFaultModeRules:
             resolve_backend("nope")
 
 
+class TestSingleRefusal:
+    """Direct engine calls meet the sweep driver's one refusal."""
+
+    CASES = [("1D5P", (130,)), ("Box-2D9P", (16, 16)), ("Heat-3D", (3, 8, 8))]
+
+    @staticmethod
+    def _engine(name, shape):
+        k = get_kernel(name)
+        plan = repro.compile(k.weights, cache=None).plan
+        return plan.engine, _padded(k.weights, shape)
+
+    @pytest.mark.parametrize("name,shape", CASES)
+    def test_vectorized_with_armed_run_raises(self, name, shape):
+        engine, padded = self._engine(name, shape)
+        _, armed = arm_faults(
+            "abft", None, None, backend="interpreter", plan_default=None
+        )
+        with pytest.raises(BackendError, match="does not support"):
+            engine.apply_simulated(padded, backend="vectorized", armed=armed)
+
+    @pytest.mark.parametrize("name,shape", CASES)
+    def test_vectorized_with_device_injector_raises(self, name, shape):
+        engine, padded = self._engine(name, shape)
+        device = Device(injector=FaultInjector(FaultPlan(specs=())))
+        with pytest.raises(BackendError, match="does not support"):
+            engine.apply_simulated(padded, device=device, backend="vectorized")
+
+    @pytest.mark.filterwarnings(
+        "ignore:invalid value encountered:RuntimeWarning"
+    )
+    @pytest.mark.parametrize("name,shape", CASES)
+    def test_armed_engine_call_matches_compiled_fault_run(self, name, shape):
+        # the engine hands ``armed`` to the sweep driver untouched: same
+        # grid, counters and fault ledger as the compiled entry point
+        k = get_kernel(name)
+        compiled = repro.compile(k.weights, cache=None)
+        padded = _padded(k.weights, shape)
+        plan = FaultPlan.random(seed=1, count=3, max_mma_site=8)
+        want_out, want_ev = compiled.apply_simulated(
+            padded, verify="abft", faults=plan
+        )
+        _, armed = arm_faults(
+            "abft", plan, None, backend="interpreter", plan_default=None
+        )
+        out, ev = compiled.plan.engine.apply_simulated(padded, armed=armed)
+        assert np.array_equal(out, want_out)
+        assert ev == want_ev
+        assert armed.report.as_dict() == compiled.last_fault_report.as_dict()
+        assert armed.report.total_injected == 3
+
+    def test_unknown_backend_on_direct_engine_call(self):
+        engine, padded = self._engine("Box-2D9P", (16, 16))
+        with pytest.raises(BackendError, match="unknown execution backend"):
+            engine.apply_simulated(padded, backend="simd")
+
+
 # ---------------------------------------------------------------------------
 # plan-key v3 / plan-cache coverage
 # ---------------------------------------------------------------------------
@@ -307,6 +348,15 @@ class TestPlanKeyAndCache:
         k = get_kernel("Box-2D9P")
         with pytest.raises(BackendError, match="unknown execution backend"):
             repro.compile(k.weights, cache=None, backend="fpga")
+
+    def test_unknown_backend_rejected_at_cached_compile(self):
+        k = get_kernel("Box-2D9P")
+        cache = PlanCache(maxsize=4)
+        with pytest.raises(BackendError, match="unknown execution backend"):
+            repro.compile(k.weights, cache=cache, backend="fpga")
+        with pytest.raises(BackendError, match="unknown execution backend"):
+            repro.compile(k.weights, backend="fpga")  # the default cache
+        assert len(cache) == 0
 
 
 # ---------------------------------------------------------------------------

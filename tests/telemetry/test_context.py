@@ -1,4 +1,4 @@
-"""TraceContext capture/propagation and WorkerTracer merge-on-join."""
+"""TraceContext capture/propagation and merge-on-join."""
 
 import threading
 
@@ -8,7 +8,6 @@ from repro import telemetry
 from repro.telemetry.context import (
     NULL_CONTEXT,
     TraceContext,
-    WorkerTracer,
     merge_roots,
 )
 from repro.telemetry.spans import NULL_SPAN, TRACER, Tracer, new_trace_id
@@ -158,46 +157,6 @@ class TestMergeRoots:
             pass
         assert merge_roots(worker.roots(), NULL_CONTEXT) == 0
         assert TRACER.roots() == []
-
-
-class TestWorkerTracer:
-    def test_enabled_iff_context_records(self):
-        assert not WorkerTracer(NULL_CONTEXT).enabled
-        telemetry.enable()
-        ctx = TraceContext.capture()
-        wt = WorkerTracer(ctx)
-        assert wt.enabled
-        assert wt.epoch == TRACER.epoch
-
-    def test_merge_into_folds_the_worker_lane(self):
-        telemetry.enable()
-        with telemetry.span("parent") as parent:
-            ctx = TraceContext.capture()
-        wt = WorkerTracer(ctx)
-        with wt.span("lane"):
-            with wt.span("inner"):
-                pass
-        assert wt.merge_into() == 1
-        (lane,) = parent.children
-        assert [s.name for s in lane.walk()] == ["lane", "inner"]
-        assert {s.trace_id for s in lane.walk()} == {parent.trace_id}
-
-    def test_double_merge_does_not_duplicate(self):
-        telemetry.enable()
-        with telemetry.span("parent") as parent:
-            ctx = TraceContext.capture()
-        wt = WorkerTracer(ctx)
-        with wt.span("lane"):
-            pass
-        assert wt.merge_into() == 1
-        assert wt.merge_into() == 0
-        assert len(parent.children) == 1
-
-    def test_disabled_worker_collects_nothing(self):
-        wt = WorkerTracer(NULL_CONTEXT)
-        with wt.span("lane") as sp:
-            assert sp is NULL_SPAN
-        assert wt.merge_into() == 0
 
 
 class TestExports:

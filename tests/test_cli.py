@@ -514,6 +514,63 @@ class TestObservabilityCommands:
         assert len(roots) == 1
 
 
+
+class TestChaosReport:
+    @pytest.fixture(scope="class")
+    def records(self, tmp_path_factory):
+        from repro import telemetry
+
+        root = tmp_path_factory.mktemp("chaos-report")
+        faulted, clean = root / "faulted.json", root / "clean.json"
+        assert main(["chaos", "run", "Box-2D9P", "--size", "16",
+                     "--seed", "1", "--faults", "3",
+                     "--record", str(faulted)]) == 0
+        assert main(["profile", "Heat-2D", "--size", "16",
+                     "--record", str(clean)]) == 0
+        invalid = root / "invalid.json"
+        invalid.write_text("{not json")
+        telemetry.reset()
+        return faulted, clean, invalid
+
+    def test_faulted_record_renders_its_sections(self, capsys, records):
+        faulted, _, _ = records
+        capsys.readouterr()
+        assert main(["chaos", "report", str(faulted)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{faulted}: Box-2D9P")
+        for key in ("injected", "detected", "recovered", "retries", "shard"):
+            assert f"  {key}" in out
+        assert "flip_a=1" in out
+        assert "injected=3  unrecovered=0" in out
+
+    def test_fault_free_record_prints_the_fixed_line(self, capsys, records):
+        _, clean, _ = records
+        capsys.readouterr()
+        assert main(["chaos", "report", str(clean)]) == 0
+        out = capsys.readouterr().out
+        assert "(no faults section — fault-free run)" in out
+        assert "v1" not in out
+
+    def test_invalid_file_exits_1(self, capsys, records):
+        faulted, _, invalid = records
+        capsys.readouterr()
+        assert main(["chaos", "report", str(faulted), str(invalid)]) == 1
+        captured = capsys.readouterr()
+        assert f"{invalid}: INVALID" in captured.err
+        assert f"{faulted}: Box-2D9P" in captured.out
+
+    def test_json_has_one_doc_per_valid_path(self, capsys, records):
+        faulted, clean, invalid = records
+        capsys.readouterr()
+        rc = main(["chaos", "report", "--json", str(faulted), str(invalid),
+                   str(clean)])
+        assert rc == 1
+        docs = json.loads(capsys.readouterr().out)
+        assert [d["path"] for d in docs] == [str(faulted), str(clean)]
+        assert docs[0]["faults"]["injected_total"] == 3
+        assert docs[1]["faults"] is None
+
+
 class TestClusterCommand:
     def test_parser_accepts_cluster_args(self):
         args = build_parser().parse_args(
