@@ -1,10 +1,10 @@
-"""Lowering-pipeline benchmarks: interpreted IR vs the eager oracle.
+"""Lowering benchmarks: interpreted IR vs the eager oracle.
 
-The pass-based lowering pipeline makes the scheduled
-:class:`~repro.tcu.program.TileProgram` the single simulated execution
-path, keeping the eager tile computation only as a correctness oracle.
-This benchmark pins down what that costs and what it buys on the
-paper's flagship small kernel (Box-2D9P over a 256x256 grid):
+Lowering makes the scheduled :class:`~repro.tcu.program.TileProgram`
+the single simulated execution path, keeping the eager tile
+computation only as a correctness oracle.  This benchmark pins down
+what that costs and what it buys on the paper's flagship small kernel
+(Box-2D9P over a 256x256 grid):
 
 * the IR-interpreted sweep and the eager sweep are **bit-identical** in
   numerics and hardware event counts (the schedule-equivalence
@@ -12,8 +12,9 @@ paper's flagship small kernel (Box-2D9P over a 256x256 grid):
 * the interpreter overhead of executing through the lowered program is
   bounded (same MMA count, same fragment loads — only Python dispatch
   differs);
-* lowering itself (decompose -> build_tile_ir -> schedule) is a
-  negligible one-time cost against a single 256x256 sweep.
+* lowering itself (decompose -> build_tile_ir -> schedule ->
+  vectorize) is a negligible one-time cost against a single 256x256
+  sweep.
 """
 
 from __future__ import annotations

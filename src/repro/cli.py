@@ -1314,6 +1314,8 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
                      + ("(no fault fired)" if report.total_injected == 0
                         else "(UNEXPECTED: injections fired but had no "
                              "effect)")))
+        elif report.total_injected == 0:
+            print(f"no planned fault fired (0 of {len(plan.specs)})")
         else:
             print("recovered output is "
                   + ("bit-identical to the fault-free sweep"
@@ -1375,8 +1377,11 @@ def _cmd_chaos_report(paths: list[str], as_json: bool) -> int:
             section = faults.get(key)
             if isinstance(section, dict):
                 body = "  ".join(f"{k}={v}" for k, v in section.items())
-                print(f"  {key:<12} {body}")
-        print(f"  {'total':<12} injected={faults.get('injected_total', 0)}  "
+                print(f"  {key:<12} {body or '(none)'}")
+        injected = faults.get("injected_total", 0)
+        planned = (record.get("extra") or {}).get("fault_plan")
+        of = f" of {len(planned)} planned" if injected == 0 and planned else ""
+        print(f"  {'total':<12} injected={injected}{of}  "
               f"unrecovered={faults.get('unrecovered', 0)}")
     if as_json:
         print(json.dumps(docs, indent=1, sort_keys=True))

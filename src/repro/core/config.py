@@ -18,8 +18,8 @@ class OptimizationConfig:
         + BVS              OptimizationConfig(use_async_copy=False)
         + AsyncCopy        OptimizationConfig()            # everything on
 
-    ``schedule`` selects the tile-program instruction schedule the
-    lowering pipeline emits (see :mod:`repro.core.lowering`):
+    ``schedule`` selects the tile-program instruction schedule
+    :func:`repro.core.lowering.lower_engine` emits:
     ``"eager"`` keeps the canonical emission order, ``"prefetch"``
     hoists every fragment load to the front of the tile; additional
     schedules can be registered via

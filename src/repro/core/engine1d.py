@@ -108,19 +108,16 @@ class LoRAStencil1D:
     def lowered(self):
         """The scheduled 1D tile program this engine executes.
 
-        A :class:`~repro.core.lowering.LoweredTile` bound by the plan's
-        lowering pipeline (or built lazily for directly constructed
-        engines); ``None`` for CUDA-core configurations.
+        A :class:`~repro.core.lowering.LoweredTile` built on first read
+        by :func:`~repro.core.lowering.lower_engine` (the plan's
+        :func:`~repro.core.lowering.lower` reads it too); ``None`` for
+        CUDA-core configurations.
         """
         if self._lowered is None and self.config.use_tensor_cores:
             from repro.core.lowering import lower_engine
 
             self._lowered = lower_engine(self)
         return self._lowered
-
-    def bind_lowered(self, lowered) -> None:
-        """Attach a pipeline-produced lowered program to this engine."""
-        self._lowered = lowered
 
     # ------------------------------------------------------------------
     # functional path

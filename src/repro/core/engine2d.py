@@ -102,20 +102,16 @@ class LoRAStencil2D:
     def lowered(self):
         """The scheduled tile program this engine executes.
 
-        A :class:`~repro.core.lowering.LoweredTile` bound by the plan's
-        lowering pipeline (or built lazily on first use for directly
-        constructed engines); ``None`` for CUDA-core configurations,
-        which have no tensor-core program.
+        A :class:`~repro.core.lowering.LoweredTile` built on first read
+        by :func:`~repro.core.lowering.lower_engine` (the plan's
+        :func:`~repro.core.lowering.lower` reads it too); ``None`` for
+        CUDA-core configurations, which have no tensor-core program.
         """
         if self._lowered is None and self.config.use_tensor_cores:
             from repro.core.lowering import lower_engine
 
             self._lowered = lower_engine(self)
         return self._lowered
-
-    def bind_lowered(self, lowered) -> None:
-        """Attach a pipeline-produced lowered program to this engine."""
-        self._lowered = lowered
 
     def tile_source(self, oracle: bool = False, profiler=None):
         """The tile provider the sweep driver executes.

@@ -1,21 +1,24 @@
-"""The pass-based lowering pipeline: weights -> plan-carried program.
+"""The lowering route: weights -> plan-carried program.
 
 The paper's method is inherently staged — weights, PMA rank-1
 decomposition (Eq. 15), banded RDG ``U``/``V`` gather matrices, the
-BVS-split MMA chain — and this module makes the staging explicit as a
-compiler-style pass pipeline::
+BVS-split MMA chain — and lowering runs those stages in order::
 
     weights --decompose--> engine (decomposition + gather fragments)
             --build_tile_ir--> canonical TileProgram(s)
             --schedule--> scheduled TileProgram(s)  (the plan artifact)
+            --vectorize--> VectorProgram(s)  (the vectorized backend's)
 
-:func:`lower` runs the default :class:`PassPipeline` and returns the
-engine plus a :class:`LoweredProgram` — the artifact a
-:class:`~repro.runtime.plan.StencilPlan` carries and the sweep driver
-executes (the eager :meth:`~repro.core.rdg.RDGTileCompute.compute_tile`
-path survives only as the correctness oracle).  Each pass runs under a
-``lowering.<pass>`` telemetry span and its wall time is recorded on the
-artifact, so ``repro profile`` attributes compile cost per stage.
+One function, :func:`lower_engine`, turns a built engine into a
+:class:`LoweredTile` (the last three stages); every engine calls it
+from its lazy ``lowered`` property.  :func:`lower` builds the engine
+(``decompose``) and collects those tiles into the
+:class:`LoweredProgram` a :class:`~repro.runtime.plan.StencilPlan`
+carries and the sweep driver executes (the eager
+:meth:`~repro.core.rdg.RDGTileCompute.compute_tile` path survives only
+as the correctness oracle).  Each stage runs under a
+``lowering.<stage>`` telemetry span and its wall time is recorded on
+the artifact, so ``repro profile`` attributes compile cost per stage.
 
 Schedules are pluggable: ``"eager"`` keeps the canonical emission
 order, ``"prefetch"`` hoists fragment loads to the front of the tile
@@ -29,8 +32,9 @@ only moves the load->use distance available for latency hiding.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -50,9 +54,6 @@ from repro.telemetry.spans import TRACER
 __all__ = [
     "LoweredTile",
     "LoweredProgram",
-    "LoweringContext",
-    "PassPipeline",
-    "DEFAULT_PASSES",
     "lower",
     "lower_engine",
     "register_schedule",
@@ -71,11 +72,12 @@ _SCHEDULES: dict[str, ScheduleFn] = {}
 
 
 def register_schedule(name: str, fn: ScheduleFn) -> ScheduleFn:
-    """Register a named schedule for the ``schedule`` pass.
+    """Register a named schedule for the ``schedule`` stage.
 
     ``fn`` maps a canonical :class:`~repro.tcu.program.TileProgram` to a
-    reordered one; the pipeline re-validates dependences after applying
-    it, so a broken schedule fails at lowering time, not at execution.
+    reordered one; :func:`lower_engine` re-validates dependences after
+    applying it, so a broken schedule fails at lowering time, not at
+    execution.
     Returns ``fn`` (usable as a decorator via ``functools.partial``).
     """
     _SCHEDULES[name] = fn
@@ -109,9 +111,11 @@ register_schedule("prefetch", schedule_prefetch)
 class LoweredTile:
     """One scheduled tile program plus its schedule statistics.
 
-    ``vector`` is the batched-NumPy compilation of the same scheduled
-    program (the ``vectorize`` pass artifact); ``None`` until that pass
-    runs, and excluded from equality/repr — it is derived state.
+    Built only by :func:`lower_engine`.  ``vector`` is the batched-NumPy
+    compilation of the same scheduled program (the ``vectorize``
+    stage's artifact) and ``pass_times`` the ``(stage, seconds)`` this
+    tile's ``build_tile_ir``/``schedule``/``vectorize`` took; both are
+    excluded from equality/repr — derived state.
     """
 
     program: TileProgram
@@ -119,6 +123,9 @@ class LoweredTile:
     load_use_distance: float
     vector: VectorProgram | None = field(
         default=None, repr=False, compare=False
+    )
+    pass_times: tuple[tuple[str, float], ...] = field(
+        default=(), repr=False, compare=False
     )
 
     @property
@@ -149,8 +156,8 @@ class LoweredProgram:
     ``tiles`` holds one entry per tile kernel: a single entry for 1D/2D
     plans, one per kernel plane for 3D plans (``None`` for the
     point-wise CUDA-core planes and empty planes of the plane split).
-    ``pass_times`` records ``(pass name, seconds)`` for each pipeline
-    stage that produced this artifact.
+    ``pass_times`` records ``(stage, seconds)`` for the four compile
+    stages, each summed over every tile program.
     """
 
     ndim: int
@@ -203,140 +210,62 @@ class LoweredProgram:
 
 
 # ---------------------------------------------------------------------------
-# the pipeline
+# the one lowering route
 # ---------------------------------------------------------------------------
-@dataclass
-class LoweringContext:
-    """Mutable state threaded through the passes of one lowering."""
-
-    weights: np.ndarray
-    ndim: int
-    config: OptimizationConfig
-    tile_shape: tuple[int, int] | None = None
-    engine: object | None = None
-    tile_irs: tuple[TileProgram | None, ...] = ()
-    tiles: tuple[LoweredTile | None, ...] = ()
-    pass_times: list[tuple[str, float]] = field(default_factory=list)
+#: The compile stages in order: the names of ``LoweredProgram.pass_times``
+#: and of the ``lowering.<stage>`` spans.
+_STAGES = ("decompose", "build_tile_ir", "schedule", "vectorize")
 
 
-def _pass_decompose(ctx: LoweringContext) -> None:
-    """Decomposition + gather-fragment build (constructs the engine)."""
-    # engines import this module for their lazy self-lowering hook, so
-    # resolve them at call time
-    from repro.core.engine1d import LoRAStencil1D
-    from repro.core.engine2d import LoRAStencil2D
-    from repro.core.engine3d import LoRAStencil3D
-    from repro.core.rdg import OUT_TILE
+@contextmanager
+def _stage(name: str, times: list[tuple[str, float]]) -> Iterator[None]:
+    """Run one compile stage under its span; append its wall time."""
+    start = time.perf_counter()
+    with TRACER.span(f"lowering.{name}", category="lowering"):
+        yield
+    times.append((name, time.perf_counter() - start))
 
-    if ctx.ndim == 1:
-        ctx.engine = LoRAStencil1D(ctx.weights, config=ctx.config)
-    elif ctx.ndim == 2:
-        ctx.engine = LoRAStencil2D(
-            ctx.weights,
-            config=ctx.config,
-            tile_shape=ctx.tile_shape or (OUT_TILE, OUT_TILE),
+
+def lower_engine(engine) -> LoweredTile | None:
+    """Lower one built 1D/2D engine; the only code that makes a tile.
+
+    Runs ``build_tile_ir``, ``schedule`` and ``vectorize`` on the
+    engine's decomposition and gather fragments.  Every engine calls
+    this from its lazy ``lowered`` property, and :func:`lower` reads
+    that property, so a directly constructed engine and a plan's engine
+    execute the same program.  Returns ``None`` for CUDA-core
+    configurations (no program to build).
+    """
+    cfg = engine.config
+    if not cfg.use_tensor_cores:
+        return None
+    fn = get_schedule(cfg.schedule)
+    times: list[tuple[str, float]] = []
+    with _stage("build_tile_ir", times):
+        tile = getattr(engine, "tile", None)
+        ir = (
+            build_tile_program(tile)
+            if tile is not None
+            else build_tile_program_1d(engine)
         )
-    else:
-        ctx.engine = LoRAStencil3D(ctx.weights, config=ctx.config)
-
-
-def _pass_build_tile_ir(ctx: LoweringContext) -> None:
-    """Emit the canonical (unscheduled) tile program(s)."""
-    if ctx.engine is None:
-        raise LoweringError("build_tile_ir pass requires a decomposed engine")
-    if not ctx.config.use_tensor_cores:
-        # CUDA-core fallback: no tensor-core program to build; the sweep
-        # driver runs the eager scalar path instead
-        ctx.tile_irs = (None,) if ctx.ndim != 3 else tuple(
-            None for _ in ctx.engine.planes
-        )
-        return
-    if ctx.ndim == 1:
-        ctx.tile_irs = (build_tile_program_1d(ctx.engine),)
-    elif ctx.ndim == 2:
-        ctx.tile_irs = (build_tile_program(ctx.engine.tile),)
-    else:
-        ctx.tile_irs = tuple(
-            build_tile_program(task.engine.tile) if task.engine is not None
-            else None
-            for task in ctx.engine.planes
-        )
-
-
-def _pass_schedule(ctx: LoweringContext) -> None:
-    """Apply the configured schedule and compute its statistics."""
-    fn = get_schedule(ctx.config.schedule)
-    tiles: list[LoweredTile | None] = []
-    for ir in ctx.tile_irs:
-        if ir is None:
-            tiles.append(None)
-            continue
+    with _stage("schedule", times):
         program = fn(ir)
         try:
             validate_schedule(program)
         except ValueError as exc:
             raise LoweringError(
-                f"schedule {ctx.config.schedule!r} broke a dependence: {exc}"
+                f"schedule {cfg.schedule!r} broke a dependence: {exc}"
             ) from exc
-        tiles.append(
-            LoweredTile(
-                program=program,
-                schedule=ctx.config.schedule,
-                load_use_distance=load_use_distance(program),
-            )
-        )
-    ctx.tiles = tuple(tiles)
-
-
-def _pass_vectorize(ctx: LoweringContext) -> None:
-    """Compile each scheduled program for the vectorized backend.
-
-    Materializes the banded U/V operands as dense matrix-domain arrays
-    (once per plan) and attaches the resulting
-    :class:`~repro.core.vectorize.VectorProgram` to the lowered tile.
-    CUDA-core tiles (``None``) pass through: they have no program on
-    either backend.
-    """
-    ctx.tiles = tuple(
-        t if t is None else replace(t, vector=build_vector_program(t.program))
-        for t in ctx.tiles
+        distance = load_use_distance(program)
+    with _stage("vectorize", times):
+        vector = build_vector_program(program)
+    return LoweredTile(
+        program=program,
+        schedule=cfg.schedule,
+        load_use_distance=distance,
+        vector=vector,
+        pass_times=tuple(times),
     )
-
-
-#: The default pipeline: the paper's staging as named passes.
-DEFAULT_PASSES: tuple[tuple[str, Callable[[LoweringContext], None]], ...] = (
-    ("decompose", _pass_decompose),
-    ("build_tile_ir", _pass_build_tile_ir),
-    ("schedule", _pass_schedule),
-    ("vectorize", _pass_vectorize),
-)
-
-
-class PassPipeline:
-    """Runs named lowering passes over a :class:`LoweringContext`.
-
-    Each pass executes under a ``lowering.<name>`` telemetry span and
-    appends ``(name, seconds)`` to the context's ``pass_times``, so the
-    cost of compilation is attributable stage by stage.  Custom
-    pipelines (extra analysis passes, alternative scheduling) are plain
-    lists of ``(name, fn)`` pairs.
-    """
-
-    def __init__(
-        self,
-        passes: tuple[tuple[str, Callable[[LoweringContext], None]], ...]
-        | None = None,
-    ) -> None:
-        self.passes = tuple(passes) if passes is not None else DEFAULT_PASSES
-
-    def run(self, ctx: LoweringContext) -> LoweringContext:
-        """Execute every pass in order; returns the same context."""
-        for name, fn in self.passes:
-            start = time.perf_counter()
-            with TRACER.span(f"lowering.{name}", category="lowering"):
-                fn(ctx)
-            ctx.pass_times.append((name, time.perf_counter() - start))
-        return ctx
 
 
 def lower(
@@ -344,44 +273,51 @@ def lower(
     ndim: int,
     config: OptimizationConfig | None = None,
     tile_shape: tuple[int, int] | None = None,
-    pipeline: PassPipeline | None = None,
 ) -> tuple[object, LoweredProgram]:
-    """Run the full pipeline; returns ``(engine, LoweredProgram)``.
+    """Build the engine and collect its lowering: ``(engine, program)``.
 
     This is what :func:`repro.runtime.plan.build_plan` calls on a plan
-    cache miss.  The returned engine has the scheduled programs bound
-    (via :meth:`~repro.core.engine2d.LoRAStencil2D.bind_lowered`), so
-    its simulated sweeps execute through the lowered artifact.
+    cache miss.  ``decompose`` is the engine's construction; the other
+    stages run in :func:`lower_engine` when the engine's ``lowered``
+    property is first read — once for 1D/2D, once per TCU plane in 3D.
+    ``pass_times`` sums each stage over every tile program.
     """
+    # engines import this module for their lazy ``lowered`` property, so
+    # resolve them at call time
+    from repro.core.engine1d import LoRAStencil1D
+    from repro.core.engine2d import LoRAStencil2D
+    from repro.core.engine3d import LoRAStencil3D
+    from repro.core.rdg import OUT_TILE
+
     cfg = config or OptimizationConfig()
     if cfg.use_tensor_cores:
-        get_schedule(cfg.schedule)  # fail fast on unknown schedules
-    ctx = LoweringContext(
-        weights=np.asarray(weights, dtype=np.float64),
-        ndim=ndim,
-        config=cfg,
-        tile_shape=tile_shape,
-    )
-    (pipeline or PassPipeline()).run(ctx)
+        get_schedule(cfg.schedule)  # fail fast, before the decomposition
+    w = np.asarray(weights, dtype=np.float64)
+    times: list[tuple[str, float]] = []
+    with _stage("decompose", times):
+        if ndim == 1:
+            engine = LoRAStencil1D(w, config=cfg)
+        elif ndim == 2:
+            engine = LoRAStencil2D(
+                w, config=cfg, tile_shape=tile_shape or (OUT_TILE, OUT_TILE)
+            )
+        else:
+            engine = LoRAStencil3D(w, config=cfg)
+    engines = [t.engine for t in engine.planes] if ndim == 3 else [engine]
+    tiles = tuple(e.lowered if e is not None else None for e in engines)
+    for t in tiles:
+        if t is not None:
+            times.extend(t.pass_times)
+    totals = dict.fromkeys(_STAGES, 0.0)
+    for name, seconds in times:
+        totals[name] += seconds
     lowered = LoweredProgram(
         ndim=ndim,
         schedule=cfg.schedule,
-        tiles=ctx.tiles,
-        pass_times=tuple(ctx.pass_times),
+        tiles=tiles,
+        pass_times=tuple(totals.items()),
     )
-    _bind(ctx.engine, lowered)
-    return ctx.engine, lowered
-
-
-def _bind(engine, lowered: LoweredProgram) -> None:
-    """Attach the scheduled tile programs to the engine(s)."""
-    if lowered.ndim == 3:
-        for task, tile in zip(engine.planes, lowered.tiles):
-            if task.engine is not None and tile is not None:
-                task.engine.bind_lowered(tile)
-    else:
-        engine.bind_lowered(lowered.tile)
-
+    return engine, lowered
 
 def checksum_footprint(lowered: LoweredProgram | LoweredTile) -> dict:
     """Modeled hardware cost of carrying ABFT checksum rows (Eq. 12 chain).
@@ -426,36 +362,3 @@ def checksum_footprint(lowered: LoweredProgram | LoweredTile) -> dict:
         "checksum_rows": n_mma,
         "overhead_fraction": (n_mma / baseline) if baseline else 0.0,
     }
-
-
-def lower_engine(engine) -> LoweredTile | None:
-    """Build + schedule the program for one already-built 1D/2D engine.
-
-    The lazy self-lowering hook behind direct engine construction:
-    ``build_tile_ir`` and ``schedule`` without the ``decompose`` pass,
-    keeping the lowered program the single tensor-core execution path
-    even off the plan route.  Returns ``None`` for CUDA-core
-    configurations (no program to build).
-    """
-    if not engine.config.use_tensor_cores:
-        return None
-    fn = get_schedule(engine.config.schedule)
-    tile = getattr(engine, "tile", None)
-    ir = (
-        build_tile_program(tile)
-        if tile is not None
-        else build_tile_program_1d(engine)
-    )
-    program = fn(ir)
-    try:
-        validate_schedule(program)
-    except ValueError as exc:
-        raise LoweringError(
-            f"schedule {engine.config.schedule!r} broke a dependence: {exc}"
-        ) from exc
-    return LoweredTile(
-        program=program,
-        schedule=engine.config.schedule,
-        load_use_distance=load_use_distance(program),
-        vector=build_vector_program(program),
-    )

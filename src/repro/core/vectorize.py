@@ -129,8 +129,8 @@ def _slots(program: TileProgram, strips: bool) -> tuple[tuple, int]:
 class VectorProgram:
     """A scheduled tile program with batched operands, ready to sweep.
 
-    Built once per plan by :func:`build_vector_program` (the lowering
-    pipeline's ``vectorize`` pass); holds dense matrix-domain copies of
+    Built once per tile engine by :func:`build_vector_program` (the
+    ``vectorize`` stage of lowering); holds dense matrix-domain copies of
     the fragment operands the interpreter indexes per tile, the walk's
     liveness table, plus a lazy per-``smem_shape`` probe cache of the
     program's exact per-tile event cost.  Nothing here is written

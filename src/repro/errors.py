@@ -53,7 +53,7 @@ class ShapeError(ReproError, ValueError):
 
 
 class LoweringError(ReproError, ValueError):
-    """The lowering pipeline cannot produce a program as configured
+    """Lowering cannot produce a program as configured
     (unknown schedule name, dependence-violating custom schedule, …)."""
 
 

@@ -122,6 +122,8 @@ class ArmedFaults:
     Passed unread through ``Runtime`` and the engines to
     :func:`repro.core.sweep.run_block_sweep`, which builds the guard
     from it and attaches the injector to the sweep's device.
+    ``verify`` is the normalized mode: ``None`` or a name in
+    :data:`~repro.faults.abft.VERIFY_MODES`.
     """
 
     verify: str | None
@@ -161,10 +163,14 @@ def arm_faults(
     and MMA/staging faults hook the simulated sweep, so the other kinds
     refuse them with a :class:`~repro.errors.BackendError`; shard, rank
     and halo faults fire in the dispatcher and arm on every kind.
+    ``verify`` is normalized here, before anything runs:
+    ``ArmedFaults.verify`` holds ``None`` or a mode name, and an unknown
+    mode raises :class:`~repro.errors.InputValidationError`.
     ``backend`` resolves through
     :func:`repro.runtime.backends.resolve_backend` (``None`` for a
     functional run).
     """
+    verify = validate_verify_mode(verify)
     armed = None
     if verify or faults is not None or policy is not None:
         injector = as_injector(faults)

@@ -342,7 +342,7 @@ def make_guard(engine, armed, label: str = "") -> SweepGuard | None:
     verifies under its verify mode, recovers under its policy and counts
     into its report.  ``None`` when the run does not verify.
     """
-    if validate_verify_mode(armed.verify) is None:
+    if armed.verify is None:
         return None
     return SweepGuard(
         engine.tile_source(oracle=True),

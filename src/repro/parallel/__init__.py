@@ -4,15 +4,16 @@ The paper evaluates a single A100; production stencil codes
 (atmospheric models, RTM seismic imaging — the paper's motivating
 applications) decompose the grid across many GPUs with halo exchange.
 This package provides that substrate *through the runtime*: a
-distributed run is compiled by the same pipeline, cached in the same
-plan cache, and observed by the same telemetry as a single-device
+distributed run is compiled by the same lowering route, cached in the
+same plan cache, and observed by the same telemetry as a single-device
 sweep.
 
 * :func:`repro.parallel.decomposition.partition` — block-partition a
   1D/2D/3D grid onto a device mesh;
-* :func:`repro.parallel.plan.distribute` — the distribution pass:
-  partition + :class:`~repro.parallel.plan.HaloSchedule` + per-rank
-  compilation through ``repro.compile``, yielding a
+* :func:`repro.parallel.plan.distribute` — straight-line distribution:
+  partition, then :class:`~repro.parallel.plan.HaloSchedule`, then one
+  rank plan compiled through ``repro.compile`` (process ranks compile
+  that plan's own inputs), yielding a
   :class:`~repro.parallel.plan.DistributedPlan`;
 * :class:`repro.parallel.halo.HaloExchanger` — halo exchange
   (synchronous or ``cp.async``-modeled double-buffered) with exact

@@ -16,10 +16,11 @@ dimension (1D/2D/3D), both boundaries, and all three executors
   per-point FP chains, so the stitched result is bit-identical to the
   full-window advance (the overlap-equivalence suite asserts it);
 * :func:`process_advance` / :func:`_process_worker` — one rank's round
-  dispatched to a worker *process*: the child compiles through
-  ``repro.compile`` against its own per-process plan cache (warm across
-  rounds), records spans on a private tracer, and ships them back as
-  dicts; the parent revives them under its captured
+  dispatched to a worker *process*: the child compiles the parent's
+  rank plan from its inputs (weights, config, tile shape, dtype,
+  backend) through ``repro.compile`` against its own per-process plan
+  cache (warm across rounds), records spans on a private tracer, and
+  ships them back as dicts; the parent revives them under its captured
   :class:`~repro.telemetry.context.TraceContext` — one merged trace
   across process boundaries.
 """
@@ -164,20 +165,27 @@ def strip_window(window: np.ndarray, region: Region, depth: int) -> np.ndarray:
 def _process_worker(payload: dict) -> dict:
     """One rank's round, executed inside a worker process.
 
-    Compiles through ``repro.compile`` (the child's process-wide plan
-    cache keeps the plan warm across rounds — the pool reuses worker
-    processes), advances the shipped window, and returns the block
-    plus serialized counters/spans for parent-side revival.
+    Compiles the parent's rank plan from its shipped inputs through
+    ``repro.compile`` (the child's process-wide plan cache keeps the
+    plan warm across rounds — the pool reuses worker processes), raises
+    :class:`~repro.errors.ExecutionError` naming the rank if that
+    reaches a different plan key, advances the shipped window, and
+    returns the block plus serialized counters/spans for parent-side
+    revival.
     """
+    from repro.errors import ExecutionError
     from repro.runtime import facade
     from repro.telemetry.export import span_to_dict
     from repro.telemetry.spans import Tracer
     from repro.tcu.counters import EventCounters
 
     t0_ns = time.perf_counter_ns()
-    compiled = facade.compile(
-        payload["weights"], ndim=payload["ndim"], backend=payload["backend"]
-    )
+    compiled = facade.compile(payload["weights"], **payload["compile"])
+    if compiled.key != payload["plan_key"]:
+        raise ExecutionError(
+            f"rank {payload['rank']} compiled plan {compiled.key[:12]}…, "
+            f"not the parent's {payload['plan_key'][:12]}…"
+        )
     tracer = Tracer()
     if payload.get("traced"):
         tracer.enable()
@@ -246,16 +254,26 @@ def process_advance(
     ``context`` (rebased onto the dispatch instant, so the lane renders
     where the parent handed the work off) and returns
     ``(block, counters | None, info)`` where ``info`` carries the
-    worker ``pid`` and the child's ``plan_key`` (asserted equal to the
-    parent's by the cluster tests — both sides compile the same plan).
+    worker ``pid`` and the child's ``plan_key`` (the parent's: the
+    child compiles the rank plan's own inputs and checks the key).
     """
     from repro.tcu.counters import EventCounters
     from repro.telemetry.context import revive_spans
 
     depth = steps * plan.radius
+    rank_plan = plan.compiled.plan
     payload = {
-        "weights": plan.compiled.plan.weights,
-        "ndim": plan.ndim,
+        "weights": rank_plan.weights,
+        # the rank plan's own compile inputs, so the child builds its key
+        "compile": {
+            "ndim": rank_plan.ndim,
+            "config": rank_plan.config,
+            "tile_shape": rank_plan.tile_shape,
+            "dtype": rank_plan.dtype,
+            "backend": rank_plan.backend,
+        },
+        "plan_key": rank_plan.key,
+        # the run's backend drives only the sweep
         "backend": backend if backend is not None else plan.backend,
         "simulate": simulate,
         "window": np.ascontiguousarray(window),

@@ -1,21 +1,19 @@
-"""The distribution pass: grid → ``DistributedPlan``.
+"""Distribution: grid → ``DistributedPlan``.
 
-The lowering pipeline (:mod:`repro.core.lowering`) stages one device's
-compilation; :func:`distribute` extends it with the cluster-level
-stages, run through the same :class:`~repro.core.lowering.PassPipeline`
-machinery (each under a ``lowering.<pass>`` span, wall time recorded on
-the artifact):
+:func:`distribute` is straight-line code over three steps:
 
-* ``partition`` — block-partition the global grid onto the device mesh
+* partition — block-partition the global grid onto the device mesh
   (:func:`repro.parallel.decomposition.partition`);
-* ``halo_schedule`` — derive the :class:`HaloSchedule`: how deep each
+* halo schedule — derive the :class:`HaloSchedule`: how deep each
   exchange is and how many local steps each round advances, for
   per-step, trapezoid and diamond temporal tilings;
-* ``compile_ranks`` — compile the per-rank executable through
-  ``repro.compile``.  Every rank runs the *same* stencil, so the plan
-  cache collapses the mesh onto one :class:`~repro.runtime.plan.
-  StencilPlan`; the per-rank ``TileProgram``/``VectorProgram`` views are
-  shared read-only references, exactly like SM-replicated SASS.
+* compile — compile the rank plan through ``repro.compile``, which
+  lowers it by the one route of :mod:`repro.core.lowering`.  Every rank
+  runs the *same* stencil, so the plan cache collapses the mesh onto
+  one :class:`~repro.runtime.plan.StencilPlan`; the per-rank
+  ``TileProgram``/``VectorProgram`` views are shared read-only
+  references, exactly like SM-replicated SASS.  Process ranks compile
+  that plan's own inputs and check they reach its key.
 
 The resulting :class:`DistributedPlan` is what the cluster runtime
 (:mod:`repro.parallel.cluster`) executes: it carries the partition, the
@@ -31,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.config import OptimizationConfig
-from repro.core.lowering import PassPipeline
 from repro.parallel.decomposition import Partition, partition
 from repro.parallel.halo import HaloExchanger
 
@@ -131,9 +128,6 @@ class DistributedPlan:
     schedule: HaloSchedule
     backend: str
     compiled: Any = field(repr=False, compare=False)
-    pass_times: tuple[tuple[str, float], ...] = field(
-        default=(), compare=False
-    )
     #: the weights object handed to :func:`distribute` (a
     #: :class:`~repro.stencil.weights.StencilWeights` when the caller had
     #: one) — the scaling-time model needs its pattern metadata
@@ -185,68 +179,8 @@ class DistributedPlan:
         )
 
 
-@dataclass
-class _DistributionContext:
-    """Mutable state threaded through the distribution passes."""
-
-    weights: Any
-    ndim: int
-    global_shape: tuple[int, ...]
-    mesh: tuple[int, ...]
-    boundary: str
-    block_steps: int
-    tiling: str
-    backend: str | None
-    config: OptimizationConfig | None
-    tile_shape: tuple[int, int] | None
-    cache: Any
-    part: Partition | None = None
-    schedule: HaloSchedule | None = None
-    compiled: Any = None
-    pass_times: list = field(default_factory=list)
-
-
-def _pass_partition(ctx: _DistributionContext) -> None:
-    ctx.part = partition(ctx.global_shape, ctx.mesh)
-
-
-def _pass_halo_schedule(ctx: _DistributionContext) -> None:
-    from repro.runtime.plan import canonical_weights
-
-    arr, _ = canonical_weights(ctx.weights, ctx.ndim)
-    radius = (arr.shape[0] - 1) // 2
-    ctx.schedule = HaloSchedule(
-        radius=radius,
-        block_steps=ctx.block_steps,
-        tiling=ctx.tiling,
-        boundary=ctx.boundary,
-    )
-
-
-def _pass_compile_ranks(ctx: _DistributionContext) -> None:
-    # resolved lazily: repro.runtime imports nothing from repro.parallel,
-    # but keeping the import local mirrors the engines' convention
-    from repro.runtime import facade
-
-    kwargs: dict[str, Any] = dict(
-        ndim=ctx.ndim,
-        config=ctx.config,
-        tile_shape=ctx.tile_shape,
-        backend=ctx.backend,
-    )
-    if ctx.cache is not _CACHE_DEFAULT:
-        kwargs["cache"] = ctx.cache
-    ctx.compiled = facade.compile(ctx.weights, **kwargs)
-
-
+#: ``distribute(cache=)`` left out: compile through the process-wide cache
 _CACHE_DEFAULT = object()
-
-#: the distribution pipeline: cluster-level lowering stages
-DISTRIBUTION_PASSES = (
-    ("partition", _pass_partition),
-    ("halo_schedule", _pass_halo_schedule),
-    ("compile_ranks", _pass_compile_ranks),
-)
 
 
 def distribute(
@@ -264,14 +198,18 @@ def distribute(
 ) -> DistributedPlan:
     """Partition, schedule and compile one distributed stencil.
 
-    The cluster-level front door: runs the distribution passes (each
-    under a ``lowering.<pass>`` span) and returns the immutable
-    :class:`DistributedPlan` the cluster runtime executes.  ``backend``,
-    ``config``, ``tile_shape`` and ``cache`` thread straight into
-    ``repro.compile`` — a distributed plan is a single-device plan plus
-    a partition and a halo schedule, never a separate compilation
-    universe.
+    The cluster-level front door, in three straight steps: partition
+    the grid onto the mesh, derive the :class:`HaloSchedule`, and
+    compile the rank plan through ``facade.compile``.  Returns the
+    immutable :class:`DistributedPlan` the cluster runtime executes.
+    ``backend``, ``config``, ``tile_shape`` and ``cache`` thread
+    straight into ``repro.compile`` — a distributed plan is a
+    single-device plan plus a partition and a halo schedule, never a
+    separate compilation universe.
     """
+    # resolved at call time: ``facade.compile`` stays patchable, and
+    # repro.runtime imports nothing from repro.parallel
+    from repro.runtime import facade
     from repro.runtime.plan import canonical_weights
 
     arr, ndim = canonical_weights(weights, None)
@@ -282,33 +220,34 @@ def distribute(
             f"{ndim}D stencil cannot partition a "
             f"{len(global_shape)}D grid {global_shape}"
         )
-    ctx = _DistributionContext(
-        weights=weights,
-        ndim=ndim,
-        global_shape=global_shape,
-        mesh=mesh,
-        boundary=boundary,
+    part = partition(global_shape, mesh)
+    schedule = HaloSchedule(
+        radius=(arr.shape[0] - 1) // 2,
         block_steps=block_steps,
         tiling=tiling,
-        backend=backend,
+        boundary=boundary,
+    )
+    kwargs: dict[str, Any] = {} if cache is _CACHE_DEFAULT else {"cache": cache}
+    compiled = facade.compile(
+        weights,
+        ndim=ndim,
         config=config,
         tile_shape=tile_shape,
-        cache=cache,
+        backend=backend,
+        **kwargs,
     )
-    PassPipeline(DISTRIBUTION_PASSES).run(ctx)
     digest = hashlib.sha256()
     digest.update(b"repro-distributed-plan-v1")
-    digest.update(ctx.compiled.key.encode())
+    digest.update(compiled.key.encode())
     digest.update(repr((global_shape, mesh)).encode())
     digest.update(
-        repr((boundary, block_steps, tiling, ctx.compiled.plan.backend)).encode()
+        repr((boundary, block_steps, tiling, compiled.plan.backend)).encode()
     )
     return DistributedPlan(
         key=digest.hexdigest(),
-        part=ctx.part,
-        schedule=ctx.schedule,
-        backend=ctx.compiled.plan.backend,
-        compiled=ctx.compiled,
-        pass_times=tuple(ctx.pass_times),
+        part=part,
+        schedule=schedule,
+        backend=compiled.plan.backend,
+        compiled=compiled,
         source_weights=weights,
     )

@@ -10,8 +10,10 @@ alone — independent of any particular grid:
   (owned by the plan's engine);
 * the BVS row permutation applied to ``V``;
 * the **lowered program** — the scheduled
-  :class:`~repro.tcu.program.TileProgram` artifact produced by the
-  :mod:`repro.core.lowering` pass pipeline, which the sweep driver
+  :class:`~repro.tcu.program.TileProgram` artifact that
+  :func:`repro.core.lowering.lower` collects from the engine (each tile
+  engine lowers itself through the one route,
+  :func:`~repro.core.lowering.lower_engine`), which the sweep driver
   interprets at execution time (exposed as :attr:`StencilPlan.lowered`
   and :attr:`StencilPlan.program`);
 * the block schedule (thread-block tile of the simulated sweep);
@@ -339,9 +341,9 @@ def build_plan(
     """Compile one plan from scratch (no cache consultation).
 
     This is the slow path :func:`repro.compile` runs on a cache miss: it
-    drives the :mod:`repro.core.lowering` pass pipeline — decomposition,
-    canonical tile IR, instruction scheduling, operand vectorization —
-    and wraps the engine and the lowered program in an immutable plan.
+    calls :func:`repro.core.lowering.lower` — decomposition, canonical
+    tile IR, instruction scheduling, operand vectorization — and wraps
+    the engine and the lowered program in an immutable plan.
     ``backend`` (default: :func:`~repro.runtime.backends.default_backend`)
     becomes the plan's apply-path default.
     """

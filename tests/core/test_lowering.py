@@ -1,5 +1,5 @@
-"""Unit tests for the pass-based lowering pipeline and the shared
-block-sweep driver."""
+"""Unit tests for the lowering route and the shared block-sweep
+driver."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,10 @@ import pytest
 import repro
 from repro import telemetry
 from repro.core.config import OptimizationConfig
+from repro.core.engine1d import LoRAStencil1D
+from repro.core.engine2d import LoRAStencil2D
+from repro.core.engine3d import LoRAStencil3D
 from repro.core.lowering import (
-    DEFAULT_PASSES,
-    LoweringContext,
-    PassPipeline,
     available_schedules,
     get_schedule,
     lower,
@@ -51,14 +51,6 @@ class TestScheduleRegistry:
 
 
 class TestPipeline:
-    def test_default_pass_names(self):
-        assert [name for name, _ in DEFAULT_PASSES] == [
-            "decompose",
-            "build_tile_ir",
-            "schedule",
-            "vectorize",
-        ]
-
     def test_lower_records_pass_times(self):
         _, lowered = lower(W2.as_matrix(), 2)
         assert [n for n, _ in lowered.pass_times] == [
@@ -91,34 +83,21 @@ class TestPipeline:
         assert lowered.n_instrs == 0
         assert lowered.load_use_distance == 0.0
 
-    def test_custom_pipeline_and_spans(self):
-        seen = []
-        passes = DEFAULT_PASSES + (
-            ("audit", lambda ctx: seen.append(ctx.tiles)),
-        )
+    def test_lower_emits_stage_spans(self):
         telemetry.reset()
         telemetry.enable()
         try:
             with telemetry.TRACER.span("root", category="test") as root:
-                lower(W2.as_matrix(), 2, pipeline=PassPipeline(passes))
+                lower(W2.as_matrix(), 2)
         finally:
             telemetry.disable()
-        assert seen and seen[0][0] is not None
         names = [c.name for c in root.children]
         assert names == [
             "lowering.decompose",
             "lowering.build_tile_ir",
             "lowering.schedule",
             "lowering.vectorize",
-            "lowering.audit",
         ]
-
-    def test_build_tile_ir_requires_engine(self):
-        ctx = LoweringContext(
-            weights=W2.as_matrix(), ndim=2, config=OptimizationConfig()
-        )
-        with pytest.raises(LoweringError, match="decomposed engine"):
-            PassPipeline(DEFAULT_PASSES[1:]).run(ctx)
 
 
 class TestLoweredArtifacts:
@@ -144,12 +123,58 @@ class TestLoweredArtifacts:
         assert counts == {"load_x": 3, "mma": 3}
 
     def test_lower_engine_matches_pipeline(self):
-        engine, lowered = lower(W2.as_matrix(), 2)
-        direct = lower_engine(engine)
-        assert [i.op for i in direct.program.instrs] == [
-            i.op for i in lowered.tile.program.instrs
+        # a directly constructed engine lowers to the plan's program
+        cases = [
+            (W1.as_vector(), 1, None, None),
+            (W2.as_matrix(), 2, None, None),
+            (W2.as_matrix(), 2, OptimizationConfig(schedule="prefetch"), None),
+            (W2.as_matrix(), 2, None, (16, 8)),
+            (W3.array, 3, None, None),
+            (W2.as_matrix(), 2, OptimizationConfig(use_tensor_cores=False), None),
         ]
-        assert direct.load_use_distance == lowered.tile.load_use_distance
+        for weights, ndim, config, tile_shape in cases:
+            _, lowered = lower(weights, ndim, config=config, tile_shape=tile_shape)
+            if ndim == 1:
+                direct = (LoRAStencil1D(weights, config=config).lowered,)
+            elif ndim == 2:
+                kwargs = {"tile_shape": tile_shape} if tile_shape else {}
+                direct = (LoRAStencil2D(weights, config=config, **kwargs).lowered,)
+            else:
+                direct = tuple(
+                    t.engine.lowered if t.engine is not None else None
+                    for t in LoRAStencil3D(weights, config=config).planes
+                )
+            assert len(direct) == len(lowered.tiles)
+            for mine, plans in zip(direct, lowered.tiles):
+                _assert_same_tile(mine, plans)
+            if config is not None and not config.use_tensor_cores:
+                assert direct == (None,)
+            else:
+                assert any(t is not None for t in direct)
+
+
+def _assert_same_tile(a, b):
+    """Two lowered tiles hold the same program, schedule and operands."""
+    if a is None or b is None:
+        assert a is None and b is None
+        return
+    assert (a.schedule, a.load_use_distance) == (
+        b.schedule,
+        b.load_use_distance,
+    )
+    assert len(a.program.instrs) == len(b.program.instrs)
+    for x, y in zip(a.program.instrs, b.program.instrs):
+        assert (x.op, x.dst, x.srcs) == (y.op, y.dst, y.srcs)
+        assert x.meta.keys() == y.meta.keys()
+        for key in x.meta:
+            assert np.array_equal(x.meta[key], y.meta[key])
+    va, vb = a.vector, b.vector
+    assert (va.kind, va.scalar_weights) == (vb.kind, vb.scalar_weights)
+    assert (va.slots, va.n_values) == (vb.slots, vb.n_values)
+    for ops_a, ops_b in ((va.u_ops, vb.u_ops), (va.v_ops, vb.v_ops)):
+        assert ops_a.keys() == ops_b.keys()
+        for key in ops_a:
+            assert np.array_equal(ops_a[key], ops_b[key])
 
 
 class TestSweepSpec:

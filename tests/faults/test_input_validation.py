@@ -170,3 +170,44 @@ class TestClusterNonFinite:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InputValidationError, match="after round"):
                 self._runtime(loud).run(x, 6)
+
+
+class TestVerifyModeValidatedOnce:
+    """``arm_faults`` normalizes ``verify=`` at the entry point: an
+    unknown mode fails before any sweep opens."""
+
+    @staticmethod
+    def _spans(run):
+        from repro import telemetry
+
+        with telemetry.capture() as tracer:
+            with pytest.raises(InputValidationError, match="unknown verify mode"):
+                run()
+        return {s.name for root in tracer.roots() for s in root.walk()}
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_apply_simulated_rejects_before_sweeping(self, shards):
+        compiled, x = _compiled()
+        names = self._spans(
+            lambda: compiled.apply_simulated(x, verify="bogus", shards=shards)
+        )
+        assert not names & {"runtime.shard", "tcu.sweep"}
+
+    def test_functional_cluster_run_rejects_the_mode_not_the_kind(self):
+        runtime = TestClusterNonFinite._runtime()
+        x = np.random.default_rng(0).normal(size=(16, 16))
+        names = self._spans(lambda: runtime.run(x, 2, verify="bogus"))
+        assert not names & {"runtime.shard", "tcu.sweep"}
+
+    def test_true_means_abft(self):
+        from repro.faults import arm_faults
+
+        _, armed = arm_faults(
+            True, None, None, backend="interpreter", plan_default=None
+        )
+        assert armed.verify == "abft"
+        compiled, x = _compiled()
+        want = compiled.apply_simulated(x, verify="abft")
+        got = compiled.apply_simulated(x, verify=True)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]

@@ -3,14 +3,18 @@ temporal tiling across dimensions, the per-run halo ledger."""
 
 import os
 import threading
+import types
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.core.config import OptimizationConfig
 from repro.errors import BackendError, ExecutionError, FaultError
 from repro.faults import FaultPlan, FaultSpec, RecoveryPolicy
 from repro.parallel.cluster import ClusterRuntime
+from repro.parallel.distributed import process_advance
 from repro.parallel.plan import distribute
 from repro.parallel.temporal import temporal_halo_bytes
 from repro.stencil.kernels import get_kernel
@@ -105,6 +109,50 @@ class TestProcessExecutor:
         result = ClusterRuntime(plan).run(x, 2, executor="process")
         # both sides compile through repro.compile: one plan key
         assert result.rank_plan_keys == (plan.compiled.key,)
+
+    @pytest.mark.parametrize(
+        "dist_kw, run_kw",
+        [
+            ({"config": OptimizationConfig(use_bvs=False)}, {}),
+            ({"tile_shape": (16, 16)}, {}),
+            ({"backend": "interpreter"}, {"backend": "vectorized"}),
+        ],
+        ids=["no-bvs", "tile-16x16", "vectorized-run"],
+    )
+    def test_children_compile_the_parents_plan(self, dist_kw, run_kw):
+        # the child compiles the rank plan's own inputs (config, tile
+        # shape, compiled backend), not a default plan of the weights
+        w = get_kernel("Box-2D9P").weights
+        x = np.random.default_rng(0).normal(size=(64, 64))
+        plan = distribute(w, x.shape, (2, 1), **dist_kw)
+        runtime = ClusterRuntime(plan)
+        serial = runtime.run(x, 2, simulate=True, **run_kw)
+        proc = runtime.run(x, 2, simulate=True, executor="process", **run_kw)
+        assert np.array_equal(proc.field, serial.field)
+        assert proc.counters == serial.counters
+        assert proc.rank_plan_keys == (plan.compiled.key,)
+
+    def test_child_reaching_another_plan_raises(self):
+        w = get_kernel("Box-2D9P").weights
+        plan = distribute(w, (16, 16), (2, 1))
+
+        class SwappedConfigPool:
+            """Runs the worker inline on a payload with another config."""
+
+            def submit(self, fn, payload):
+                payload["compile"]["config"] = OptimizationConfig(use_bvs=False)
+                future = Future()
+                try:
+                    future.set_result(fn(payload))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return future
+
+        sub = plan.part.subdomains[1]
+        window = np.zeros(tuple(n + 2 for n in sub.shape))
+        context = types.SimpleNamespace(is_recording=False)
+        with pytest.raises(ExecutionError, match="rank 1 compiled plan"):
+            process_advance(SwappedConfigPool(), 1, window, sub, plan, 1, context)
 
     def test_process_spans_revive_into_one_trace(self, rng):
         w = get_kernel("Heat-2D").weights

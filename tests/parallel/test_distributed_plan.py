@@ -124,26 +124,6 @@ class TestDistribute:
         assert plan.backend == "vectorized"
         assert plan.compiled.plan.backend == "vectorized"
 
-    def test_pass_times_recorded(self):
-        w = get_kernel("Heat-2D").weights
-        plan = distribute(w, (16, 16), (2, 2))
-        names = [name for name, _ in plan.pass_times]
-        assert names == ["partition", "halo_schedule", "compile_ranks"]
-        assert all(t >= 0 for _, t in plan.pass_times)
-
-    def test_passes_emit_lowering_spans(self):
-        w = get_kernel("Heat-2D").weights
-        with telemetry.capture() as tracer:
-            distribute(w, (16, 16), (2, 2))
-        names = {
-            s.name for root in tracer.roots() for s in root.walk()
-        }
-        assert {
-            "lowering.partition",
-            "lowering.halo_schedule",
-            "lowering.compile_ranks",
-        } <= names
-
     def test_dimension_mismatch_rejected(self):
         w = get_kernel("Heat-2D").weights
         with pytest.raises(ValueError):

@@ -559,6 +559,29 @@ class TestChaosReport:
         assert f"{invalid}: INVALID" in captured.err
         assert f"{faulted}: Box-2D9P" in captured.out
 
+    @pytest.fixture(scope="class")
+    def unfired(self, tmp_path_factory):
+        # seed 4 plans 2 faults on sites this 16x16 sweep never reaches
+        path = tmp_path_factory.mktemp("chaos-unfired") / "unfired.json"
+        assert main(["chaos", "run", "Box-2D9P", "--size", "16",
+                     "--seed", "4", "--faults", "2",
+                     "--record", str(path)]) == 0
+        return path
+
+    def test_run_without_a_fired_fault_says_so(self, capsys):
+        assert main(["chaos", "run", "Box-2D9P", "--size", "16",
+                     "--seed", "4", "--faults", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "no planned fault fired (0 of 2)" in out
+        assert "bit-identical" not in out
+
+    def test_report_without_a_fired_fault_says_so(self, capsys, unfired):
+        capsys.readouterr()
+        assert main(["chaos", "report", str(unfired)]) == 0
+        out = capsys.readouterr().out
+        assert "  injected     (none)" in out
+        assert "injected=0 of 2 planned  unrecovered=0" in out
+
     def test_json_has_one_doc_per_valid_path(self, capsys, records):
         faulted, clean, invalid = records
         capsys.readouterr()
