@@ -336,9 +336,9 @@ def checksum_footprint(lowered: LoweredProgram | LoweredTile) -> dict:
     * ``overhead_fraction`` — ``checksum_rows / baseline_rows``, the
       classic ``1/M`` ABFT bound (0.125 for the FP64 ``m8n8k4`` shape).
 
-    The FP64 *simulator* instead verifies by oracle replay at
-    tolerance 0 (see :mod:`repro.faults.abft`); this footprint is the
-    cost the hardware formulation would add.
+    The FP64 *simulator* instead verifies against a batched vector-walk
+    reference at tolerance 0 (see :mod:`repro.faults.abft`); this
+    footprint is the cost the hardware formulation would add.
     """
     from repro.tcu.layouts import FP64_FRAGMENT_SHAPES, FragmentKind
 

@@ -15,7 +15,8 @@ prove detection and bit-exact recovery end-to-end.  Three pieces:
   and shard workers (crashes, hangs);
 * **abft** (:mod:`repro.faults.abft`): the opt-in ``verify="abft"``
   execution mode — tolerance-0 checksum verification of every tile
-  against an oracle replay, with a bounded recompute → oracle-fallback
+  against a batched vector-walk reference (per-tile oracle replay on
+  CUDA-core configs), with a bounded recompute → oracle-fallback
   → :class:`~repro.errors.FaultError` recovery ladder under a
   :class:`RecoveryPolicy`;
 * **report** (:mod:`repro.faults.report`): the :class:`FaultReport`
