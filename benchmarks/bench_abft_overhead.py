@@ -81,7 +81,7 @@ def _dispatch_cost_seconds(compiled, padded) -> float:
     out = padded[1:-1, 1:-1].copy()
     events = EventCounters()
 
-    def stub(padded, device=None, profiler=None, **kwargs):
+    def stub(padded, device=None, **kwargs):
         return out, events
 
     real = compiled.runtime.apply_simulated

@@ -459,15 +459,6 @@ def _cmd_decompose(kernel_name: str) -> int:
     return 0
 
 
-def _sweep_shape(ndim: int, size: int) -> tuple[int, ...]:
-    """Grid shape conventions shared by ``run`` and ``profile``."""
-    if ndim == 1:
-        return (size * size,)
-    if ndim == 2:
-        return (size, size)
-    return (min(size, 8), size, size)
-
-
 def _cmd_run(
     kernel_name: str,
     size: int,
@@ -479,10 +470,11 @@ def _cmd_run(
 
     from repro.baselines.lorastencil import LoRAStencilMethod
     from repro.stencil.kernels import get_kernel
+    from repro.telemetry.perf import profile_shape
 
     k = get_kernel(kernel_name)
     method = LoRAStencilMethod(k)
-    shape = _sweep_shape(k.weights.ndim, size)
+    shape = profile_shape(k.weights.ndim, size)
     out, events = method.simulated_sweep(shape, seed=seed, backend=backend)
     used_backend = backend or method.plan.backend
     if as_json:
@@ -533,10 +525,11 @@ def _cmd_profile(
     from repro.runtime import DEFAULT_PLAN_CACHE
     from repro.runtime import compile as compile_stencil
     from repro.stencil.kernels import get_kernel
+    from repro.telemetry.perf import profile_shape
 
     if per_instr and shards > 1:
-        print("profile: --per-instr requires a single shard (profiler "
-              "accumulators are per-thread)", file=sys.stderr)
+        print("profile: --per-instr requires a single shard (the "
+              "profiled sweep is checked against this one)", file=sys.stderr)
         return 2
     k = get_kernel(kernel_name)
     telemetry.reset()
@@ -547,7 +540,7 @@ def _cmd_profile(
         ) as root:
             with telemetry.span("setup", category="cli"):
                 rng = np.random.default_rng(seed)
-                shape = _sweep_shape(k.weights.ndim, size)
+                shape = profile_shape(k.weights.ndim, size)
                 x = np.pad(rng.normal(size=shape), k.weights.radius)
             compiled = compile_stencil(k.weights, backend=backend)
             out, events = compiled.apply_simulated(x, shards=shards)
@@ -1234,11 +1227,12 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan
     from repro.runtime import compile as compile_stencil
     from repro.stencil.kernels import get_kernel
+    from repro.telemetry.perf import profile_shape
 
     k = get_kernel(args.kernel)
     compiled = compile_stencil(k.weights)
     rng = np.random.default_rng(args.seed)
-    shape = _sweep_shape(k.weights.ndim, args.size)
+    shape = profile_shape(k.weights.ndim, args.size)
     x = np.pad(rng.normal(size=shape), k.weights.radius)
 
     clean, _ = compiled.apply_simulated(x, shards=args.shards)
@@ -1468,6 +1462,7 @@ def _cluster_setup(args: argparse.Namespace) -> _ClusterSetup | None:
     from repro.parallel.cluster import ClusterRuntime
     from repro.parallel.plan import distribute
     from repro.stencil.kernels import get_kernel
+    from repro.telemetry.perf import profile_shape
 
     k = get_kernel(args.kernel)
     ndim = k.weights.ndim
@@ -1479,7 +1474,7 @@ def _cluster_setup(args: argparse.Namespace) -> _ClusterSetup | None:
         print(f"error: {k.name} is {ndim}D; --mesh needs {ndim} "
               f"integer(s), got {len(mesh)}", file=sys.stderr)
         return None
-    shape = _sweep_shape(ndim, args.size)
+    shape = profile_shape(ndim, args.size)
     plan = distribute(
         k.weights, shape, mesh, boundary=args.boundary,
         block_steps=args.block_steps, tiling=args.tiling, backend=args.backend,

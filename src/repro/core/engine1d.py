@@ -41,7 +41,7 @@ from repro.core.sweep import (
     validate_padded,
 )
 from repro.core.uvbuild import build_u_matrix
-from repro.errors import PerfError, ShapeError
+from repro.errors import ShapeError
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
 from repro.tcu.device import Device
@@ -154,7 +154,6 @@ class LoRAStencil1D:
         padded: np.ndarray,
         device: Device | None = None,
         block: int = DEFAULT_BLOCK_1D,
-        profiler=None,
         backend: str | None = None,
         armed=None,
     ) -> tuple[np.ndarray, EventCounters]:
@@ -183,33 +182,24 @@ class LoRAStencil1D:
             spec,
             self,
             device=device,
-            profiler=profiler,
             backend=backend,
             armed=armed,
         )
         return out.reshape(-1), events
 
-    def tile_source(self, oracle: bool = False, profiler=None):
+    def tile_source(self, oracle: bool = False):
         """The tile provider the sweep driver executes.
 
         Returns a callable computing the 64 outputs at block-local
         offset ``col`` as a flat ``(1, 64)`` row (``out[base + 8q + p] =
         acc[p, q]``), interpreting the lowered program unless
-        ``oracle=True`` or the config targets CUDA cores.  ``profiler``
-        opts into per-instruction attribution (lowered path only).
+        ``oracle=True`` or the config targets CUDA cores.
         """
         lowered = None if oracle else self.lowered
-        if lowered is None and profiler is not None:
-            raise PerfError(
-                "per-instruction profiling requires the lowered "
-                "tensor-core program (no oracle/CUDA-core path)"
-            )
 
         def _compute(warp, smem, row, col):
             if lowered is not None:
-                acc = execute_program_1d(
-                    lowered.program, warp, smem, col, profiler
-                )
+                acc = execute_program_1d(lowered.program, warp, smem, col)
             else:
                 acc = self._compute_tile(warp, smem, col)
             return acc.T.reshape(1, -1)

@@ -48,7 +48,7 @@ from repro.core.sweep import (
     run_block_sweep,
     validate_padded,
 )
-from repro.errors import PerfError, ShapeError
+from repro.errors import ShapeError
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
 from repro.tcu.device import Device
@@ -113,28 +113,20 @@ class LoRAStencil2D:
             self._lowered = lower_engine(self)
         return self._lowered
 
-    def tile_source(self, oracle: bool = False, profiler=None):
+    def tile_source(self, oracle: bool = False):
         """The tile provider the sweep driver executes.
 
         Interprets the lowered program by default; ``oracle=True`` (or a
         CUDA-core config, which has no program) selects the eager
         :meth:`~repro.core.rdg.RDGTileCompute.compute_tile` path.
-        ``profiler`` opts the interpreter into per-instruction
-        attribution (incompatible with the eager path, which has no
-        instructions to attribute to).
         """
         lowered = None if oracle else self.lowered
         if lowered is None:
-            if profiler is not None:
-                raise PerfError(
-                    "per-instruction profiling requires the lowered "
-                    "tensor-core program (no oracle/CUDA-core path)"
-                )
             return self.tile.compute_tile
         program = lowered.program
 
         def _compute(warp, smem, row, col):
-            return execute_program(program, warp, smem, row, col, profiler)
+            return execute_program(program, warp, smem, row, col)
 
         return _compute
 
@@ -194,7 +186,6 @@ class LoRAStencil2D:
         padded: np.ndarray,
         device: Device | None = None,
         block: tuple[int, int] | None = None,
-        profiler=None,
         backend: str | None = None,
         armed=None,
     ) -> tuple[np.ndarray, EventCounters]:
@@ -207,8 +198,6 @@ class LoRAStencil2D:
         clean sweep) go straight to the sweep driver, which picks the
         tile provider and the ABFT guard and refuses the vectorized walk
         in fault mode — see :func:`repro.core.sweep.run_block_sweep`.
-        ``profiler`` opts into per-instruction attribution (see
-        :mod:`repro.telemetry.perf`).
         """
         padded, (rows, cols) = validate_padded(padded, 2, self.radius)
         t = self.tile
@@ -226,7 +215,6 @@ class LoRAStencil2D:
             spec,
             self,
             device=device,
-            profiler=profiler,
             backend=backend,
             armed=armed,
         )

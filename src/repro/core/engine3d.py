@@ -148,7 +148,6 @@ class LoRAStencil3D:
         padded: np.ndarray,
         device: Device | None = None,
         block: tuple[int, int] | None = None,
-        profiler=None,
         backend: str | None = None,
         armed=None,
     ) -> tuple[np.ndarray, EventCounters]:
@@ -158,8 +157,8 @@ class LoRAStencil3D:
         block-sweep driver (each plane engine interprets its own lowered
         tile program); the point-wise planes charge CUDA-core FLOPs and
         DRAM traffic without touching the tensor cores (Alg. 2's
-        dual-unit split).  ``backend``, ``armed`` (a
-        :class:`repro.faults.ArmedFaults`) and ``profiler`` thread into
+        dual-unit split).  ``device`` (with its profiler), ``backend``
+        and ``armed`` (a :class:`repro.faults.ArmedFaults`) thread into
         every plane engine's sweep, where the sweep driver decides what
         they mean (:func:`repro.core.sweep.run_block_sweep`); the
         point-wise planes carry no MM chain to checksum, and their
@@ -194,7 +193,6 @@ class LoRAStencil3D:
                             padded[z + task.index],
                             device=device,
                             block=block,
-                            profiler=profiler,
                             backend=backend,
                             armed=armed,
                         )

@@ -137,7 +137,6 @@ def run_block_sweep(
     spec: SweepSpec,
     engine,
     device: Device | None = None,
-    profiler=None,
     backend: str | None = None,
     armed=None,
 ) -> tuple[np.ndarray, EventCounters]:
@@ -146,7 +145,7 @@ def run_block_sweep(
     ``padded2d`` is the padded input viewed as 2D (1D engines reshape to
     ``(1, n)``).  ``engine`` supplies its scheduled program
     (``engine.lowered``) and its tile provider
-    (``engine.tile_source(oracle=, profiler=)``): a callable
+    (``engine.tile_source(oracle=)``): a callable
     ``(warp, smem, row, col) -> out_tile`` computing one warp tile of
     the spec's tile shape from the block's shared staging tile, ``(row,
     col)`` being the tile's block-local input-window origin.  The driver
@@ -171,14 +170,17 @@ def run_block_sweep(
     staged block against its DRAM source and ABFT-verifies each
     computed tile against a batched vector walk of its block (the
     tile's slice of the walk's grid), recovering per the armed policy.
+    A CUDA-core engine has no program to walk and no MMA to fault, so
+    its tiles go unchecked and the guard only scrubs staging.
     The vectorized walk meeting an armed run or a device with an
     attached injector is a typed :class:`~repro.errors.BackendError`.
     The unguarded path pays one ``is not None`` check per hook.
 
-    ``profiler`` (a :class:`repro.telemetry.perf.InstrProfiler`) only
-    receives the sweep's geometry and event total here
-    (``note_sweep``); per-instruction attribution happens inside the
-    tile provider, which closes over the same profiler.
+    The device's ``profiler`` (a
+    :class:`repro.telemetry.perf.InstrProfiler`, set only by
+    :func:`repro.telemetry.perf.profile_plan`) receives the sweep's
+    geometry and event total here (``note_sweep``); per-instruction
+    attribution happens in the interpreter, which reads it off the warp.
     """
     from repro.runtime.backends import check_fault_support
 
@@ -191,25 +193,23 @@ def run_block_sweep(
         -(-spec.interior[0] // spec.tile[0])
         * -(-spec.interior[1] // spec.tile[1])
     )
+    device = device or Device()
     lowered = engine.lowered if backend == "vectorized" else None
     if lowered is not None and lowered.vector is not None:
         from repro.core.vectorize import run_vector_sweep
 
-        out = run_vector_sweep(
-            padded2d, spec, lowered.vector, device=device, profiler=profiler
-        )
+        out = run_vector_sweep(padded2d, spec, lowered.vector, device=device)
         if beat is not None:
             beat(n_tiles, n_tiles)  # one-shot: all tiles at once
         return out
-    compute_tile = engine.tile_source(
-        oracle=backend == "oracle", profiler=profiler
-    )
-    device = device or Device()
-    guard = None
+    compute_tile = engine.tile_source(oracle=backend == "oracle")
+    guard = tile_guard = None
     if armed is not None:
         from repro.faults.abft import make_guard
 
         guard = make_guard(engine, armed, padded2d, spec)
+        if guard is not None and guard.walk is not None:
+            tile_guard = guard
         if armed.injector is not None:
             device.injector = armed.injector
     injector = device.injector
@@ -273,8 +273,8 @@ def run_block_sweep(
                             else None
                         )
                         out_tile = compute_tile(warp, smem, tr, tc)
-                        if guard is not None:
-                            out_tile = guard.check_tile(
+                        if tile_guard is not None:
+                            out_tile = tile_guard.check_tile(
                                 out_tile,
                                 compute_tile,
                                 warp,
@@ -298,6 +298,6 @@ def run_block_sweep(
                     beat(-(-r_lim // t_r) * -(-c_lim // t_c))
         events = device.events_since(start)
         span.add_events(events)
-    if profiler is not None:
-        profiler.note_sweep(spec, events)
+    if device.profiler is not None:
+        device.profiler.note_sweep(spec, events)
     return gmem_out.data, events

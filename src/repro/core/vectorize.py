@@ -170,13 +170,13 @@ class VectorProgram:
         cached = self._probe_cache.get(smem_shape)
         if cached is None:
             counters = EventCounters()
-            warp = Warp(counters)
-            smem = SharedMemory(smem_shape, counters, name="probe")
             recorder = _ProbeRecorder()
+            warp = Warp(counters, profiler=recorder)
+            smem = SharedMemory(smem_shape, counters, name="probe")
             if self.kind == "1d":
-                execute_program_1d(self.program, warp, smem, 0, recorder)
+                execute_program_1d(self.program, warp, smem, 0)
             else:
-                execute_program(self.program, warp, smem, 0, 0, recorder)
+                execute_program(self.program, warp, smem, 0, 0)
             cached = (tuple(recorder.deltas), counters.snapshot())
             self._probe_cache[smem_shape] = cached
         return cached
@@ -421,19 +421,17 @@ def run_vector_sweep(
     padded2d: np.ndarray,
     spec,
     vector: VectorProgram,
-    device=None,
-    profiler=None,
+    device,
 ) -> tuple[np.ndarray, EventCounters]:
-    """Sweep one grid with the vectorized backend.
+    """Sweep one grid with the vectorized backend on ``device``.
 
     Mirrors :func:`repro.core.sweep.run_block_sweep` — same spec, same
     return convention, same ``tcu.sweep`` telemetry span — but computes
     every tile of the sweep in one batched instruction walk and prices
     the driver's staging/DRAM traffic analytically, block for block.
+    The device's ``profiler`` is charged per batched instruction.
     """
-    from repro.tcu.device import Device
-
-    device = device or Device()
+    profiler = device.profiler
     start = device.snapshot()
     counters = device.counters
     rows, cols = spec.interior

@@ -15,10 +15,10 @@ prove detection and bit-exact recovery end-to-end.  Three pieces:
   and shard workers (crashes, hangs);
 * **abft** (:mod:`repro.faults.abft`): the opt-in ``verify="abft"``
   execution mode — tolerance-0 checksum verification of every tile
-  against a batched vector-walk reference (per-tile oracle replay on
-  CUDA-core configs), with a bounded recompute → oracle-fallback
-  → :class:`~repro.errors.FaultError` recovery ladder under a
-  :class:`RecoveryPolicy`;
+  against a batched vector-walk reference, with a bounded recompute →
+  oracle-fallback → :class:`~repro.errors.FaultError` recovery ladder
+  under a :class:`RecoveryPolicy` (CUDA-core configs issue no MMA and
+  scrub staging only);
 * **report** (:mod:`repro.faults.report`): the :class:`FaultReport`
   ledger every injection/detection/recovery lands in, stamped into
   the run-record ``faults`` section.

@@ -22,7 +22,8 @@ over the block's window of the sweep's padded input
 at **tolerance 0** — a fault-free sweep never false-
 positives, and any corruption that alters a row/column sum is caught
 with certainty.  CUDA-core configurations have no tensor-core program
-to batch; their guard replays the oracle tile on a scratch warp.
+and issue no ``mma.sync`` for an MMA fault to hit, so their guard only
+scrubs staging.
 
 :class:`SweepGuard` packages verification with the recovery ladder of
 :func:`repro.core.sweep.run_block_sweep`:
@@ -30,8 +31,9 @@ to batch; their guard replays the oracle tile on a scratch warp.
 * staged shared-memory blocks are scrubbed against their DRAM source
   (catches corrupted tile loads, dropped ``cp.async`` commit groups,
   and NaN poison) with bounded re-staging;
-* computed tiles are checksum-verified; a mismatch triggers bounded
-  recomputation, then the oracle-path fallback, then a typed
+* computed tiles of a tensor-core sweep are checksum-verified; a
+  mismatch triggers bounded recomputation, then the oracle-path
+  fallback, then a typed
   :class:`~repro.errors.FaultError` — never a silently wrong tile.
 """
 
@@ -44,8 +46,6 @@ import numpy as np
 
 from repro.errors import FaultError, InputValidationError
 from repro.faults.report import FaultReport
-from repro.tcu.counters import EventCounters
-from repro.tcu.warp import Warp
 from repro.telemetry.log import emit as emit_event
 
 __all__ = [
@@ -182,12 +182,11 @@ class SweepGuard:
     block-local origin.  Only the current block's grid is kept, so the
     reference never holds more than one block.  The walk books no
     events, so a clean verified sweep has the unverified sweep's event
-    footprint.  ``oracle`` is the engine's oracle tile provider
-    (``tile_source(oracle=True)``), the ladder's fallback on the real
-    warp; with no ``walk`` (a CUDA-core config) it is also the
-    reference, replayed per tile on a private scratch warp (its
-    shared-memory reads still land on the device's ledger).  Either way
-    the reference is immune to warp-level injection.
+    footprint, and it is immune to warp-level injection.  ``oracle``
+    is the engine's oracle tile provider (``tile_source(oracle=True)``),
+    the ladder's fallback on the real warp.  A CUDA-core engine has no
+    program to walk: its guard has no ``walk`` and the sweep driver
+    only calls :meth:`check_stage` on it.
     """
 
     def __init__(
@@ -201,7 +200,6 @@ class SweepGuard:
         self.walk = walk
         self.policy = policy or RecoveryPolicy()
         self.report = report if report is not None else FaultReport()
-        self._scratch = Warp(EventCounters())
         self._block: tuple[int, int] | None = None
         self._grid: np.ndarray | None = None
 
@@ -269,7 +267,6 @@ class SweepGuard:
     # ------------------------------------------------------------------
     def reference(
         self,
-        smem,
         tr: int,
         tc: int,
         block: tuple[int, int],
@@ -277,10 +274,7 @@ class SweepGuard:
     ) -> np.ndarray:
         """The expected ``shape`` tile at block-local ``(tr, tc)`` of
         the block at global origin ``block``: a slice of the block's
-        batched walk (walked on the block's first tile), or the oracle
-        replay on the scratch warp when there is no ``walk``."""
-        if self.walk is None:
-            return self.oracle(self._scratch, smem, tr, tc)
+        batched walk (walked on the block's first tile)."""
         if self._block != block:
             self._block, self._grid = block, self.walk(*block)
         return self._grid[tr : tr + shape[0], tc : tc + shape[1]]
@@ -309,7 +303,7 @@ class SweepGuard:
         sites are not consumed early.
         """
         expected = tile_checksums(
-            self.reference(smem, tr, tc, block, out_tile.shape)
+            self.reference(tr, tc, block, out_tile.shape)
         )
         if _checksums_equal(out_tile, expected):
             return out_tile
@@ -383,8 +377,8 @@ def make_guard(engine, armed, padded2d: np.ndarray, spec) -> SweepGuard | None:
     into its report.  Its reference is a batched walk of the engine's
     :class:`~repro.core.vectorize.VectorProgram`, one per thread block
     of the sweep (geometry ``spec``) over the block's window of the
-    padded input ``padded2d``, or per-tile oracle replay for a
-    CUDA-core engine.  ``None`` when the run does not verify.
+    padded input ``padded2d``; a CUDA-core engine's guard has none and
+    scrubs staging only.  ``None`` when the run does not verify.
     """
     if armed.verify is None:
         return None

@@ -19,8 +19,10 @@ against a run.  It hooks three choke points:
 Sites are *per-thread* ordinals (see :mod:`repro.faults.spec`):
 :meth:`on_shard` resets the calling thread's instruction/staging clocks
 so shard N's "5th MMA" means the same instruction regardless of pool
-interleaving.  Every firing is appended to :attr:`events`, tallied in
-the shared :class:`~repro.faults.report.FaultReport`, and recorded as a
+interleaving.  An MMA or staging spec with no ``shard`` addresses shard
+0, as does an unsharded sweep, so no spec races across shard threads.
+Every firing is appended to :attr:`events`, tallied in the shared
+:class:`~repro.faults.report.FaultReport`, and recorded as a
 ``fault.inject`` telemetry span when tracing is on.
 """
 
@@ -124,8 +126,14 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # matching / firing
     # ------------------------------------------------------------------
-    def _take(self, kinds, site: int, shard: int | None) -> FaultSpec | None:
-        """Claim the first matching un-fired (or sticky) spec."""
+    def _take(
+        self, kinds, site: int, shard: int | None, default_shard=None
+    ) -> FaultSpec | None:
+        """Claim the first matching un-fired (or sticky) spec.
+
+        A spec with no ``shard`` addresses ``default_shard``; ``None``
+        matches any shard.
+        """
         with self._lock:
             for armed in self._armed:
                 spec = armed.spec
@@ -133,7 +141,8 @@ class FaultInjector:
                     continue
                 if spec.kind not in kinds or spec.site != site:
                     continue
-                if spec.shard is not None and spec.shard != shard:
+                target = default_shard if spec.shard is None else spec.shard
+                if target is not None and target != shard:
                     continue
                 if armed.fired and not spec.sticky:
                     continue
@@ -188,7 +197,7 @@ class FaultInjector:
         tls = self._state()
         site = tls.mma_ord
         tls.mma_ord += 1
-        spec = self._take(MMA_KINDS, site, tls.shard)
+        spec = self._take(MMA_KINDS, site, tls.shard or 0, default_shard=0)
         if spec is None:
             return a, b, acc
         if spec.kind == "flip_a":
@@ -240,7 +249,7 @@ class FaultInjector:
         if site is None:
             site = tls.stage_ord
             tls.stage_ord += 1
-        spec = self._take(STAGE_KINDS, site, tls.shard)
+        spec = self._take(STAGE_KINDS, site, tls.shard or 0, default_shard=0)
         if spec is None:
             return
         data = smem.data

@@ -13,7 +13,8 @@ Site ordinals are counted *per worker thread* (each shard resets its
 own instruction/staging clocks when it starts), so a spec targeting
 ``site=5`` in ``shard=1`` fires at exactly the same instruction no
 matter how the thread pool interleaves — the property the chaos suite's
-determinism rests on.
+determinism rests on.  An MMA or staging spec that names no shard
+addresses shard 0 (an unsharded sweep counts as shard 0).
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ class FaultSpec:
     ``kind`` selects the mechanism (see :data:`FAULT_KINDS`); ``site``
     is the per-thread ordinal of the MMA instruction or block staging
     to hit (for shard kinds, the shard index).  ``shard`` optionally
-    restricts an MMA/stage fault to one shard's worker so sharded
-    campaigns stay deterministic; ``None`` fires in whichever worker
-    reaches the site first (still at most once).  ``bit``/``lane``/
+    addresses an MMA/stage fault to one shard's worker; ``None`` means
+    shard 0, which is also the shard an unsharded sweep counts as, so a
+    sharded campaign fires in the same worker on every run.  ``bit``/``lane``/
     ``reg`` pick the register-file element to corrupt; ``sticky``
     faults re-fire on every retry (the path that exhausts a recovery
     policy and proves the typed :class:`~repro.errors.FaultError`

@@ -114,7 +114,6 @@ class Runtime:
         self,
         padded: np.ndarray,
         device: Device | None = None,
-        profiler=None,
         backend: str | None = None,
         armed=None,
     ) -> tuple[np.ndarray, EventCounters]:
@@ -128,8 +127,7 @@ class Runtime:
         schedule-equivalence suite compares against — results are
         guaranteed bit-identical), and ``"vectorized"`` batches every
         tile of the sweep (bit-identical grids and counters, but no
-        fault tolerance).  ``profiler`` opts into per-instruction
-        attribution (see :mod:`repro.telemetry.perf`).
+        fault tolerance).
 
         ``armed`` (a :class:`repro.faults.ArmedFaults` from
         :func:`repro.faults.arm_faults`; ``None`` for a clean sweep)
@@ -141,7 +139,6 @@ class Runtime:
         return self.plan.engine.apply_simulated(
             padded,
             device=device,
-            profiler=profiler,
             backend=backend or self.plan.backend,
             armed=armed,
         )

@@ -151,7 +151,6 @@ class CompiledStencil:
         device: Device | None = None,
         shards: int = 1,
         max_workers: int | None = None,
-        profiler=None,
         verify=None,
         faults=None,
         policy=None,
@@ -172,9 +171,7 @@ class CompiledStencil:
         the per-shard event counters (``device`` is then ignored);
         ``shards`` must be an ``int`` >= 1, anything else (``bool``
         included) raises :class:`~repro.errors.ShapeError`.
-        ``profiler`` opts the single-shard sweep into per-instruction
-        attribution; the profiler accumulators are not thread-safe, so
-        it cannot be combined with ``shards > 1``.
+        Per-instruction attribution is :meth:`profile`'s.
 
         Fault tolerance (see :mod:`repro.faults` and
         ``docs/robustness.md``): ``verify="abft"`` checksum-verifies
@@ -194,13 +191,6 @@ class CompiledStencil:
             or shards < 1
         ):
             raise ShapeError(f"shards must be an int >= 1, got {shards!r}")
-        if profiler is not None and shards > 1:
-            from repro.errors import PerfError
-
-            raise PerfError(
-                "per-instruction profiling does not support sharded "
-                "execution (profiler accumulators are per-thread)"
-            )
         with telemetry.span(
             "runtime.apply_simulated",
             category="runtime",
@@ -230,7 +220,6 @@ class CompiledStencil:
                 out, events = self.runtime.apply_simulated(
                     padded,
                     device=device,
-                    profiler=profiler,
                     backend=backend,
                     armed=armed,
                 )
@@ -248,13 +237,15 @@ class CompiledStencil:
     ):
         """Per-instruction profile of one simulated sweep.
 
-        Delegates to :meth:`repro.runtime.plan.StencilPlan.profile`;
+        Delegates to :func:`repro.telemetry.perf.profile_plan`, which
+        picks the profiled backend and refuses what cannot be profiled;
         returns a :class:`repro.telemetry.perf.PlanProfile`.
-        ``backend`` selects the profiled execution backend (vectorized
-        profiles attribute the same event totals in one record per
-        batched instruction).
         """
-        return self.plan.profile(padded, size=size, seed=seed, backend=backend)
+        from repro.telemetry.perf import profile_plan
+
+        return profile_plan(
+            self.plan, padded, size=size, seed=seed, backend=backend
+        )
 
     def apply_simulated_batch(
         self,

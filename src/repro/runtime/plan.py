@@ -274,34 +274,6 @@ class StencilPlan:
         """Modelled sustained GStencil/s (1 / predicted time / 1e9)."""
         return 1.0 / self.predicted_time_per_point_s / 1e9
 
-    # -- profiling --------------------------------------------------------
-    def profile(
-        self,
-        padded: np.ndarray | None = None,
-        size: int = 64,
-        seed: int = 0,
-        device=None,
-        backend: str | None = None,
-    ):
-        """Per-instruction profile of one simulated sweep of this plan.
-
-        Runs the sweep with the opt-in instrumented interpreter and
-        returns a :class:`repro.telemetry.perf.PlanProfile` keyed by
-        this plan's content hash: wall-time and event deltas per opcode
-        and per rank-1 PMA term, the lowering pass times, and the
-        driver residue (block staging + DRAM stores) that closes the
-        books against the sweep total bit-exactly.  ``padded`` defaults
-        to a seeded random grid of edge ``size`` (the ``repro run``
-        shape conventions).  Lazy import keeps :mod:`repro.telemetry`
-        optional on the plan's hot path.
-        """
-        from repro.telemetry.perf import profile_plan
-
-        return profile_plan(
-            self, padded, size=size, seed=seed, device=device,
-            backend=backend,
-        )
-
     # -- reporting --------------------------------------------------------
     def describe(self) -> str:
         """Multi-line human-readable plan summary (CLI ``plan`` output)."""

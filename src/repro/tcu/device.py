@@ -23,15 +23,19 @@ class Device:
 
     ``injector`` (a :class:`repro.faults.injector.FaultInjector`) arms
     deterministic fault injection on every warp created from this
-    device and on the block-sweep staging copies; ``None`` (the
-    default) keeps the fast path branch-free beyond one attribute
-    check.
+    device and on the block-sweep staging copies.  ``profiler`` (a
+    :class:`repro.telemetry.perf.InstrProfiler`) rides the same way:
+    every warp created from this device hands it to the program
+    interpreter, and the sweep drivers note each sweep's total on it.
+    ``None`` (the default for both) keeps the fast path branch-free
+    beyond one attribute check.
     """
 
-    def __init__(self, injector=None) -> None:
+    def __init__(self, injector=None, profiler=None) -> None:
         self.counters = EventCounters()
         self.peak_shared_bytes = 0
         self.injector = injector
+        self.profiler = profiler
 
     def shared(self, shape: tuple[int, int], name: str = "smem") -> SharedMemory:
         """Allocate a shared-memory tile (per thread block)."""
@@ -44,8 +48,11 @@ class Device:
         return GlobalMemory(array, self.counters, name=name)
 
     def warp(self) -> Warp:
-        """A warp wired to this device's counters (and fault injector)."""
-        return Warp(self.counters, injector=self.injector)
+        """A warp wired to this device's counters, fault injector and
+        profiler."""
+        return Warp(
+            self.counters, injector=self.injector, profiler=self.profiler
+        )
 
     # -- measurement helpers ------------------------------------------------
     def snapshot(self) -> EventCounters:

@@ -236,13 +236,13 @@ def execute_program(
     smem: SharedMemory,
     row: int,
     col: int,
-    profiler=None,
 ) -> np.ndarray:
     """Interpret the program on the simulator; returns the output tile.
 
-    ``profiler`` (see :class:`repro.telemetry.perf.InstrProfiler`) is
-    strictly opt-in: when ``None`` the interpreter runs the bare
-    dispatch loop with no timing or snapshot overhead.
+    Per-instruction attribution is strictly opt-in: the warp's
+    ``profiler`` (see :class:`repro.telemetry.perf.InstrProfiler`)
+    receives it, and when that is ``None`` the interpreter runs the
+    bare dispatch loop with no timing or snapshot overhead.
     """
     validate_schedule(program)
     tile = program.tile
@@ -291,7 +291,7 @@ def execute_program(
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown op {ins.op!r}")
 
-    _run_instrs(program, step, warp.counters, profiler)
+    _run_instrs(program, step, warp.counters, warp.profiler)
 
     if not program.tile.decomposition.scalar_terms:
         for (rb, ob), frag in out_final.items():
@@ -341,14 +341,14 @@ def execute_program_1d(
     warp: Warp,
     smem: SharedMemory,
     base: int,
-    profiler=None,
 ) -> np.ndarray:
     """Interpret a 1D program; returns the 8x8 accumulator tile.
 
     ``base`` is the tile's offset into the block's flat shared buffer
     (element ``(r, q)`` of k-block ``kb`` reads flat offset
     ``base + 4*kb + 8*q + r``, the 8-strided window layout of the 1D
-    engine).
+    engine).  Attribution goes to the warp's ``profiler``, as in
+    :func:`execute_program`.
     """
     validate_schedule(program)
     engine = program.tile
@@ -373,7 +373,7 @@ def execute_program_1d(
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown 1D op {ins.op!r}")
 
-    _run_instrs(program, step, warp.counters, profiler)
+    _run_instrs(program, step, warp.counters, warp.profiler)
     if result is None:
         raise ValueError("1D program has no final mma instruction")
     return result.to_matrix()

@@ -42,11 +42,18 @@ class Warp:
     the warp into deterministic fault injection: each ``mma_sync``
     offers its A/B/C operands to the injector before the tensor core
     fires.  ``None`` (the default) costs one attribute check per MMA.
+    ``profiler`` (a :class:`repro.telemetry.perf.InstrProfiler`, or any
+    object with its ``record`` hook) opts the programs interpreted on
+    this warp into per-instruction attribution (see
+    :func:`repro.tcu.program.execute_program`).
     """
 
-    def __init__(self, counters: EventCounters, injector=None) -> None:
+    def __init__(
+        self, counters: EventCounters, injector=None, profiler=None
+    ) -> None:
         self.counters = counters
         self.injector = injector
+        self.profiler = profiler
 
     # ------------------------------------------------------------------
     # fragment traffic

@@ -5,7 +5,7 @@ Three modules, one pipeline:
 
 * :mod:`repro.telemetry.perf.profile` — attribute a sweep's wall-time
   and event counters per TileProgram opcode, per rank-1 PMA term, and
-  per lowering pass (``plan.profile()`` / ``repro profile --per-instr``);
+  per lowering pass (``compiled.profile()`` / ``repro profile --per-instr``);
 * :mod:`repro.telemetry.perf.fidelity` — compare the paper's analytical
   predictions (Eq. 12/14/16, Sec. III-B/III-C) against measured events
   (``repro perf fidelity``);
@@ -16,7 +16,7 @@ Three modules, one pipeline:
   timings against the rolling median/MAD of that history
   (``repro perf trend``; it reads the history and never measures).
 
-This package is imported lazily by the runtime (``StencilPlan.profile``)
+This package is imported lazily by the runtime (``CompiledStencil.profile``)
 and never eagerly from :mod:`repro.telemetry` — its history module
 reaches back into the runtime, and an eager import would cycle.
 """

@@ -2,11 +2,13 @@
 
 The lowering pipeline (PR 3) made every sweep interpret a scheduled
 :class:`~repro.tcu.program.TileProgram`; this module attributes *where*
-a sweep's wall-time and hardware events go inside that program.  An
-:class:`InstrProfiler` is handed to ``apply_simulated(profiler=...)``
-and receives, per interpreted instruction, the wall-clock nanoseconds
-and the :class:`~repro.tcu.counters.EventCounters` delta of that
-instruction alone.  The aggregate is a :class:`PlanProfile` keyed by
+a sweep's wall-time and hardware events go inside that program.
+:func:`profile_plan` is the one entry: it puts an :class:`InstrProfiler`
+on a fresh :class:`~repro.tcu.device.Device`, whose warps hand it to the
+interpreter, and the profiler receives, per interpreted instruction, the
+wall-clock nanoseconds and the
+:class:`~repro.tcu.counters.EventCounters` delta of that instruction
+alone.  The aggregate is a :class:`PlanProfile` keyed by
 the plan-v2 content hash:
 
 * **per opcode** — ``load_x`` / ``mma`` / ``split`` / ``mma2`` /
@@ -38,6 +40,7 @@ import numpy as np
 
 from repro.errors import PerfError
 from repro.tcu.counters import EventCounters
+from repro.tcu.device import Device
 
 __all__ = [
     "PLAN_PROFILE_SCHEMA",
@@ -91,10 +94,11 @@ class OpStats:
 class InstrProfiler:
     """Collects per-instruction attribution during a sweep.
 
-    Duck-typed against the interpreter (``record``) and the sweep
-    driver (``note_sweep``) so :mod:`repro.tcu.program` never imports
-    the telemetry layer.  Not thread-safe by design — one profiler per
-    (single-shard) sweep.
+    Rides on a :class:`~repro.tcu.device.Device` and is duck-typed
+    against the interpreter (``record``) and the sweep drivers
+    (``note_sweep``), so :mod:`repro.tcu` never imports the telemetry
+    layer.  Not thread-safe by design — one profiler per (single-shard)
+    sweep, which :func:`profile_plan` guarantees.
     """
 
     def __init__(self) -> None:
@@ -298,26 +302,30 @@ def profile_plan(
     *,
     size: int = 64,
     seed: int = 0,
-    device=None,
     backend: str | None = None,
 ) -> PlanProfile:
     """Run one instrumented sweep of ``plan``; returns its profile.
 
-    ``padded`` defaults to a seeded random grid of edge ``size`` padded
-    by the plan's radius.  ``backend`` selects the profiled execution
-    backend: the vectorized backend attributes the same event totals
-    per instruction (derived from a one-tile probe, scaled) and charges
-    ``n_tiles`` instruction instances per batched execution, so its
-    per-op/per-term breakdown *and* instruction counts match the
-    interpreter's bit-for-bit.  Raises
-    :class:`~repro.errors.PerfError` for CUDA-core plans, which lower
-    to no tensor-core program.
+    The one place a profiled run is decided.  ``padded`` defaults to a
+    seeded random grid of edge ``size`` padded by the plan's radius.
+    The sweep runs on one fresh device carrying the profiler, through
+    the vectorized backend when ``backend`` or the plan's default asks
+    for it and through the interpreter otherwise.  The vectorized
+    backend attributes the same event totals per instruction (derived
+    from a one-tile probe, scaled) and charges ``n_tiles`` instruction
+    instances per batched execution, so its per-op/per-term breakdown
+    *and* instruction counts match the interpreter's bit-for-bit.
+    Raises :class:`~repro.errors.PerfError` for ``backend="oracle"``
+    (the eager tile path runs no instructions) and for CUDA-core plans,
+    which lower to no tensor-core program.
     """
-    if not plan.config.use_tensor_cores:
+    if backend == "oracle" or not plan.config.use_tensor_cores:
         raise PerfError(
-            "per-instruction profiling requires a tensor-core plan "
-            "(CUDA-core configurations lower to no tile program)"
+            "per-instruction profiling requires the lowered tensor-core "
+            "program (no oracle backend, no CUDA-core configuration)"
         )
+    if backend is None:
+        backend = "vectorized" if plan.backend == "vectorized" else "interpreter"
     if padded is None:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=profile_shape(plan.ndim, size))
@@ -325,12 +333,10 @@ def profile_plan(
     else:
         padded = np.asarray(padded, dtype=np.float64)
 
-    if backend is None:
-        backend = getattr(plan, "backend", None)
     profiler = InstrProfiler()
     t0 = time.perf_counter_ns()
     _, events = plan.engine.apply_simulated(
-        padded, device=device, profiler=profiler, backend=backend
+        padded, device=Device(profiler=profiler), backend=backend
     )
     wall = time.perf_counter_ns() - t0
 

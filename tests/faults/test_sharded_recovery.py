@@ -18,6 +18,7 @@ from repro.faults import (
     RecoveryPolicy,
 )
 from repro.parallel import ClusterRuntime, distribute
+from repro.stencil.kernels import get_kernel
 from tests.faults.conftest import padded_grid
 
 pytestmark = [
@@ -201,6 +202,43 @@ class TestShardedWithVerification:
         rep = inj.report.as_dict()
         assert rep["shard"]["crashes"] == 1
         assert rep["unrecovered"] == 0
+
+    @staticmethod
+    def _flip_a_campaign(shard):
+        compiled = repro.compile(get_kernel("Star-2D13P").weights)
+        _, x = padded_grid("Star-2D13P", size=32)
+        spec = FaultSpec(kind="flip_a", site=0, lane=5, shard=shard)
+        inj = FaultInjector(FaultPlan(specs=(spec,)))
+        out, _ = compiled.apply_simulated(
+            x,
+            verify="abft",
+            faults=inj,
+            shards=2,
+            policy=FAST,
+            backend="interpreter",
+        )
+        return out, inj
+
+    def test_unaddressed_mma_fault_fires_in_shard_zero_every_run(self):
+        outs, reports = [], []
+        for _ in range(20):
+            out, inj = self._flip_a_campaign(shard=None)
+            assert [e["shard"] for e in inj.events] == [0]
+            outs.append(out)
+            reports.append(inj.report.as_dict())
+        assert all(r == reports[0] for r in reports)
+        assert all(np.array_equal(o, outs[0]) for o in outs)
+        assert reports[0]["injected_total"] == 1
+        assert reports[0]["unrecovered"] == 0
+
+    def test_shard_one_spec_detects_and_retries_one_tile(self):
+        _, inj = self._flip_a_campaign(shard=1)
+        assert [e["shard"] for e in inj.events] == [1]
+        report = inj.report.as_dict()
+        assert report["detected"]["tile"] == 1
+        assert report["retries"]["tile"] == 1
+        assert report["recovered"]["tile_retry"] == 1
+        assert report["unrecovered"] == 0
 
     def test_last_fault_report_exposed(self):
         compiled, x, _, _ = _setup()

@@ -13,6 +13,7 @@ import pytest
 from repro.runtime import compile as compile_stencil
 from repro.stencil.kernels import get_kernel
 from repro.tcu.counters import EventCounters
+from repro.tcu.device import Device
 from repro.telemetry.perf import InstrProfiler
 
 
@@ -70,7 +71,9 @@ class TestEventSums:
         padded = np.pad(rng.normal(size=(16, 16)), plan.radius)
 
         profiler = InstrProfiler()
-        _, events = plan.engine.apply_simulated(padded, profiler=profiler)
+        _, events = plan.engine.apply_simulated(
+            padded, device=Device(profiler=profiler)
+        )
 
         from_parts = EventCounters()
         for stats in profiler.by_op.values():

@@ -10,10 +10,12 @@ built on sand.
 import numpy as np
 import pytest
 
+from repro.core import sweep
 from repro.errors import PerfError
 from repro.runtime import compile as compile_stencil
 from repro.stencil.kernels import get_kernel
 from repro.tcu.counters import EventCounters
+from repro.tcu.device import Device
 from repro.telemetry.perf import (
     PLAN_PROFILE_SCHEMA,
     SHARED_BUCKET,
@@ -76,7 +78,7 @@ class TestBitExactAttribution:
         bare_out, _ = box_plan.engine.apply_simulated(padded)
         profiler = InstrProfiler()
         prof_out, _ = box_plan.engine.apply_simulated(
-            padded, profiler=profiler
+            padded, device=Device(profiler=profiler)
         )
         np.testing.assert_array_equal(prof_out, bare_out)
         assert profiler.instr_count() > 0
@@ -117,20 +119,20 @@ class TestAttributionSemantics:
 
 class TestPlanProfileSurface:
     def test_profile_keyed_by_plan_hash_and_schedule(self, box_plan):
-        profile = box_plan.profile(size=16)
+        profile = profile_plan(box_plan, size=16)
         assert profile.plan_key == box_plan.key
         assert profile.schedule == box_plan.schedule
         assert profile.pass_times == tuple(box_plan.lowered.pass_times)
 
     def test_as_dict_is_schema_tagged_and_joinable(self, box_plan):
-        d = box_plan.profile(size=16).as_dict()
+        d = profile_plan(box_plan, size=16).as_dict()
         assert d["schema"] == PLAN_PROFILE_SCHEMA
         assert d["plan"]["key"] == box_plan.key
         assert d["plan"]["schedule"] == box_plan.schedule
         assert set(d["by_op"]) == {"load_x", "mma", "split", "mma2", "apex"}
 
     def test_render_mentions_every_opcode(self, box_plan):
-        text = box_plan.profile(size=16).render()
+        text = profile_plan(box_plan, size=16).render()
         for op in ("load_x", "mma", "split", "apex", "[driver]", "[total]"):
             assert op in text
 
@@ -151,10 +153,51 @@ class TestRefusals:
         with pytest.raises(PerfError, match="tensor-core"):
             compiled.profile(size=16)
 
-    def test_sharded_profiling_refused(self):
-        compiled = compile_stencil(get_kernel("Box-2D9P").weights)
-        padded = _padded(compiled.plan)
-        with pytest.raises(PerfError, match="shard"):
-            compiled.apply_simulated(
-                padded, shards=2, profiler=InstrProfiler()
-            )
+    def test_oracle_backend_refused(self, box_plan):
+        with pytest.raises(PerfError, match="oracle"):
+            profile_plan(box_plan, size=16, backend="oracle")
+
+
+class TestBackendChoice:
+    """``profile_plan`` alone picks the profiled backend: the plan's
+    vectorized default stays vectorized, any other default profiles on
+    the interpreter."""
+
+    @staticmethod
+    def _instrumented(monkeypatch):
+        seen = []
+        original = sweep.run_block_sweep
+
+        def recording(padded2d, spec, engine, device=None, backend=None, **kw):
+            seen.append((backend, device.profiler is not None))
+            return original(padded2d, spec, engine, device, backend, **kw)
+
+        monkeypatch.setattr("repro.core.engine2d.run_block_sweep", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "plan_backend,profiled",
+        [
+            ("interpreter", "interpreter"),
+            ("oracle", "interpreter"),
+            ("vectorized", "vectorized"),
+        ],
+    )
+    def test_plan_default_picks_the_profiled_backend(
+        self, plan_backend, profiled, monkeypatch
+    ):
+        plan = compile_stencil(
+            get_kernel("Box-2D9P").weights, backend=plan_backend
+        ).plan
+        seen = self._instrumented(monkeypatch)
+        profile = profile_plan(plan, size=16)
+        assert seen == [(profiled, True)]
+        assert profile.instr_count > 0
+
+    def test_explicit_vectorized_wins_over_the_plan_default(self, monkeypatch):
+        plan = compile_stencil(
+            get_kernel("Box-2D9P").weights, backend="oracle"
+        ).plan
+        seen = self._instrumented(monkeypatch)
+        profile_plan(plan, size=16, backend="vectorized")
+        assert seen == [("vectorized", True)]
