@@ -113,14 +113,21 @@ def validate_verify_mode(verify) -> str | None:
 
 def tile_checksums(tile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Huang–Abraham checksum pair ``(e·Y, Y·eᵀ)`` of one tile."""
-    return np.sum(tile, axis=0), np.sum(tile, axis=1)
+    # ``np.add.reduce`` is what ``np.sum`` runs, minus its dispatch layer
+    return np.add.reduce(tile, axis=0), np.add.reduce(tile, axis=1)
 
 
 def _checksums_equal(tile: np.ndarray, expected) -> bool:
     """Tolerance-0 comparison of a tile's checksums with ``expected``,
     a :func:`tile_checksums` pair (NaN/Inf never compare equal)."""
     col, row = tile_checksums(tile)
-    return np.array_equal(col, expected[0]) and np.array_equal(row, expected[1])
+    want_col, want_row = expected
+    return (
+        col.shape == want_col.shape
+        and row.shape == want_row.shape
+        and bool((col == want_col).all())
+        and bool((row == want_row).all())
+    )
 
 
 def term_checksum_vectors(
@@ -171,6 +178,11 @@ def halo_frame_checksums(window: np.ndarray, depth: int) -> tuple[float, ...]:
     return tuple(float(np.sum(window[s])) for s in strips)
 
 
+#: below this magnitude no checksum of a tile (fewer than 2**20 values
+#: per row or column) can overflow: its partial sums stay under 2**1020
+_NO_OVERFLOW = 2.0**1000
+
+
 class SweepGuard:
     """Verification + recovery hooks for one guarded block sweep.
 
@@ -202,6 +214,7 @@ class SweepGuard:
         self.report = report if report is not None else FaultReport()
         self._block: tuple[int, int] | None = None
         self._grid: np.ndarray | None = None
+        self._bounded = False
 
     # ------------------------------------------------------------------
     # staged shared memory: scrub against the DRAM source
@@ -277,6 +290,8 @@ class SweepGuard:
         batched walk (walked on the block's first tile)."""
         if self._block != block:
             self._block, self._grid = block, self.walk(*block)
+            # NaN and Inf fail the comparison, so they are not bounded
+            self._bounded = bool(np.abs(self._grid).max() < _NO_OVERFLOW)
         return self._grid[tr : tr + shape[0], tc : tc + shape[1]]
 
     def check_tile(
@@ -302,9 +317,15 @@ class SweepGuard:
         (and eventually exhaust the ladder), and faults armed for later
         sites are not consumed early.
         """
-        expected = tile_checksums(
-            self.reference(tr, tc, block, out_tile.shape)
-        )
+        ref = self.reference(tr, tc, block, out_tile.shape)
+        # Equal tiles summed in the same order have equal checksums (a
+        # signed zero aside, which compares equal) unless a sum
+        # overflows, and no sum over a block bounded by ``_NO_OVERFLOW``
+        # can.  There, comparing the tile decides exactly as comparing
+        # its checksums does, without summing either side.
+        if self._bounded and ref.shape == out_tile.shape and (out_tile == ref).all():
+            return out_tile
+        expected = tile_checksums(ref)
         if _checksums_equal(out_tile, expected):
             return out_tile
         self.report.bump("tile_detections")

@@ -10,6 +10,8 @@ assert) that Butterfly Vector Swapping moves no data between threads.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.tcu.layouts import (
@@ -24,22 +26,33 @@ from repro.tcu.layouts import (
 __all__ = ["Fragment"]
 
 
-def _gather_index(kind: FragmentKind) -> tuple[np.ndarray, np.ndarray]:
-    """Precomputed (thread, register) index arrays of fragment shape."""
+class _Layout(NamedTuple):
+    """One kind's conversion tables: ``registers.reshape(-1)[gather]`` is
+    the row-major matrix, ``matrix.reshape(-1)[scatter]`` the register file.
+
+    Both index a flat array with one index array.  On arrays this small
+    that path keeps the GIL, whereas ``take`` and 2D fancy indexing
+    release it, which hands the GIL to the other thread of a sharded
+    sweep once per conversion.
+    """
+
+    shape: tuple[int, int]
+    file_shape: tuple[int, int]
+    gather: np.ndarray
+    scatter: np.ndarray
+
+
+def _layout(kind: FragmentKind) -> _Layout:
+    """Derive the tables from :func:`owner_of`, a bijection between the
+    matrix elements and the warp's registers (so both are permutations)."""
     rows, cols = FP64_FRAGMENT_SHAPES[kind]
-    threads = np.empty((rows, cols), dtype=np.int64)
-    regs = np.empty((rows, cols), dtype=np.int64)
-    for i in range(rows):
-        for j in range(cols):
-            t, r = owner_of(kind, i, j)
-            threads[i, j] = t
-            regs[i, j] = r
-    return threads, regs
+    nregs = registers_per_thread(kind)
+    owners = (owner_of(kind, i, j) for i in range(rows) for j in range(cols))
+    gather = np.array([t * nregs + r for t, r in owners], dtype=np.intp)
+    return _Layout((rows, cols), (WARP_SIZE, nregs), gather, np.argsort(gather))
 
 
-_INDEX_CACHE: dict[FragmentKind, tuple[np.ndarray, np.ndarray]] = {
-    kind: _gather_index(kind) for kind in FragmentKind
-}
+_LAYOUTS: dict[FragmentKind, _Layout] = {kind: _layout(kind) for kind in FragmentKind}
 
 
 class Fragment:
@@ -58,15 +71,15 @@ class Fragment:
 
     def __init__(self, kind: FragmentKind, registers: np.ndarray | None = None):
         self.kind = kind
-        nregs = registers_per_thread(kind)
+        file_shape = _LAYOUTS[kind].file_shape
         if registers is None:
-            registers = np.zeros((WARP_SIZE, nregs), dtype=np.float64)
+            registers = np.zeros(file_shape, dtype=np.float64)
         else:
             registers = np.asarray(registers, dtype=np.float64)
-            if registers.shape != (WARP_SIZE, nregs):
+            if registers.shape != file_shape:
                 raise ValueError(
                     f"register file for {kind.name} must be "
-                    f"({WARP_SIZE}, {nregs}), got {registers.shape}"
+                    f"{file_shape}, got {registers.shape}"
                 )
         self.registers = registers
 
@@ -75,21 +88,19 @@ class Fragment:
     def from_matrix(cls, kind: FragmentKind, matrix: np.ndarray) -> "Fragment":
         """Distribute a dense matrix into the per-thread register file."""
         matrix = np.asarray(matrix, dtype=np.float64)
-        expected = FP64_FRAGMENT_SHAPES[kind]
+        expected, file_shape, _, scatter = _LAYOUTS[kind]
         if matrix.shape != expected:
             raise ValueError(
                 f"{kind.name} fragment expects shape {expected}, got {matrix.shape}"
             )
-        frag = cls(kind)
-        threads, regs = _INDEX_CACHE[kind]
-        frag.registers[threads.ravel(), regs.ravel()] = matrix.ravel()
-        return frag
+        # indexing by an array copies: the fragment never aliases ``matrix``
+        return cls(kind, matrix.reshape(-1)[scatter].reshape(file_shape))
 
     # -- views ---------------------------------------------------------------
     def to_matrix(self) -> np.ndarray:
         """Materialize the dense matrix from the register file."""
-        threads, regs = _INDEX_CACHE[self.kind]
-        return self.registers[threads, regs].copy()
+        shape, _, gather, _ = _LAYOUTS[self.kind]
+        return self.registers.reshape(-1)[gather].reshape(shape)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -45,6 +45,10 @@ class FragmentKind(enum.Enum):
     B = "matrix_b"
     ACC = "accumulator"
 
+    # members are singletons compared by identity, so the identity hash is
+    # exact; it spares every per-kind table lookup Enum's Python-level hash
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

@@ -12,10 +12,16 @@ Copies from global to shared normally stage through registers; the
 ``cp.async`` path (Section IV-B) bypasses them, which the simulator
 records via ``register_intermediate_bytes`` / ``async_copies`` so the
 Fig. 9 breakdown can price the difference.
+
+Bank conflicts are charged once per access shape: every fragment load
+reads an affine address grid, and a grid's conflict count does not
+depend on its origin (see ``_affine_access``), so each loader charges
+a count cached per shape and strides instead of rebuilding addresses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -42,12 +48,34 @@ def bank_conflict_cycles(flat_addresses: np.ndarray) -> int:
     flat = np.asarray(flat_addresses).reshape(-1)
     if flat.size == 0:
         return 0
-    conflicts = 0
-    banks = flat % _NUM_BANKS
-    for bank in np.unique(banks):
-        distinct = np.unique(flat[banks == bank]).size
-        conflicts = max(conflicts, distinct)
-    return max(0, int(conflicts) - 1)
+    distinct = np.unique(flat).astype(np.int64)
+    return int(np.bincount(distinct % _NUM_BANKS).max()) - 1
+
+
+@functools.lru_cache(maxsize=256)
+def _affine_access(
+    rows: int, cols: int, row_stride: int, col_stride: int
+) -> tuple[np.ndarray, int]:
+    """Offsets and replay cycles of a load whose element ``(r, c)`` is at
+    ``origin + r*row_stride + c*col_stride``, for any integer origin.
+
+    The offsets are taken from origin 0.  The replay count holds for
+    every origin: shifting every address by a constant ``s`` keeps
+    distinct addresses distinct and maps bank ``b`` to bank
+    ``(b + s) mod 32``, a permutation of the 32 banks.  The number of
+    distinct addresses per bank is therefore only permuted, and its
+    maximum, which sets the replay count, is unchanged.  So the count
+    depends on the shape and strides alone, and is computed once per
+    ``(rows, cols, row_stride, col_stride)``.
+    """
+    offsets = (
+        np.arange(rows)[:, None] * row_stride
+        + np.arange(cols)[None, :] * col_stride
+    )
+    # loaders gather ``flat[start + offsets]``: like the fragment tables,
+    # flat indexing keeps the GIL where ``take`` would release it
+    offsets.flags.writeable = False
+    return offsets, bank_conflict_cycles(offsets)
 
 
 class SharedMemory:
@@ -82,11 +110,8 @@ class SharedMemory:
                 f"of shape {self.data.shape}"
             )
         self.counters.shared_load_requests += 1
-        width = self.data.shape[1]
-        addrs = (
-            (row + np.arange(r))[:, None] * width + col + np.arange(c)[None, :]
-        )
-        self.counters.shared_bank_conflicts += bank_conflict_cycles(addrs)
+        _, conflicts = _affine_access(r, c, self.data.shape[1], 1)
+        self.counters.shared_bank_conflicts += conflicts
         return tile.copy()
 
     def read_fragment_strided(
@@ -110,11 +135,11 @@ class SharedMemory:
                 f"strided fragment [{start}, {end}) exceeds {self.name} "
                 f"of {flat.size} elements"
             )
-        idx = start + np.arange(cols)[None, :] * col_stride + np.arange(rows)[:, None]
+        offsets, conflicts = _affine_access(rows, cols, 1, col_stride)
         self.counters.shared_load_requests += 1
-        self.counters.shared_bank_conflicts += bank_conflict_cycles(idx)
+        self.counters.shared_bank_conflicts += conflicts
         maybe_trace(self.counters, "load_strided", f"@{start}")
-        return flat[idx].astype(np.float64)
+        return flat[start + offsets]
 
     def read_fragment_view(
         self,
@@ -138,11 +163,11 @@ class SharedMemory:
                 f"fragment view [{start}..{last}] exceeds {self.name} "
                 f"of {flat.size} elements"
             )
-        idx = start + np.arange(rows)[:, None] * row_stride + np.arange(cols)[None, :] * col_stride
+        offsets, conflicts = _affine_access(rows, cols, row_stride, col_stride)
         self.counters.shared_load_requests += 1
-        self.counters.shared_bank_conflicts += bank_conflict_cycles(idx)
+        self.counters.shared_bank_conflicts += conflicts
         maybe_trace(self.counters, "load_view", f"@{start}")
-        return flat[idx].astype(np.float64)
+        return flat[start + offsets]
 
     def read_scalar_tile(self, row: int, col: int, shape: tuple[int, int]) -> np.ndarray:
         """CUDA-core (non-fragment) tile read: one request per 32 lanes."""

@@ -243,8 +243,11 @@ def execute_program(
     ``profiler`` (see :class:`repro.telemetry.perf.InstrProfiler`)
     receives it, and when that is ``None`` the interpreter runs the
     bare dispatch loop with no timing or snapshot overhead.
+
+    The schedule is not re-checked per tile: ``lower_engine`` and
+    :func:`schedule_prefetch` validate each program once, and a hand-built
+    program should pass :func:`validate_schedule` before it runs here.
     """
-    validate_schedule(program)
     tile = program.tile
     env: dict[str, Fragment] = {}
     out = np.zeros((tile.out_rows, tile.out_cols), dtype=np.float64)
@@ -347,10 +350,9 @@ def execute_program_1d(
     ``base`` is the tile's offset into the block's flat shared buffer
     (element ``(r, q)`` of k-block ``kb`` reads flat offset
     ``base + 4*kb + 8*q + r``, the 8-strided window layout of the 1D
-    engine).  Attribution goes to the warp's ``profiler``, as in
-    :func:`execute_program`.
+    engine).  Attribution goes to the warp's ``profiler``, and the
+    schedule is validated at lowering, as in :func:`execute_program`.
     """
-    validate_schedule(program)
     engine = program.tile
     env: dict[str, Fragment] = {}
     result: Fragment | None = None

@@ -24,7 +24,7 @@ import numpy as np
 from repro.tcu.counters import EventCounters
 from repro.tcu.fragment import Fragment
 from repro.tcu.trace import maybe_trace
-from repro.tcu.layouts import WARP_SIZE, FragmentKind, owner_of
+from repro.tcu.layouts import FP64_FRAGMENT_SHAPES, WARP_SIZE, FragmentKind, owner_of
 from repro.tcu.memory import GlobalMemory, SharedMemory
 
 __all__ = ["Warp", "BVS_EVEN_ODD_ORDER"]
@@ -66,8 +66,6 @@ class Warp:
         col: int,
     ) -> Fragment:
         """Load one fragment from shared memory (one load request)."""
-        from repro.tcu.layouts import FP64_FRAGMENT_SHAPES
-
         shape = FP64_FRAGMENT_SHAPES[kind]
         tile = shared.read_fragment(row, col, shape)
         maybe_trace(self.counters, "load_matrix", f"{kind.name}@({row},{col})")

@@ -201,3 +201,51 @@ def test_cuda_core_config_scrubs_staging_only(
     assert report["unrecovered"] == 0
     assert np.array_equal(out, clean)
     assert oracle_calls == []
+
+
+class TestTileComparisonDecidesAsChecksums:
+    """``check_tile`` passes a tile equal to its reference without
+    summing; every verdict must still be the checksum comparison's."""
+
+    def _guard(self, grid):
+        def oracle(warp, smem, tr, tc):
+            return grid[tr : tr + 8, tc : tc + 8].copy()
+
+        return SweepGuard(oracle, walk=lambda br, bc: grid)
+
+    def _check(self, guard, tile, recompute):
+        return guard.check_tile(
+            tile, lambda *a: recompute.copy(), None, None, 0, 0, block=(0, 0)
+        )
+
+    def test_equal_tile_passes(self):
+        grid = np.random.default_rng(1).normal(size=(8, 8))
+        guard = self._guard(grid)
+        self._check(guard, grid.copy(), grid)
+        assert guard.report.counts["tile_detections"] == 0
+
+    def test_checksum_preserving_change_is_benign(self):
+        """A tile that differs from its reference but keeps every row
+        and column sum passes, as the checksum guard always let it."""
+        grid = np.arange(64.0).reshape(8, 8)
+        tile = grid.copy()
+        tile[0, 0] += 1.0
+        tile[1, 1] += 1.0
+        tile[0, 1] -= 1.0
+        tile[1, 0] -= 1.0
+        guard = self._guard(grid)
+        assert self._check(guard, tile, grid) is tile
+        assert guard.report.counts["tile_detections"] == 0
+
+    def test_overflowing_checksum_still_flags_an_equal_tile(self):
+        """Above the overflow bound an equal tile's checksums can be NaN
+        (+Inf + -Inf); the guard then compares checksums as before and
+        detects, although the tile equals its reference."""
+        grid = np.zeros((8, 8))
+        grid[0, :4] = 1.5e308
+        grid[0, 4:] = -1.5e308
+        guard = self._guard(grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(repro.errors.FaultError):
+                self._check(guard, grid.copy(), grid)
+        assert guard.report.counts["tile_detections"] == 1

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.tcu.fragment import Fragment
-from repro.tcu.layouts import FragmentKind
+from repro.tcu.layouts import FP64_FRAGMENT_SHAPES, FragmentKind, owner_of
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("kind", list(FragmentKind))
     def test_matrix_round_trip(self, rng, kind):
-        from repro.tcu.layouts import FP64_FRAGMENT_SHAPES
-
         mat = rng.normal(size=FP64_FRAGMENT_SHAPES[kind])
         frag = Fragment.from_matrix(kind, mat)
         assert np.array_equal(frag.to_matrix(), mat)
@@ -59,3 +57,39 @@ class TestAccess:
             row, pair = t // 4, t % 4
             assert frag.registers[t, 0] == mat[row, 2 * pair]
             assert frag.registers[t, 1] == mat[row, 2 * pair + 1]
+
+
+class TestConversionTables:
+    """``from_matrix``/``to_matrix`` run on precomputed permutations; they
+    must agree with the PTX ownership map and never alias their input."""
+
+    @pytest.mark.parametrize("kind", list(FragmentKind))
+    def test_every_element_follows_owner_of(self, rng, kind):
+        mat = rng.normal(size=FP64_FRAGMENT_SHAPES[kind])
+        frag = Fragment.from_matrix(kind, mat)
+        rows, cols = mat.shape
+        for i in range(rows):
+            for j in range(cols):
+                t, r = owner_of(kind, i, j)
+                assert frag.registers[t, r] == mat[i, j]
+        regs = rng.normal(size=frag.registers.shape)
+        back = Fragment(kind, regs).to_matrix()
+        for i in range(rows):
+            for j in range(cols):
+                t, r = owner_of(kind, i, j)
+                assert back[i, j] == regs[t, r]
+
+    @pytest.mark.parametrize("kind", list(FragmentKind))
+    def test_from_matrix_copies_its_input(self, rng, kind):
+        mat = rng.normal(size=FP64_FRAGMENT_SHAPES[kind])
+        frag = Fragment.from_matrix(kind, mat)
+        before = frag.registers.copy()
+        mat[...] = 99.0
+        assert np.array_equal(frag.registers, before)
+
+    @pytest.mark.parametrize("kind", list(FragmentKind))
+    def test_to_matrix_returns_fresh_array(self, rng, kind):
+        frag = Fragment.from_matrix(kind, rng.normal(size=FP64_FRAGMENT_SHAPES[kind]))
+        before = frag.registers.copy()
+        frag.to_matrix()[...] = 99.0
+        assert np.array_equal(frag.registers, before)
