@@ -1,23 +1,21 @@
 """Trace-propagation overhead: the observability plane stays free when off.
 
-The continuous observability plane threads four new mechanisms through
+The continuous observability plane threads three mechanisms through
 the sharded hot path: :class:`repro.telemetry.context.TraceContext`
-capture at spawn, a null context span per shard, a
-:func:`repro.telemetry.health.current_beat` lookup per sweep plus one
-beat check per block, and level-filtered structured-event emission.
-Each is designed to cost one attribute/``is not None`` check when
-nothing is watching; this benchmark prices every one of them in
-isolation on the acceptance workload — a 256x256 Box-2D9P simulated
-sweep — and asserts their combined per-sweep bill keeps the disabled
-overhead under the same 2% bound ``bench_telemetry_overhead`` pins for
-the span layer.
+capture at spawn, a null context span per shard, and level-filtered
+structured-event emission.  Each is designed to cost one
+attribute/``is not None`` check when nothing is watching; this
+benchmark prices every one of them in isolation on the acceptance
+workload — a 256x256 Box-2D9P simulated sweep — and asserts their
+combined per-sweep bill keeps the disabled overhead under the same 2%
+bound ``bench_telemetry_overhead`` pins for the span layer.
 
 Methodology mirrors ``bench_telemetry_overhead``: a real sweep takes
 ~1 s with heavy machine noise, so the per-operation costs are timed
 over thousands of calls (microsecond precision) and multiplied by a
-deliberately *generous* per-sweep operation budget (as if every warp
-tile beat the health gauge, which the driver never does — it beats per
-block).  The resulting overhead is a strict upper bound.
+deliberately *generous* per-sweep operation budget (eight of each, one
+per shard of an eight-shard sweep).  The resulting overhead is a strict
+upper bound.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.experiments.report import format_table
 from repro.runtime import compile as compile_stencil
 from repro.stencil.kernels import get_kernel
 from repro.telemetry.context import TraceContext
-from repro.telemetry.health import current_beat
 from repro.telemetry.log import EVENT_LOG
 
 GRID = 256
@@ -40,12 +37,10 @@ KERNEL = "Box-2D9P"
 MAX_DISABLED_OVERHEAD = 0.02
 #: calls per timed chunk for the isolated per-op costs
 CALLS = 20000
-#: generous per-sweep budget: one beat per *tile* (32x32 of them for a
-#: 256x256 grid of 8x8 tiles), though the driver only beats per block
+#: generous per-sweep budget: one of each per shard of an 8-shard sweep
 OPS_PER_SWEEP = {
     "context capture": 8,
     "null context span": 8,
-    "health beat check": (GRID // 8) ** 2,
     "filtered emit": 8,
 }
 
@@ -90,7 +85,6 @@ def test_trace_propagation_disabled_overhead(benchmark, write_result):
     costs = {
         "context capture": _per_call_seconds(TraceContext.capture),
         "null context span": _per_call_seconds(null_span),
-        "health beat check": _per_call_seconds(current_beat),
         "filtered emit": _per_call_seconds(filtered_emit),
     }
     per_sweep = sum(costs[name] * OPS_PER_SWEEP[name] for name in costs)

@@ -18,9 +18,9 @@ figure.  Benchmarks may pass
 observatory's ``overlap_efficiency``) into the record, where the
 rolling ``repro perf trend`` gates pick them up from the history
 store.  The structured event log
-(``repro.telemetry.event/v1``) and shard-health snapshot fold in
-automatically whenever the benchmark produced events or ran sharded
-(see :func:`repro.telemetry.export.run_record`).  Records are
+(``repro.telemetry.event/v1``) folds in automatically whenever the
+benchmark produced events (see
+:func:`repro.telemetry.export.run_record`).  Records are
 schema-validated on write; ``tests/telemetry/test_run_records.py``
 holds the contract.
 

@@ -14,7 +14,6 @@
     python -m repro perf check --repeats 3 --record DIR  # measure + append
     python -m repro perf history --root DIR # list the run-record history
     python -m repro perf trend --root DIR   # rolling median/MAD timing gate
-    python -m repro monitor health.json     # tail a running sharded sweep
     python -m repro fig8 [--kernels ...]    # figure/table drivers
     python -m repro fig9 / fig10 / table3
     python -m repro precision Heat-2D       # FP16 vs FP64 error growth
@@ -295,21 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "trace-event file")
     _add_artifact_flags(crp, events=False)
 
-    p = sub.add_parser(
-        "monitor",
-        help="tail the live shard-health snapshot of a running sweep",
-    )
-    p.add_argument("path", nargs="?", default=None,
-                   help="health snapshot file (default: $REPRO_HEALTH_FILE)")
-    p.add_argument("--interval", type=float, default=0.5,
-                   help="poll interval in seconds (default 0.5)")
-    p.add_argument("--timeout", type=float, default=30.0,
-                   help="give up after this many seconds (default 30)")
-    p.add_argument("--once", action="store_true",
-                   help="print one snapshot and exit")
-    p.add_argument("--json", action="store_true",
-                   help="print raw snapshot JSON instead of the table")
-
     p = sub.add_parser("trace", help="print the warp-op trace of one tile")
     p.add_argument("kernel")
     p.add_argument("--limit", type=int, default=80)
@@ -344,7 +328,7 @@ def _add_artifact_flags(
     parser.set_defaults(events=None, record_history=None)
     parser.add_argument("--record", default=None, metavar="PATH",
                         help="write a validated run-record (counters, "
-                             "faults, trace, events, health) to PATH")
+                             "faults, trace, events) to PATH")
     if history:
         parser.add_argument("--record-history", default=None, metavar="DIR",
                             help="also append the run-record to this "
@@ -831,60 +815,6 @@ def _cmd_perf_trend(args: argparse.Namespace) -> int:
     return 0 if stats.ok else 1
 
 
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    """Tail the :data:`~repro.telemetry.health.ENV_HEALTH_FILE` snapshot.
-
-    Exit codes: 0 — every sweep in the snapshot finished; 1 — the
-    timeout expired with sweeps still in flight; 2 — no snapshot path
-    (argument or ``$REPRO_HEALTH_FILE``) or the file never appeared.
-    """
-    import json
-    import os
-    import pathlib
-    import time as time_mod
-
-    from repro.telemetry.health import ENV_HEALTH_FILE, render_snapshot
-
-    raw = args.path or os.environ.get(ENV_HEALTH_FILE, "").strip()
-    if not raw:
-        print(f"monitor: no snapshot path given and ${ENV_HEALTH_FILE} "
-              "is unset", file=sys.stderr)
-        return 2
-    path = pathlib.Path(raw)
-    deadline = time_mod.monotonic() + args.timeout
-    snapshot = None
-    while True:
-        if path.exists():
-            try:
-                snapshot = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                pass  # mid-replace read; keep the last good snapshot
-        if snapshot is not None:
-            sweeps = snapshot.get("sweeps", [])
-            finished = bool(sweeps) and all(s.get("done") for s in sweeps)
-            if args.json:
-                print(json.dumps(snapshot, sort_keys=True))
-            else:
-                print(render_snapshot(snapshot))
-            if args.once:
-                return 0
-            if finished:
-                print("monitor: all sweeps finished")
-                return 0
-        elif args.once:
-            print(f"monitor: snapshot {path} not found", file=sys.stderr)
-            return 2
-        if time_mod.monotonic() >= deadline:
-            if snapshot is None:
-                print(f"monitor: snapshot {path} never appeared "
-                      f"within {args.timeout:.0f}s", file=sys.stderr)
-                return 2
-            print(f"monitor: timed out after {args.timeout:.0f}s with "
-                  "sweeps still in flight", file=sys.stderr)
-            return 1
-        time_mod.sleep(args.interval)
-
-
 def _cmd_fig8(kernels: list[str] | None, include_best: bool = False) -> int:
     from repro.experiments import PAPER, format_table, run_fig8
 
@@ -1170,7 +1100,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     out = None
     # under --record/--events the injected sweep runs traced, so the
     # record carries ONE merged trace (shard spans re-parented under the
-    # facade root) next to the structured event log and health snapshot
+    # facade root) next to the structured event log
     try:
         with _observed(args):
             out, events = compiled.apply_simulated(
@@ -1757,8 +1687,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.cluster_command == "resume":
             return _cmd_cluster_resume(args)
         return _cmd_cluster(args)
-    if args.command == "monitor":
-        return _cmd_monitor(args)
     if args.command == "fig8":
         return _cmd_fig8(args.kernels, args.best)
     if args.command == "fig9":

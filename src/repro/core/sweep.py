@@ -1,14 +1,13 @@
 """The shared block-sweep driver behind every simulated engine.
 
-Before this module, each of ``engine1d``/``engine2d``/``engine3d``
-carried its own copy of the same orchestration: validate the padded
+:func:`run_block_sweep` owns the orchestration that every
+``engine1d``/``engine2d``/``engine3d`` sweep shares: validate the padded
 input, round the requested thread-block to warp-tile multiples, size a
 shared-memory staging tile, copy global -> shared (``cp.async`` when
 enabled), loop warp tiles over the block, trim the grid-overhanging
 edge tiles, and book the hardware events into one
-:class:`~repro.tcu.counters.EventCounters` span.  That orchestration now
-lives here once, and so does the choice of backend and fault guard
-(:func:`run_block_sweep`).  An engine shrinks to a *tile source* — its
+:class:`~repro.tcu.counters.EventCounters` span.  It also picks the
+backend and builds the fault guard.  An engine is a *tile source* — its
 ``tile_source()`` callable computing one warp tile from shared memory,
 and its ``lowered`` program for the vectorized walk — plus a
 :class:`SweepSpec` describing its geometry:
@@ -20,10 +19,10 @@ and its ``lowered`` program for the vectorized walk — plus a
   sweeps (plus CUDA-core point-wise planes) — see
   :class:`~repro.core.engine3d.LoRAStencil3D`.
 
-The driver reproduces the exact memory traffic of the engines it
-replaced — same block rounding, same shared-tile shapes, same clamped
-fills — so event counts are bit-for-bit stable across the refactor
-(the schedule-equivalence suite pins this).
+Every backend books the same memory traffic — same block rounding,
+same shared-tile shapes, same clamped fills — so event counts are
+bit-for-bit identical across backends (the schedule-equivalence suite
+pins this).
 
 The engines' functional kernels use two helpers from here: the pad
 check (:func:`validate_padded`) and :func:`row_strips`, which sizes the
@@ -40,7 +39,6 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.tcu.counters import EventCounters
 from repro.tcu.device import Device
-from repro.telemetry.health import current_beat
 from repro.telemetry.spans import TRACER
 
 __all__ = ["SweepSpec", "row_strips", "run_block_sweep", "validate_padded"]
@@ -188,20 +186,12 @@ def run_block_sweep(
         backend,
         armed is not None or getattr(device, "injector", None) is not None,
     )
-    beat = current_beat()
-    n_tiles = (
-        -(-spec.interior[0] // spec.tile[0])
-        * -(-spec.interior[1] // spec.tile[1])
-    )
     device = device or Device()
     lowered = engine.lowered if backend == "vectorized" else None
     if lowered is not None and lowered.vector is not None:
         from repro.core.vectorize import run_vector_sweep
 
-        out = run_vector_sweep(padded2d, spec, lowered.vector, device=device)
-        if beat is not None:
-            beat(n_tiles, n_tiles)  # one-shot: all tiles at once
-        return out
+        return run_vector_sweep(padded2d, spec, lowered.vector, device=device)
     compute_tile = engine.tile_source(oracle=backend == "oracle")
     guard = tile_guard = None
     if armed is not None:
@@ -225,8 +215,6 @@ def run_block_sweep(
         np.zeros((rows, cols), dtype=np.float64), name="output"
     )
 
-    if beat is not None:
-        beat(0, n_tiles)
     with TRACER.span(
         "tcu.sweep", category="tcu", ndim=spec.ndim, shape=spec.shape_label
     ) as span:
@@ -293,9 +281,6 @@ def run_block_sweep(
                             ),
                             out_tile[:vr, :vc],
                         )
-                if beat is not None:
-                    # one heartbeat per block: the monitored cadence
-                    beat(-(-r_lim // t_r) * -(-c_lim // t_c))
         events = device.events_since(start)
         span.add_events(events)
     if device.profiler is not None:

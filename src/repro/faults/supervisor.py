@@ -11,9 +11,8 @@ events and ledger semantics:
 
 Every decision the supervisor takes — a timeout, a crash, a backoff
 delay, a recovery — lands in the structured event log under the
-``shard.*`` kinds the monitor CLI and the chaos suite already consume;
-resubmissions bump the task's live health gauges when a
-:class:`~repro.telemetry.health.SweepHealth` is bound.
+``shard.*`` kinds the chaos suite consumes; resubmissions count into
+the :class:`~repro.faults.FaultReport`'s ``shard_retries``.
 
 Workers are callables ``worker(i, *args)`` over ``tasks`` (a mapping of
 index → argument tuple); the supervisor is agnostic to what a task *is*
@@ -86,7 +85,6 @@ def supervise_tasks(
     policy=None,
     report=None,
     max_workers: int | None = None,
-    health=None,
     describe: Callable[[tuple], str] | None = None,
     title: str = "shard {i} of {n} (rows {label})",
 ) -> dict[int, Any]:
@@ -97,10 +95,9 @@ def supervise_tasks(
     :class:`~repro.errors.FaultError` once it is exhausted.  ``policy`` is a
     :class:`repro.faults.RecoveryPolicy`, or ``None`` for the plain
     fan-out without a ladder (see the module docstring); ``report`` a
-    :class:`repro.faults.FaultReport` the ladder's counters fold into;
-    ``health`` an optional :class:`~repro.telemetry.health.SweepHealth`
-    whose per-task retry gauges bump on resubmission.  A worker failing
-    with anything but a :class:`~repro.errors.ReproError` raises an
+    :class:`repro.faults.FaultReport` the ladder's counters fold into.
+    A worker failing with anything but a
+    :class:`~repro.errors.ReproError` raises an
     :class:`~repro.errors.ExecutionError` whose message starts with
     ``title`` formatted with the task index ``i``, the task count ``n``
     and the ``describe`` label.
@@ -210,9 +207,6 @@ def supervise_tasks(
                 shards=sorted(pending),
             )
             report.bump("shard_retries", len(pending))
-            if health is not None:
-                for i in pending:
-                    health.shard(i).bump_retries()
             attempt += 1
     for i in sorted(pending):
         label = describe(pending[i])

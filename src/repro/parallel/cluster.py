@@ -4,7 +4,7 @@
 device mesh by driving the *runtime* — every rank executes the plan's
 compiled :class:`~repro.runtime.facade.CompiledStencil`, so distributed
 runs honor ``backend=``, the plan cache, fault injection/ABFT, and the
-trace/event/health telemetry planes exactly like single-device sweeps.
+trace/event telemetry planes exactly like single-device sweeps.
 One round loop over named phase methods (exchange, halo guard, rank
 dispatch and advance, fold, checkpoint, elastic re-plan) serves every
 mode:
@@ -69,7 +69,6 @@ from repro.runtime.executor import validate_finite
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
 from repro.telemetry.context import TraceContext
-from repro.telemetry.health import HEALTH
 from repro.telemetry.log import emit as emit_event
 from repro.telemetry.spans import TRACER
 
@@ -234,7 +233,6 @@ class _Run:
     resilience: dict = field(default_factory=_fresh_resilience)
     pool: ProcessPoolExecutor | None = None
     ctx: TraceContext | None = None
-    health: object | None = None
     trace_id: str | None = None
 
 
@@ -377,7 +375,6 @@ class ClusterRuntime:
         )
         with self._run_span(st) as run_span:
             st.ctx = TraceContext.capture()
-            st.health = HEALTH.start_sweep(f"cluster-{self.plan.key[:12]}")
             st.trace_id = run_span.trace_id
             try:
                 if executor == "process":
@@ -409,7 +406,6 @@ class ClusterRuntime:
             finally:
                 if st.pool is not None:
                     st.pool.shutdown(wait=True)
-                HEALTH.write_file()
             self._close_span(st, run_span)
 
         result = ClusterResult(
@@ -670,7 +666,6 @@ class ClusterRuntime:
             armed.policy if armed is not None else None,
             armed.report if armed is not None else None,
             max_workers=1 if st.executor == "serial" else st.max_workers,
-            health=st.health,
             describe=lambda args: f"rank {args[0]}",
             title="cluster rank {i} of {n}",
         )
@@ -695,22 +690,19 @@ class ClusterRuntime:
                 ):
                     injector.on_shard(rank)
                     injector.on_rank(rank)
-            with HEALTH.bind(st.health.shard(rank, rows=f"rank {rank}")):
-                return process_advance(
-                    st.pool,
-                    rank,
-                    self._window(rnd, rank, st.ctx.span),
-                    sub,
-                    self.plan,
-                    rnd.steps,
-                    st.ctx,
-                    simulate=st.simulate,
-                    backend=st.backend,
-                    round_i=rnd.index,
-                )
-        with HEALTH.bind(
-            st.health.shard(rank, rows=f"rank {rank}")
-        ), st.ctx.span(
+            return process_advance(
+                st.pool,
+                rank,
+                self._window(rnd, rank, st.ctx.span),
+                sub,
+                self.plan,
+                rnd.steps,
+                st.ctx,
+                simulate=st.simulate,
+                backend=st.backend,
+                round_i=rnd.index,
+            )
+        with st.ctx.span(
             "cluster.rank",
             category="parallel",
             rank=rank,

@@ -44,7 +44,6 @@ from repro.runtime.plan import StencilPlan
 from repro.tcu.counters import EventCounters
 from repro.tcu.device import Device
 from repro.telemetry.context import TraceContext
-from repro.telemetry.health import HEALTH
 
 __all__ = ["Runtime"]
 
@@ -215,7 +214,6 @@ class Runtime:
         validate_finite(padded)
         bounds = _shard_bounds(interior[0], shards, self._shard_align())
         ctx = TraceContext.capture()
-        sweep_health = HEALTH.start_sweep(f"sharded-{self.plan.key[:12]}")
         policy, report = (armed.policy, armed.report) if armed else (None, None)
 
         def _worker(i: int, s0: int, s1: int):
@@ -230,24 +228,19 @@ class Runtime:
                 # of this shard's lane, not as an orphan root
                 if armed is not None and armed.injector is not None:
                     armed.injector.on_shard(i)
-                with HEALTH.bind(sweep_health.shard(i, rows=f"{s0}:{s1}")):
-                    out, counters = self.plan.engine.apply_simulated(
-                        sub, backend=backend, armed=armed
-                    )
-                    sp.add_events(counters)
-                    return out, counters
+                out, counters = self.plan.engine.apply_simulated(
+                    sub, backend=backend, armed=armed
+                )
+                sp.add_events(counters)
+                return out, counters
 
-        try:
-            results = supervise_tasks(
-                dict(enumerate(bounds)),
-                _worker,
-                policy,
-                report,
-                max_workers=max_workers,
-                health=sweep_health,
-            )
-        finally:
-            HEALTH.write_file()
+        results = supervise_tasks(
+            dict(enumerate(bounds)),
+            _worker,
+            policy,
+            report,
+            max_workers=max_workers,
+        )
 
         out = np.concatenate(
             [results[i][0] for i in range(len(bounds))], axis=0

@@ -138,7 +138,7 @@ class SharedMemory:
         offsets, conflicts = _affine_access(rows, cols, 1, col_stride)
         self.counters.shared_load_requests += 1
         self.counters.shared_bank_conflicts += conflicts
-        maybe_trace(self.counters, "load_strided", f"@{start}")
+        maybe_trace(self.counters, "load_strided", "@{}", start)
         return flat[start + offsets]
 
     def read_fragment_view(
@@ -166,7 +166,7 @@ class SharedMemory:
         offsets, conflicts = _affine_access(rows, cols, row_stride, col_stride)
         self.counters.shared_load_requests += 1
         self.counters.shared_bank_conflicts += conflicts
-        maybe_trace(self.counters, "load_view", f"@{start}")
+        maybe_trace(self.counters, "load_view", "@{}", start)
         return flat[start + offsets]
 
     def read_scalar_tile(self, row: int, col: int, shape: tuple[int, int]) -> np.ndarray:
@@ -204,7 +204,7 @@ class SharedMemory:
                 f"of shape {self.data.shape}"
             )
         dst[...] = tile
-        maybe_trace(self.counters, "smem_store", f"{tile.shape}")
+        maybe_trace(self.counters, "smem_store", "{}", tile.shape)
         self.counters.shared_store_requests += max(1, math.ceil(tile.size / _STORE_LANES))
         if via_registers:
             self.counters.register_intermediate_bytes += tile.size * _FP64_BYTES

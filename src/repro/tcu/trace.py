@@ -8,7 +8,8 @@ fragments are loaded before any MMA touches them, or that BVS splits
 sit between the two gather phases.
 
 Tracing is opt-in and zero-cost when disabled: the hot paths call
-:func:`maybe_trace`, which is a no-op unless a recorder is installed.
+:func:`maybe_trace`, which is a no-op unless a recorder is installed —
+it does not even format the event's detail string.
 
 Long sweeps record millions of warp ops; an unbounded recorder would
 grow without limit.  Pass ``max_events`` to run the recorder as a ring
@@ -141,11 +142,16 @@ def uninstall(counters: EventCounters) -> None:
     _RECORDERS.pop(id(counters), None)
 
 
-def maybe_trace(counters: EventCounters, op: str, detail: str = "") -> None:
-    """Record ``op`` if a recorder is installed for ``counters``."""
+def maybe_trace(counters: EventCounters, op: str, detail: str = "", *args) -> None:
+    """Record ``op`` if a recorder is installed for ``counters``.
+
+    With ``args``, ``detail`` is a :meth:`str.format` template filled
+    only when the event is recorded, so unwatched hot paths never pay
+    for the formatting.
+    """
     recorder = _RECORDERS.get(id(counters))
     if recorder is not None:
-        recorder.record(op, detail)
+        recorder.record(op, detail.format(*args) if args else detail)
 
 
 def recorder_stats() -> dict[str, int]:

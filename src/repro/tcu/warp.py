@@ -68,7 +68,7 @@ class Warp:
         """Load one fragment from shared memory (one load request)."""
         shape = FP64_FRAGMENT_SHAPES[kind]
         tile = shared.read_fragment(row, col, shape)
-        maybe_trace(self.counters, "load_matrix", f"{kind.name}@({row},{col})")
+        maybe_trace(self.counters, "load_matrix", "{0.name}@({1},{2})", kind, row, col)
         return Fragment.from_matrix(kind, tile)
 
     def fill_fragment(self, kind: FragmentKind, matrix: np.ndarray) -> Fragment:

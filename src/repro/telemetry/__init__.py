@@ -17,8 +17,8 @@ package attributes the simulator's.  Three pieces:
 Every quantity has one owner: hardware events are the
 :class:`~repro.tcu.counters.EventCounters` each sweep returns, faults
 the run's :class:`~repro.faults.FaultReport`, plan-cache traffic
-``PlanCache.stats()``, durations the spans, shard progress
-:data:`HEALTH`, and halo bytes the cluster run's own exchange ledger.
+``PlanCache.stats()``, durations the spans, and halo bytes the
+cluster run's own exchange ledger.
 
 Typical use — the ``repro profile`` subcommand in one paragraph::
 
@@ -44,7 +44,6 @@ from repro.telemetry import (
     cluster,
     context,
     export,
-    health,
     log,
     spans,
     validate,
@@ -62,7 +61,6 @@ from repro.telemetry.export import (
     write_chrome_trace,
     write_run_record,
 )
-from repro.telemetry.health import HEALTH, HealthRegistry
 from repro.telemetry.log import EVENT_LOG, EventLog, emit, write_event_log
 from repro.telemetry.spans import NULL_SPAN, TRACER, Span, Tracer
 from repro.telemetry.validate import (
@@ -83,8 +81,6 @@ __all__ = [
     "EVENT_LOG",
     "emit",
     "write_event_log",
-    "HealthRegistry",
-    "HEALTH",
     "TelemetryError",
     "span",
     "trace",
@@ -105,7 +101,6 @@ __all__ = [
     "cluster",
     "context",
     "export",
-    "health",
     "log",
     "spans",
     "validate",
@@ -134,11 +129,9 @@ def is_enabled() -> bool:
 
 
 def reset() -> None:
-    """Clear collected spans, events and health state (the enabled
-    switch is kept)."""
+    """Clear collected spans and events (the enabled switch is kept)."""
     TRACER.clear()
     EVENT_LOG.clear()
-    HEALTH.clear()
 
 
 @contextlib.contextmanager

@@ -42,9 +42,9 @@ CHROME_TRACE_SCHEMA = "repro.telemetry.chrome-trace/v1"
 #: the only run-record version emitted and accepted (v5 without the
 #: process-wide ``metrics`` section); its optional sections are
 #: ``faults`` (injection/detection/recovery ledger), ``log``
-#: (structured event stream), ``health`` (shard heartbeat snapshot),
-#: ``cluster`` (the cluster observatory report) and ``resilience``
-#: (checkpoint/restart, halo retransmissions, elastic re-plans)
+#: (structured event stream), ``cluster`` (the cluster observatory
+#: report) and ``resilience`` (checkpoint/restart, halo
+#: retransmissions, elastic re-plans)
 RUN_RECORD_SCHEMA = "repro.telemetry.run-record/v6"
 FIDELITY_REPORT_SCHEMA = "repro.telemetry.fidelity-report/v1"
 
@@ -211,7 +211,6 @@ def run_record(
     counters=None,
     faults=None,
     log=None,
-    health=None,
     cluster: dict[str, Any] | None = None,
     resilience: dict[str, Any] | None = None,
     extra: dict[str, Any] | None = None,
@@ -225,17 +224,14 @@ def run_record(
     :class:`repro.faults.FaultReport` or its ``as_dict()``), ``log``
     the structured event stream (defaults to the process-wide
     :data:`~repro.telemetry.log.EVENT_LOG` when it holds events; pass
-    ``log=False`` to omit), ``health`` the shard heartbeat snapshot
-    (same convention against
-    :data:`~repro.telemetry.health.HEALTH`), ``cluster`` a cluster
-    observatory report (see
+    ``log=False`` to omit), ``cluster`` a cluster observatory report
+    (see
     :func:`repro.telemetry.cluster.build_cluster_report`),
     ``resilience`` the checkpoint/halo/re-plan ledger of a resilient
     cluster run, and ``extra`` whatever the
     producer wants stamped (artifact paths, CLI args, figures).
     """
     from repro.tcu.trace import recorder_stats
-    from repro.telemetry.health import HEALTH
     from repro.telemetry.log import EVENT_LOG, EventLog
 
     tracer = tracer or TRACER
@@ -269,12 +265,6 @@ def run_record(
         log = EVENT_LOG if len(EVENT_LOG) else False
     if log is not False:
         record["log"] = log.snapshot() if isinstance(log, EventLog) else log
-    if health is None:
-        health = HEALTH if HEALTH.sweeps() else False
-    if health is not False:
-        record["health"] = (
-            health if isinstance(health, dict) else health.snapshot()
-        )
     if cluster is not None:
         record["cluster"] = cluster
     if resilience is not None:

@@ -191,7 +191,7 @@ class EventLog:
             return list(self._events)
 
     def snapshot(self) -> dict[str, Any]:
-        """The run-record ``log`` section: events + ring health."""
+        """The run-record ``log`` section: events + ring drop counters."""
         with self._lock:
             events = list(self._events)
             dropped = self.dropped

@@ -133,37 +133,6 @@ def _validate_log_section(log: Any, path: str = "record.log") -> None:
         validate_event(event, f"{path}.events[{i}]")
 
 
-def _validate_health_section(health: Any, path: str = "record.health") -> None:
-    """Validate the optional ``health`` section."""
-    _require_type(health, dict, path)
-    _require("sweeps" in health, path, "missing key 'sweeps'")
-    _require_type(health["sweeps"], list, f"{path}.sweeps")
-    for i, sweep in enumerate(health["sweeps"]):
-        spath = f"{path}.sweeps[{i}]"
-        _require_type(sweep, dict, spath)
-        for key, types in (
-            ("sweep_id", str),
-            ("name", str),
-            ("done", bool),
-            ("shards", list),
-        ):
-            _require(key in sweep, spath, f"missing key {key!r}")
-            _require_type(sweep[key], types, f"{spath}.{key}")
-        for j, shard in enumerate(sweep["shards"]):
-            hpath = f"{spath}.shards[{j}]"
-            _require_type(shard, dict, hpath)
-            for key, types in (
-                ("shard", int),
-                ("state", str),
-                ("tiles_done", int),
-                ("tiles_total", int),
-                ("retries", int),
-                ("last_beat_age_s", (int, float)),
-            ):
-                _require(key in shard, hpath, f"missing key {key!r}")
-                _require_type(shard[key], types, f"{hpath}.{key}")
-
-
 def _validate_faults_section(faults: Any, path: str = "record.faults") -> None:
     """Validate the optional ``faults`` ledger.
 
@@ -278,9 +247,6 @@ def validate_run_record(record: Any) -> None:
     log = record.get("log")
     if log is not None:
         _validate_log_section(log)
-    health = record.get("health")
-    if health is not None:
-        _validate_health_section(health)
     cluster = record.get("cluster")
     if cluster is not None:
         validate_cluster_report(cluster, path="record.cluster")

@@ -8,6 +8,7 @@ from repro.core.engine2d import LoRAStencil2D
 from repro.stencil.kernels import get_kernel
 from repro.tcu import Device, trace
 from repro.tcu.counters import EventCounters
+from repro.tcu.layouts import FragmentKind
 
 
 @pytest.fixture
@@ -125,6 +126,35 @@ class TestRingBuffer:
         assert recorder.dropped == recorder.total - 8
         assert recorder.total > 8
         assert recorder.ops()[-1] == "cuda_axpy"
+
+
+class TestEventDetail:
+    """Detail strings name what an op touched, formatted only on record."""
+
+    def test_load_matrix_details_name_kind_and_origin(self, traced_device):
+        device, recorder = traced_device
+        _one_tile_sweep(device)
+        loads = [e.detail for e in recorder.events if e.op == "load_matrix"]
+        assert loads == [
+            "B@(0,0)", "B@(0,8)", "B@(4,0)", "B@(4,8)",
+            "B@(8,0)", "B@(8,8)", "B@(12,0)", "B@(12,8)",
+        ]
+        stores = [e.detail for e in recorder.events if e.op == "smem_store"]
+        assert stores == ["(14, 14)"]
+
+    def test_direct_fragment_load_detail(self, traced_device):
+        device, recorder = traced_device
+        smem = device.shared((16, 16))
+        device.warp().load_matrix_sync(FragmentKind.A, smem, 0, 0)
+        device.warp().load_matrix_sync(FragmentKind.B, smem, 4, 8)
+        assert [e.detail for e in recorder.events] == ["A@(0,0)", "B@(4,8)"]
+
+    def test_unrecorded_detail_is_never_formatted(self):
+        class Unformattable:
+            def __format__(self, spec):
+                raise AssertionError("detail formatted with no recorder")
+
+        trace.maybe_trace(EventCounters(), "load_matrix", "{}", Unformattable())
 
 
 class TestSchedulingProperties:

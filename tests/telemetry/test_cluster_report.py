@@ -3,7 +3,6 @@ model agreement, rendering, and exporter surfaces."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import telemetry
@@ -236,9 +235,7 @@ class TestRunRecordV4:
 
         result, tracer = _run(rng)
         report = build_cluster_report(result, tracer=tracer)
-        record = telemetry.run_record(
-            "cluster-obs", log=False, health=False, cluster=report
-        )
+        record = telemetry.run_record("cluster-obs", log=False, cluster=report)
         assert record["schema"] == "repro.telemetry.run-record/v6"
         assert record["cluster"]["schema"] == CLUSTER_REPORT_SCHEMA
         validate_run_record(record)
@@ -247,14 +244,14 @@ class TestRunRecordV4:
         assert validate_file(path) == "repro.telemetry.run-record/v6"
 
     def test_bad_cluster_section_rejected(self):
-        record = telemetry.run_record("bad", log=False, health=False)
+        record = telemetry.run_record("bad", log=False)
         record["cluster"] = {"schema": "nope"}
         with pytest.raises(TelemetryError):
             validate_run_record(record)
 
     @pytest.mark.parametrize("version", ["v1", "v2", "v3", "v4", "v5"])
     def test_older_schema_versions_are_rejected(self, version):
-        record = telemetry.run_record("legacy", log=False, health=False)
+        record = telemetry.run_record("legacy", log=False)
         schema = f"repro.telemetry.run-record/{version}"
         record["schema"] = schema
         record.pop("cluster", None)

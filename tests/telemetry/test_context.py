@@ -173,7 +173,7 @@ class TestExports:
         telemetry.enable()
         with telemetry.span("root") as root:
             pass
-        record = telemetry.run_record("t", log=False, health=False)
+        record = telemetry.run_record("t", log=False)
         assert record["spans"][0]["trace_id"] == root.trace_id
         telemetry.validate_run_record(record)
 
@@ -181,7 +181,7 @@ class TestExports:
         telemetry.enable()
         with telemetry.span("root"):
             pass
-        record = telemetry.run_record("t", log=False, health=False)
+        record = telemetry.run_record("t", log=False)
         record["spans"][0]["trace_id"] = 123
         with pytest.raises(telemetry.TelemetryError):
             telemetry.validate_run_record(record)

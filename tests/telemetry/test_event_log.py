@@ -151,7 +151,7 @@ class TestExport:
 
     def test_run_record_folds_the_log_in(self):
         emit("backend.downgrade", level="warning")
-        record = telemetry.run_record("t", health=False)
+        record = telemetry.run_record("t")
         assert record["log"]["events"][0]["kind"] == "backend.downgrade"
         telemetry.validate_run_record(record)
 

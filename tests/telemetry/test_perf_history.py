@@ -191,9 +191,7 @@ class TestPerfCheckCli:
         hist = tmp_path / "history"
         store = RunRecordStore(hist)
         for _ in range(4):  # a slow history the fresh point beats
-            store.append(run_record(
-                name, log=False, health=False, extra={"timing_s": 10.0}
-            ))
+            store.append(run_record(name, log=False, extra={"timing_s": 10.0}))
         baseline = pathlib.Path(__file__).parents[2] / "BENCH_baseline.json"
         assert main([
             "perf", "check", "--baseline", str(baseline), "--size", "32",

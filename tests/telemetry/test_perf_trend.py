@@ -14,14 +14,7 @@ from repro.telemetry.perf.trend import (
 
 
 def _stamp(store, timing, name="w"):
-    store.append(
-        run_record(
-            name,
-            log=False,
-            health=False,
-            extra={"timing_s": timing},
-        )
-    )
+    store.append(run_record(name, log=False, extra={"timing_s": timing}))
 
 
 class TestStatistics:

@@ -313,62 +313,9 @@ class TestObservabilityCommands:
 
         store.append(
             run_record(
-                name, log=False, health=False, extra={"timing_s": timing}
+                name, log=False, extra={"timing_s": timing}
             )
         )
-
-    def _health_file(self, tmp_path, done=True):
-        from repro.telemetry.health import HealthRegistry
-
-        reg = HealthRegistry()
-        sweep = reg.start_sweep("cli-sweep")
-        if done:
-            with reg.bind(sweep.shard(0)) as shard:
-                shard.beat(4, 4)
-        else:
-            shard = sweep.shard(0)
-            shard.beat(1, 4)
-        path = tmp_path / "health.json"
-        reg.configure_file(path, min_interval_s=0.0)
-        reg.write_file()
-        return path
-
-    def test_monitor_once_renders_the_snapshot(self, capsys, tmp_path):
-        path = self._health_file(tmp_path)
-        assert main(["monitor", str(path), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "cli-sweep" in out
-        assert "4/4" in out
-
-    def test_monitor_once_json(self, capsys, tmp_path):
-        path = self._health_file(tmp_path)
-        assert main(["monitor", str(path), "--once", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["sweeps"][0]["name"] == "cli-sweep"
-
-    def test_monitor_missing_snapshot_is_exit_2(self, tmp_path):
-        assert main(["monitor", str(tmp_path / "nope.json"), "--once"]) == 2
-
-    def test_monitor_no_path_no_env_is_exit_2(self, monkeypatch):
-        from repro.telemetry.health import ENV_HEALTH_FILE
-
-        monkeypatch.delenv(ENV_HEALTH_FILE, raising=False)
-        assert main(["monitor"]) == 2
-
-    def test_monitor_env_var_supplies_the_path(self, capsys, tmp_path,
-                                               monkeypatch):
-        from repro.telemetry.health import ENV_HEALTH_FILE
-
-        path = self._health_file(tmp_path)
-        monkeypatch.setenv(ENV_HEALTH_FILE, str(path))
-        assert main(["monitor", "--once"]) == 0
-        assert "cli-sweep" in capsys.readouterr().out
-
-    def test_monitor_times_out_on_stuck_sweep(self, capsys, tmp_path):
-        path = self._health_file(tmp_path, done=False)
-        rc = main(["monitor", str(path), "--timeout", "0.2",
-                   "--interval", "0.05"])
-        assert rc == 1
 
     def test_perf_trend_empty_history_is_exit_2(self, capsys, tmp_path):
         from repro.telemetry.perf import RunRecordStore
@@ -468,7 +415,7 @@ class TestObservabilityCommands:
         trace_ids = {d["trace_id"] for d in docs if d["trace_id"]}
         assert len(trace_ids) == 1
 
-    def test_chaos_record_folds_log_and_health_in(self, capsys, tmp_path):
+    def test_chaos_record_folds_log_in(self, capsys, tmp_path):
         from repro.telemetry.validate import validate_file
 
         record_file = tmp_path / "record.json"
@@ -478,9 +425,13 @@ class TestObservabilityCommands:
         assert validate_file(record_file).endswith("/v6")
         record = json.loads(record_file.read_text())
         assert record["log"]["events"]
-        assert record["health"]["sweeps"][0]["shards"]
+        assert "health" not in record
         roots = {s["trace_id"] for s in record["spans"]}
         assert len(roots) == 1
+        # the event log joined the same trace as the spans
+        logged = {e["trace_id"] for e in record["log"]["events"]
+                  if e["trace_id"]}
+        assert logged == roots
 
 
 
