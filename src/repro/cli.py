@@ -33,6 +33,7 @@ for machine-readable run-record output (schema
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import NamedTuple
 
@@ -315,7 +316,7 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         metavar="NAME",
-        help="execution backend: interpreter, vectorized, or oracle "
+        help="execution backend: interpreter or vectorized "
              "(default: REPRO_BACKEND, else interpreter)",
     )
 
@@ -1711,8 +1712,24 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse ``argv`` (default ``sys.argv``) and dispatch one command."""
+    """Parse ``argv`` (default ``sys.argv``) and dispatch one command.
+
+    A reader closing the pipe early (``repro verify | head -3``) ends
+    the output with exit status 1 and no traceback; stdout then points
+    at ``os.devnull`` so the exit flush cannot raise again.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        rc = _run(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return rc
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")
+        return 1
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Dispatch ``args``, tracing the command under ``--telemetry``."""
     from repro.errors import BackendError
 
     if not getattr(args, "telemetry", False):

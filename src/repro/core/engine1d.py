@@ -8,7 +8,8 @@ simulated path interprets the engine's lowered 1D tile program
 (:func:`repro.tcu.program.build_tile_program_1d`) through the shared
 block-sweep driver (:mod:`repro.core.sweep`), which treats the sweep as
 a ``1 x n`` grid of ``(1, 64)`` output tiles; the eager accumulator
-chain survives as the ``backend="oracle"`` path.
+chain survives behind :meth:`LoRAStencil1D.tile_source` with
+``oracle=True`` (the ABFT fallback and the equivalence reference).
 
 Both paths use the repository-wide convention: input is padded by the
 stencil radius, output is the interior.  Callers holding *unpadded*

@@ -17,10 +17,11 @@ Two execution paths share one decomposition:
   hardware event counts the figures consume.  The block-sweep
   orchestration itself lives in :func:`repro.core.sweep.run_block_sweep`
   (shared with the 1D and 3D engines); this engine only contributes the
-  tile provider.  ``backend="oracle"`` computes tiles through the eager
+  tile provider.  :meth:`LoRAStencil2D.tile_source` with
+  ``oracle=True`` computes tiles through the eager
   :meth:`~repro.core.rdg.RDGTileCompute.compute_tile` path instead —
-  the correctness oracle the schedule-equivalence suite compares
-  against.
+  the ABFT ladder's last-resort fallback and the reference the
+  schedule-equivalence suite compares against.
 
 Both paths use the repository-wide convention: input is padded by the
 stencil radius, output is the interior.  Callers holding *unpadded*
@@ -193,7 +194,7 @@ class LoRAStencil2D:
 
         Returns ``(interior, counters)`` where ``counters`` holds the
         events of this sweep only.  ``backend`` (``"interpreter"`` |
-        ``"vectorized"`` | ``"oracle"``; ``None``: the interpreter) and
+        ``"vectorized"``; ``None``: the interpreter) and
         ``armed`` (a :class:`repro.faults.ArmedFaults`, ``None`` for a
         clean sweep) go straight to the sweep driver, which picks the
         tile provider and the ABFT guard and refuses the vectorized walk

@@ -16,9 +16,11 @@ from its lazy ``lowered`` property.  :func:`lower` builds the engine
 :class:`LoweredProgram` a :class:`~repro.runtime.plan.StencilPlan`
 carries and the sweep driver executes (the eager
 :meth:`~repro.core.rdg.RDGTileCompute.compute_tile` path survives only
-as the correctness oracle).  Each stage runs under a
-``lowering.<stage>`` telemetry span and its wall time is recorded on
-the artifact, so ``repro profile`` attributes compile cost per stage.
+as the CUDA-core tile provider, the ABFT fallback and the test
+reference, all reached through the engines' ``tile_source``).  Each
+stage runs under a ``lowering.<stage>`` telemetry span and its wall
+time is recorded on the artifact, so ``repro profile`` attributes
+compile cost per stage.
 
 Schedules are pluggable: ``"eager"`` keeps the canonical emission
 order, ``"prefetch"`` hoists fragment loads to the front of the tile

@@ -143,7 +143,7 @@ def run_block_sweep(
     ``padded2d`` is the padded input viewed as 2D (1D engines reshape to
     ``(1, n)``).  ``engine`` supplies its scheduled program
     (``engine.lowered``) and its tile provider
-    (``engine.tile_source(oracle=)``): a callable
+    (``engine.tile_source()``): a callable
     ``(warp, smem, row, col) -> out_tile`` computing one warp tile of
     the spec's tile shape from the block's shared staging tile, ``(row,
     col)`` being the tile's block-local input-window origin.  The driver
@@ -154,8 +154,8 @@ def run_block_sweep(
     events are the sweep's own.
 
     This is the one place a backend meets fault mode.  ``backend``
-    (``None``: the interpreter) picks the tile provider: the lowered
-    program, or ``"oracle"``'s eager tile path.  ``"vectorized"`` runs
+    (``None``: the interpreter) picks how tiles run: the interpreter
+    steps the lowered program tile by tile, and ``"vectorized"`` runs
     the plan's :class:`~repro.core.vectorize.VectorProgram` over all
     tiles at once (bit-identical numerics and counters, no per-tile
     hooks); a CUDA-core engine has no program to batch and silently
@@ -192,7 +192,7 @@ def run_block_sweep(
         from repro.core.vectorize import run_vector_sweep
 
         return run_vector_sweep(padded2d, spec, lowered.vector, device=device)
-    compute_tile = engine.tile_source(oracle=backend == "oracle")
+    compute_tile = engine.tile_source()
     guard = tile_guard = None
     if armed is not None:
         from repro.faults.abft import make_guard

@@ -391,8 +391,9 @@ def walk_tiles(
     tiles included.  The window is zero-extended past its edge exactly
     as the driver's clamped, zero-initialized shared tiles read it (no
     copy when it already covers the walk), so every tile is
-    bit-identical to the interpreter's and the oracle's.  Books no
-    events; ``profiler``/``deltas`` are :meth:`VectorProgram._walk`'s.
+    bit-identical to the interpreter's and the eager tile path's.
+    Books no events; ``profiler``/``deltas`` are
+    :meth:`VectorProgram._walk`'s.
     """
     rows, cols = shape
     t_r, t_c = tile

@@ -1,6 +1,6 @@
 """The fixed set of execution backends behind the unified ``backend=`` API.
 
-Three backends execute a compiled plan:
+Two backends execute a compiled plan:
 
 * ``interpreter`` — the per-thread :class:`~repro.tcu.program.TileProgram`
   interpreter: every m8n8k4 MMA, shuffle and shared-memory transaction is
@@ -13,12 +13,9 @@ Three backends execute a compiled plan:
   analytically (its counters are *derived*, not measured).
   Bit-identical grids *and* EventCounters to the interpreter (the
   schedule-equivalence suite gates this), because every product stays
-  a k=4 BLAS gemm added in schedule order; two orders of magnitude
-  faster in wall-clock.  It has no per-tile hooks, so it is the one
-  backend without fault support.
-* ``oracle`` — the pre-lowering eager tile math, bypassing the scheduled
-  program entirely.  The correctness oracle the property suite checks
-  both other backends against; composes with fault mode.
+  a k=4 BLAS gemm added in schedule order; about 50x faster in
+  wall-clock on a 256^2 Box-2D9P sweep.  It has no per-tile hooks, so
+  it is the one backend without fault support.
 
 :func:`default_backend` is the one function that defaults and validates
 a backend name; it reads the ``REPRO_BACKEND`` environment variable, so
@@ -48,7 +45,7 @@ ENV_BACKEND = "REPRO_BACKEND"
 DEFAULT_BACKEND = "interpreter"
 
 #: every execution backend, in documentation order
-BACKENDS = ("interpreter", "vectorized", "oracle")
+BACKENDS = ("interpreter", "vectorized")
 
 
 def default_backend(name: str | None = None) -> str:

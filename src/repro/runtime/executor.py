@@ -10,10 +10,9 @@ to its execution strategies:
   batch and the per-call Python overhead (the compile-per-call tax this
   subsystem exists to remove) is paid once per batch instead of once
   per grid;
-* :meth:`Runtime.apply_simulated` / :meth:`Runtime.apply_simulated_batch`
-  / :meth:`Runtime.apply_simulated_sharded` — the faithful TCU path.
-  Sharded variants give every shard its own
-  :class:`~repro.tcu.device.Device` and merge the per-shard
+* :meth:`Runtime.apply_simulated` / :meth:`Runtime.apply_simulated_sharded`
+  — the faithful TCU path.  The sharded variant gives every shard its
+  own :class:`~repro.tcu.device.Device` and merges the per-shard
   :class:`~repro.tcu.counters.EventCounters` into one footprint, the
   way per-SM counters aggregate on real hardware.
 
@@ -21,10 +20,10 @@ The simulated paths take a backend and fault run already decided by
 the caller (:func:`repro.faults.arm_faults`, called once per entry
 point): they neither resolve the backend nor arm faults themselves.
 
-Every fan-out runs through :func:`repro.faults.supervisor.supervise_tasks`:
+The shard fan-out runs through :func:`repro.faults.supervisor.supervise_tasks`:
 without a recovery policy it is the plain thread-pool fan-out (a worker's
 non-Repro failure surfaces as a typed :class:`~repro.errors.ExecutionError`
-naming the grid or shard), with one it is the recovery ladder.
+naming the shard), with one it is the recovery ladder.
 
 Shard boundaries align to the plan's warp-tile rows, so a sharded sweep
 computes exactly the same tiles as an unsharded one (identical
@@ -119,14 +118,11 @@ class Runtime:
         """One faithful TCU sweep; returns ``(interior, counters)``.
 
         ``backend`` is the execution backend the caller resolved
-        (``"interpreter"`` | ``"vectorized"`` | ``"oracle"``; default:
-        the plan's compiled-in backend).  The interpreter steps the
-        plan's lowered tile program, ``"oracle"`` runs the engine's
-        eager tile computation instead (the correctness oracle the
-        schedule-equivalence suite compares against — results are
-        guaranteed bit-identical), and ``"vectorized"`` batches every
-        tile of the sweep (bit-identical grids and counters, but no
-        fault tolerance).
+        (``"interpreter"`` | ``"vectorized"``; default: the plan's
+        compiled-in backend).  The interpreter steps the plan's lowered
+        tile program, and ``"vectorized"`` batches every tile of the
+        sweep (bit-identical grids and counters, but no fault
+        tolerance).
 
         ``armed`` (a :class:`repro.faults.ArmedFaults` from
         :func:`repro.faults.arm_faults`; ``None`` for a clean sweep)
@@ -141,42 +137,6 @@ class Runtime:
             backend=backend or self.plan.backend,
             armed=armed,
         )
-
-    def apply_simulated_batch(
-        self,
-        grids: Sequence[np.ndarray] | np.ndarray,
-        max_workers: int | None = None,
-    ) -> tuple[np.ndarray, EventCounters]:
-        """Simulated sweep of every grid in the batch, grid-sharded.
-
-        Each grid runs on its own :class:`~repro.tcu.device.Device` in a
-        thread pool; the per-grid counters merge by summation into one
-        batch footprint.  Returns ``(stacked interiors, merged counters)``.
-        """
-        from repro.faults.supervisor import supervise_tasks
-
-        batch = self._stack(grids)
-        ctx = TraceContext.capture()
-
-        def _run_grid(i: int):
-            with ctx.span(
-                "runtime.batch_grid", category="runtime", grid=i
-            ) as sp:
-                out, counters = self.apply_simulated(batch[i], device=Device())
-                sp.add_events(counters)
-                return out, counters
-
-        results = supervise_tasks(
-            {i: () for i in range(len(batch))},
-            _run_grid,
-            max_workers=max_workers,
-            title="grid {i} of {n} in simulated batch",
-        )
-        outs = np.stack([results[i][0] for i in range(len(batch))])
-        merged = EventCounters()
-        for i in range(len(batch)):
-            merged += results[i][1]
-        return outs, merged
 
     def apply_simulated_sharded(
         self,

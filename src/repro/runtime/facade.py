@@ -159,13 +159,12 @@ class CompiledStencil:
         """Faithful TCU sweep; returns ``(interior, counters)``.
 
         ``backend`` selects the execution backend (``"interpreter"`` |
-        ``"vectorized"`` | ``"oracle"``); it defaults to the plan's
-        compiled-in backend.  The interpreter steps the plan's lowered
-        tile program; ``backend="oracle"`` runs the eager tile path
-        instead — bit-identical by the schedule-equivalence guarantee;
-        ``backend="vectorized"`` batches every tile of the sweep with
-        bit-identical numerics and counters, but rejects fault-tolerant
-        execution (below) with a :class:`~repro.errors.BackendError`.
+        ``"vectorized"``); it defaults to the plan's compiled-in
+        backend.  The interpreter steps the plan's lowered tile
+        program; ``backend="vectorized"`` batches every tile of the
+        sweep with bit-identical numerics and counters, but rejects
+        fault-tolerant execution (below) with a
+        :class:`~repro.errors.BackendError`.
         ``shards > 1`` splits the sweep along the first interior axis
         over a thread pool, one simulated device per shard, and merges
         the per-shard event counters (``device`` is then ignored);
@@ -247,21 +246,6 @@ class CompiledStencil:
             self.plan, padded, size=size, seed=seed, backend=backend
         )
 
-    def apply_simulated_batch(
-        self,
-        grids,
-        max_workers: int | None = None,
-    ) -> tuple[np.ndarray, EventCounters]:
-        """Simulated sweep of a batch of grids with merged counters."""
-        with telemetry.span(
-            "runtime.apply_simulated_batch",
-            category="runtime",
-            plan=self.key[:16],
-        ) as sp:
-            out, events = self.runtime.apply_simulated_batch(grids, max_workers)
-            sp.add_events(events)
-            return out, events
-
     def describe(self) -> str:
         """Human-readable plan summary."""
         return self.plan.describe()
@@ -308,8 +292,8 @@ def compile(
         :data:`DEFAULT_PLAN_CACHE`); ``None`` compiles uncached.
     backend:
         Execution backend the plan's apply paths default to
-        (``"interpreter"`` | ``"vectorized"`` | ``"oracle"``); defaults
-        to :func:`repro.runtime.backends.default_backend` (the
+        (``"interpreter"`` | ``"vectorized"``); defaults to
+        :func:`repro.runtime.backends.default_backend` (the
         ``REPRO_BACKEND`` environment variable, else the interpreter).
         Part of the plan key: plans compiled for different backends
         never alias in the cache.

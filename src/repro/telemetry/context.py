@@ -12,8 +12,8 @@ Two primitives fix both:
 
 * :class:`TraceContext` — an immutable ``(trace_id, parent span)``
   capture taken *once* where workers are spawned
-  (``apply_simulated_sharded`` / ``apply_simulated_batch`` / the fault
-  supervisor).  :meth:`TraceContext.span` opens a child span from any
+  (``apply_simulated_sharded`` / ``ClusterRuntime.run``).
+  :meth:`TraceContext.span` opens a child span from any
   thread, any number of times (including backoff resubmissions and the
   inline-recomputation fallback), always re-parented under the
   spawning span and stamped with the spawning trace id — so one

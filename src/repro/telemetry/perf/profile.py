@@ -315,17 +315,15 @@ def profile_plan(
     from a one-tile probe, scaled) and charges ``n_tiles`` instruction
     instances per batched execution, so its per-op/per-term breakdown
     *and* instruction counts match the interpreter's bit-for-bit.
-    Raises :class:`~repro.errors.PerfError` for ``backend="oracle"``
-    (the eager tile path runs no instructions) and for CUDA-core plans,
-    which lower to no tensor-core program.
+    Raises :class:`~repro.errors.PerfError` for CUDA-core plans, which
+    lower to no tensor-core program.
     """
-    if backend == "oracle" or not plan.config.use_tensor_cores:
+    if not plan.config.use_tensor_cores:
         raise PerfError(
             "per-instruction profiling requires the lowered tensor-core "
-            "program (no oracle backend, no CUDA-core configuration)"
+            "program (no CUDA-core configuration)"
         )
-    if backend is None:
-        backend = "vectorized" if plan.backend == "vectorized" else "interpreter"
+    backend = backend or plan.backend
     if padded is None:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=profile_shape(plan.ndim, size))

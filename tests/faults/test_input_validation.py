@@ -98,29 +98,6 @@ class TestWorkerExceptionWrapping:
         finally:
             compiled.plan.engine.apply_simulated = original
 
-    def test_simulated_batch_wraps_with_grid_index(self):
-        compiled, x = _compiled()
-
-        class Boom(RuntimeError):
-            pass
-
-        original = compiled.plan.engine.apply_simulated
-        calls = []
-
-        def sabotaged(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
-                raise Boom("worker died")
-            return original(*args, **kwargs)
-
-        compiled.plan.engine.apply_simulated = sabotaged
-        try:
-            with pytest.raises(ExecutionError, match=r"grid \d of 2"):
-                compiled.runtime.apply_simulated_batch([x, x.copy()])
-        finally:
-            compiled.plan.engine.apply_simulated = original
-
-
 class TestClusterNonFinite:
     """A cluster run checks finiteness where data enters (scatter and
     checkpoint restore) and once per round on the folded blocks; the

@@ -10,8 +10,9 @@ BVS / async-copy config ablations.
 
 The same contract now gates the **vectorized backend**: the batched
 NumPy walk of the scheduled program must match both the interpreter and
-the oracle bit-for-bit, grids and EventCounters alike, under every
-schedule and ablation this suite sweeps.
+the eager tile path (``tile_source(oracle=True)``, reached through the
+``eager_tiles`` fixture) bit-for-bit, grids and EventCounters alike,
+under every schedule and ablation this suite sweeps.
 """
 
 import itertools
@@ -103,66 +104,41 @@ WEIGHTS_3D = repro.star_weights(1, 3)
 # ---------------------------------------------------------------------------
 # program path == oracle path, per schedule, per config ablation
 # ---------------------------------------------------------------------------
+def _assert_three_way(weights, padded, schedule, eager_tiles):
+    """Interpreter, eager tile path and vectorized walk agree bit for bit,
+    grids and counters, under every config ablation of ``schedule``."""
+    for config in _configs(schedule):
+        compiled = repro.compile(weights, config=config, cache=None)
+        out, ev = compiled.apply_simulated(padded, backend="interpreter")
+        with eager_tiles():
+            ref_out, ref_ev = compiled.apply_simulated(
+                padded, backend="interpreter"
+            )
+        vec_out, vec_ev = compiled.apply_simulated(
+            padded, backend="vectorized"
+        )
+        assert np.array_equal(out, ref_out)
+        assert ev == ref_ev
+        assert np.array_equal(out, vec_out)
+        assert ev == vec_ev
+        assert np.allclose(out, reference_apply(padded, weights), atol=1e-10)
+
+
 class TestProgramMatchesOracle:
     @pytest.mark.parametrize("schedule", ["eager", "prefetch"])
-    def test_2d(self, schedule):
+    def test_2d(self, schedule, eager_tiles):
         padded = _grid((24, 28), WEIGHTS_2D.radius)
-        for config in _configs(schedule):
-            compiled = repro.compile(WEIGHTS_2D, config=config, cache=None)
-            out, ev = compiled.apply_simulated(padded)
-            ref_out, ref_ev = compiled.apply_simulated(
-                padded, backend="oracle"
-            )
-            vec_out, vec_ev = compiled.apply_simulated(
-                padded, backend="vectorized"
-            )
-            assert np.array_equal(out, ref_out)
-            assert ev == ref_ev
-            assert np.array_equal(out, vec_out)
-            assert ev == vec_ev
-            assert np.allclose(
-                out, reference_apply(padded, WEIGHTS_2D), atol=1e-10
-            )
+        _assert_three_way(WEIGHTS_2D, padded, schedule, eager_tiles)
 
     @pytest.mark.parametrize("schedule", ["eager", "prefetch"])
-    def test_1d(self, schedule):
+    def test_1d(self, schedule, eager_tiles):
         padded = _grid((130,), WEIGHTS_1D.radius)
-        for config in _configs(schedule):
-            compiled = repro.compile(WEIGHTS_1D, config=config, cache=None)
-            out, ev = compiled.apply_simulated(padded)
-            ref_out, ref_ev = compiled.apply_simulated(
-                padded, backend="oracle"
-            )
-            vec_out, vec_ev = compiled.apply_simulated(
-                padded, backend="vectorized"
-            )
-            assert np.array_equal(out, ref_out)
-            assert ev == ref_ev
-            assert np.array_equal(out, vec_out)
-            assert ev == vec_ev
-            assert np.allclose(
-                out, reference_apply(padded, WEIGHTS_1D), atol=1e-10
-            )
+        _assert_three_way(WEIGHTS_1D, padded, schedule, eager_tiles)
 
     @pytest.mark.parametrize("schedule", ["eager", "prefetch"])
-    def test_3d(self, schedule):
+    def test_3d(self, schedule, eager_tiles):
         padded = _grid((3, 10, 12), WEIGHTS_3D.radius)
-        for config in _configs(schedule):
-            compiled = repro.compile(WEIGHTS_3D, config=config, cache=None)
-            out, ev = compiled.apply_simulated(padded)
-            ref_out, ref_ev = compiled.apply_simulated(
-                padded, backend="oracle"
-            )
-            vec_out, vec_ev = compiled.apply_simulated(
-                padded, backend="vectorized"
-            )
-            assert np.array_equal(out, ref_out)
-            assert ev == ref_ev
-            assert np.array_equal(out, vec_out)
-            assert ev == vec_ev
-            assert np.allclose(
-                out, reference_apply(padded, WEIGHTS_3D), atol=1e-10
-            )
+        _assert_three_way(WEIGHTS_3D, padded, schedule, eager_tiles)
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +192,27 @@ class TestSchedulesAgree:
 
 
 # ---------------------------------------------------------------------------
-# the executor/facade oracle wiring itself
+# the eager reference wiring itself
 # ---------------------------------------------------------------------------
 class TestOracleWiring:
-    def test_oracle_counters_match_on_cuda_core_config(self):
-        # no tensor-core program exists: oracle and default path are the
+    def test_eager_tiles_reach_the_eager_tile_path(self, eager_tiles):
+        engine = repro.compile(WEIGHTS_2D, cache=None).plan.engine
+        assert engine.tile_source() != engine.tile.compute_tile
+        with eager_tiles():
+            assert engine.tile_source() == engine.tile.compute_tile
+
+    def test_oracle_counters_match_on_cuda_core_config(self, eager_tiles):
+        # no tensor-core program exists: eager and default path are the
         # same eager code, trivially identical
         config = OptimizationConfig(use_tensor_cores=False)
         compiled = repro.compile(WEIGHTS_2D, config=config, cache=None)
         assert compiled.program is None
         padded = _grid((16, 16), WEIGHTS_2D.radius)
-        out, ev = compiled.apply_simulated(padded)
-        ref_out, ref_ev = compiled.apply_simulated(padded, backend="oracle")
+        out, ev = compiled.apply_simulated(padded, backend="interpreter")
+        with eager_tiles():
+            ref_out, ref_ev = compiled.apply_simulated(
+                padded, backend="interpreter"
+            )
         assert np.array_equal(out, ref_out)
         assert ev == ref_ev
 

@@ -1,9 +1,9 @@
 """The unified ``backend=`` execution API.
 
 Covers the registry itself, the backend-equivalence matrix (bit-identical
-grids AND EventCounters across interpreter / vectorized / oracle, over
-1D/2D/3D kernels and schedules), the fault-mode composition rules,
-plan-key/plan-cache backend coverage, the
+grids AND EventCounters across interpreter / vectorized and the eager
+tile path, over 1D/2D/3D kernels and schedules), the fault-mode
+composition rules, plan-key/plan-cache backend coverage, the
 ``REPRO_BACKEND`` session default, and a hypothesis property over random
 grid shapes.
 """
@@ -69,7 +69,7 @@ def _race(work, n):
     return runs
 
 
-BACKENDS = ("interpreter", "vectorized", "oracle")
+BACKENDS = ("interpreter", "vectorized")
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,6 @@ class TestRegistry:
     def test_get_backend_attributes(self):
         # fault support: every backend but the vectorized walk
         assert check_fault_support("interpreter", True) == "interpreter"
-        assert check_fault_support("oracle", True) == "oracle"
         assert check_fault_support(None, True) == DEFAULT_BACKEND
         with pytest.raises(BackendError, match="does not support"):
             check_fault_support("vectorized", True)
@@ -90,6 +89,14 @@ class TestRegistry:
     def test_unknown_backend_is_typed_error(self):
         with pytest.raises(BackendError, match="unknown execution backend"):
             default_backend("simd")
+
+    def test_oracle_is_not_a_backend(self, monkeypatch):
+        # the eager tile path is reachable only through tile_source
+        with pytest.raises(BackendError, match="interpreter, vectorized"):
+            default_backend("oracle")
+        monkeypatch.setenv("REPRO_BACKEND", "oracle")
+        with pytest.raises(BackendError, match="REPRO_BACKEND='oracle'"):
+            default_backend()
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +115,19 @@ EQUIV_CASES = [
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("name,shape", EQUIV_CASES)
-    def test_matrix(self, name, shape):
+    def test_matrix(self, name, shape, eager_tiles):
         k = get_kernel(name)
         compiled = repro.compile(k.weights, cache=None)
         padded = _padded(k.weights, shape)
         results = {
             b: compiled.apply_simulated(padded, backend=b) for b in BACKENDS
         }
+        with eager_tiles():
+            results["eager"] = compiled.apply_simulated(
+                padded, backend="interpreter"
+            )
         out0, ev0 = results["interpreter"]
-        for b in ("vectorized", "oracle"):
+        for b in ("vectorized", "eager"):
             out, ev = results[b]
             assert np.array_equal(out0, out), b
             assert ev0 == ev, b
@@ -250,7 +261,10 @@ class TestFaultModeRules:
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert resolve_backend(None) == DEFAULT_BACKEND
         assert resolve_backend(None, plan_default="vectorized") == "vectorized"
-        assert resolve_backend("oracle", plan_default="vectorized") == "oracle"
+        assert (
+            resolve_backend("interpreter", plan_default="vectorized")
+            == "interpreter"
+        )
         # defaulted vectorized + fault mode -> silent downgrade
         assert (
             resolve_backend(None, plan_default="vectorized", fault_mode=True)

@@ -81,19 +81,3 @@ class TestShardedSimulated:
         b, cb = compiled.apply_simulated(x, shards=1)
         np.testing.assert_array_equal(a, b)
         assert ca.mma_ops == cb.mma_ops
-
-
-class TestSimulatedBatch:
-    def test_merged_counters_scale_with_batch(self, rng):
-        k = get_kernel("Box-2D9P")
-        h = k.weights.radius
-        compiled = compile_stencil(k.weights)
-        grids = rng.normal(size=(3, 12 + 2 * h, 12 + 2 * h))
-
-        outs, merged = compiled.apply_simulated_batch(grids)
-        assert outs.shape == (3, 12, 12)
-        _, one = compiled.apply_simulated(grids[0])
-        assert merged.mma_ops == 3 * one.mma_ops
-        for i, g in enumerate(grids):
-            expected, _ = compiled.apply_simulated(g)
-            np.testing.assert_array_equal(outs[i], expected)

@@ -76,17 +76,6 @@ class TestShardedTrace:
         for event in EVENT_LOG.events():
             assert event.trace_id == root.trace_id, event.kind
 
-    def test_batch_threaded_workers_join_the_parent_trace(self, rng):
-        compiled = _compiled()
-        grids = rng.normal(size=(3, 14, 14))
-        telemetry.enable()
-        compiled.apply_simulated_batch(grids)
-        (root,) = TRACER.roots()
-        lanes = [s for s in root.walk() if s.name == "runtime.batch_grid"]
-        assert len(lanes) == 3
-        assert {s.trace_id for s in lanes} == {root.trace_id}
-        assert all(s.parent is root for s in lanes)
-
     def test_disabled_telemetry_still_logs_decisions(self, rng):
         plan = FaultPlan(specs=(FaultSpec(kind="shard_crash", site=0),))
         compiled = _compiled()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import sweep
-from repro.errors import PerfError
+from repro.errors import BackendError, PerfError
 from repro.runtime import compile as compile_stencil
 from repro.stencil.kernels import get_kernel
 from repro.tcu.counters import EventCounters
@@ -154,14 +154,14 @@ class TestRefusals:
             compiled.profile(size=16)
 
     def test_oracle_backend_refused(self, box_plan):
-        with pytest.raises(PerfError, match="oracle"):
+        # the eager tile path is no backend, so there is nothing to profile
+        with pytest.raises(BackendError, match="'oracle'"):
             profile_plan(box_plan, size=16, backend="oracle")
 
 
 class TestBackendChoice:
-    """``profile_plan`` alone picks the profiled backend: the plan's
-    vectorized default stays vectorized, any other default profiles on
-    the interpreter."""
+    """``profile_plan`` alone picks the profiled backend: an explicit
+    ``backend=``, else the plan's own."""
 
     @staticmethod
     def _instrumented(monkeypatch):
@@ -179,7 +179,6 @@ class TestBackendChoice:
         "plan_backend,profiled",
         [
             ("interpreter", "interpreter"),
-            ("oracle", "interpreter"),
             ("vectorized", "vectorized"),
         ],
     )
@@ -196,7 +195,7 @@ class TestBackendChoice:
 
     def test_explicit_vectorized_wins_over_the_plan_default(self, monkeypatch):
         plan = compile_stencil(
-            get_kernel("Box-2D9P").weights, backend="oracle"
+            get_kernel("Box-2D9P").weights, backend="interpreter"
         ).plan
         seen = self._instrumented(monkeypatch)
         profile_plan(plan, size=16, backend="vectorized")

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
+import errno
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -73,6 +77,20 @@ class TestCommands:
     def test_unknown_kernel_raises(self):
         with pytest.raises(KeyError):
             main(["decompose", "NoSuchKernel"])
+
+    def test_closed_pipe_ends_output_without_traceback(
+        self, capsys, monkeypatch
+    ):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["kernels"]) == 1
+        # the exit flush now goes to os.devnull and cannot raise again
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert capsys.readouterr().err == ""
 
 
 class TestNewCommands:
