@@ -1714,15 +1714,22 @@ def _dispatch(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Parse ``argv`` (default ``sys.argv``) and dispatch one command.
 
-    A reader closing the pipe early (``repro verify | head -3``) ends
-    the output with exit status 1 and no traceback; stdout then points
-    at ``os.devnull`` so the exit flush cannot raise again.
+    Any :class:`~repro.errors.ReproError` (an unknown kernel, backend or
+    schedule, ...) ends in a one-line ``error:`` on stderr and exit
+    status 2.  A reader closing the pipe early (``repro verify | head
+    -3``) ends the output with exit status 1 and no traceback; stdout
+    then points at ``os.devnull`` so the exit flush cannot raise again.
     """
+    from repro.errors import ReproError
+
     args = build_parser().parse_args(argv)
     try:
         rc = _run(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return rc
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         sys.stdout = open(os.devnull, "w")
         return 1
@@ -1730,14 +1737,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     """Dispatch ``args``, tracing the command under ``--telemetry``."""
-    from repro.errors import BackendError
-
     if not getattr(args, "telemetry", False):
-        try:
-            return _dispatch(args)
-        except BackendError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return _dispatch(args)
 
     # --telemetry: trace the whole command, then append the span tree
     # (skipped under --json so stdout stays parseable).
@@ -1748,9 +1749,6 @@ def _run(args: argparse.Namespace) -> int:
     try:
         with telemetry.TRACER.span(f"cli.{args.command}", category="cli"):
             rc = _dispatch(args)
-    except BackendError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         telemetry.disable()
     if not getattr(args, "json", False):

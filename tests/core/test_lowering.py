@@ -170,7 +170,7 @@ def _assert_same_tile(a, b):
             assert np.array_equal(x.meta[key], y.meta[key])
     va, vb = a.vector, b.vector
     assert (va.kind, va.scalar_weights) == (vb.kind, vb.scalar_weights)
-    assert (va.slots, va.n_values) == (vb.slots, vb.n_values)
+    assert (va.slots, va.last_use) == (vb.slots, vb.last_use)
     for ops_a, ops_b in ((va.u_ops, vb.u_ops), (va.v_ops, vb.v_ops)):
         assert ops_a.keys() == ops_b.keys()
         for key in ops_a:
