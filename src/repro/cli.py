@@ -114,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--update-baseline", action="store_true",
                     help="measure and (over)write the baseline instead of "
                          "checking against it")
-    pc.add_argument("--kernel", default=None,
-                    help="workload kernel (default: the baseline's)")
     pc.add_argument("--size", type=int, default=None,
                     help="grid edge (default: the baseline's)")
     pc.add_argument("--seed", type=int, default=None,
@@ -202,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kernel")
     p.add_argument("--steps", type=int, nargs="*", default=[1, 2, 4, 8, 16])
 
-    p = sub.add_parser("scaling", help="multi-GPU scaling model")
-    p.add_argument("--kernel", default="Box-2D9P")
+    p = sub.add_parser("scaling", help="multi-GPU scaling model (Box-2D9P)")
     p.add_argument("--size", type=int, default=4096)
     p.add_argument("--devices", type=int, nargs="*", default=[1, 2, 4, 8])
 
@@ -222,12 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed for both the grid and the fault plan")
     cr.add_argument("--faults", type=int, default=4,
                     help="number of faults in the campaign")
-    cr.add_argument("--kinds", nargs="*", default=None,
-                    help="restrict fault kinds (default: all applicable)")
     cr.add_argument("--shards", type=int, default=1)
-    cr.add_argument("--sticky", action="store_true",
-                    help="faults re-fire on recovery attempts "
-                         "(exercises the FaultError exhaustion path)")
     cr.add_argument("--no-verify", action="store_true",
                     help="negative control: inject without ABFT verification")
     cr.add_argument("--json", action="store_true")
@@ -256,9 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     clr.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="snapshot the run into DIR at temporal-round "
                           "barriers (resumable with `repro cluster resume`)")
-    clr.add_argument("--checkpoint-every", type=int, default=1,
-                     metavar="N",
-                     help="checkpoint every N rounds (default 1)")
     clr.add_argument("--halt-after-round", type=int, default=None,
                      metavar="ROUND",
                      help="deterministic mid-run kill: checkpoint after "
@@ -271,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     crs.add_argument("--checkpoint-dir", required=True, metavar="DIR",
                      help="directory written by `cluster run "
                           "--checkpoint-dir`")
-    crs.add_argument("--round", type=int, default=None, metavar="ROUND",
-                     help="resume from this round's checkpoint "
-                          "(default: the latest)")
     crs.add_argument("--json", action="store_true")
     _add_artifact_flags(crs)
     crp = cluster_sub.add_parser(
@@ -356,8 +342,6 @@ def _add_cluster_run_args(parser: argparse.ArgumentParser) -> None:
                              "(temporal blocking)")
     parser.add_argument("--tiling", choices=["trapezoid", "diamond"],
                         default="trapezoid")
-    parser.add_argument("--boundary", choices=["constant", "periodic"],
-                        default="constant")
     parser.add_argument("--overlap", action="store_true",
                         help="overlap the halo transfer with the interior "
                              "sweep (cp.async-modeled double buffering)")
@@ -619,9 +603,7 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
     baseline_path = pathlib.Path(args.baseline or DEFAULT_BASELINE)
     baseline = load_record(baseline_path) if baseline_path.exists() else None
     base_extra = (baseline or {}).get("extra") or {}
-    kernel = args.kernel or base_extra.get(
-        "kernel", REFERENCE_WORKLOAD["kernel"]
-    )
+    kernel = base_extra.get("kernel", REFERENCE_WORKLOAD["kernel"])
     size = args.size or base_extra.get("size", REFERENCE_WORKLOAD["size"])
     seed = (
         args.seed
@@ -896,15 +878,12 @@ def _cmd_precision(kernel_name: str, steps: list[int]) -> int:
     return 0
 
 
-def _cmd_scaling(kernel_name: str, size: int, devices: list[int]) -> int:
+def _cmd_scaling(size: int, devices: list[int]) -> int:
     from repro.experiments.report import format_table
     from repro.parallel import ClusterRuntime, distribute
     from repro.stencil.kernels import get_kernel
 
-    k = get_kernel(kernel_name)
-    if k.weights.ndim != 2:
-        print("scaling model supports 2D kernels", file=sys.stderr)
-        return 2
+    k = get_kernel("Box-2D9P")
     base = None
     rows = [["devices", "mesh", "step time", "comm %", "speedup", "efficiency"]]
     for n in devices:
@@ -1069,8 +1048,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     the output is bit-identical to the fault-free sweep (or, under
     ``--no-verify``, the negative control behaved as expected); 1 —
     recovery claimed success but the output differs (never expected);
-    3 — recovery exhausted (:class:`~repro.errors.FaultError`), which
-    is the *correct* outcome for ``--sticky`` campaigns.
+    3 — recovery exhausted (:class:`~repro.errors.FaultError`).
     """
     import json
 
@@ -1090,11 +1068,9 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
 
     plan = FaultPlan.random(
         seed=args.seed,
-        kinds=args.kinds,
         count=args.faults,
         max_mma_site=max(4, compiled.plan.mma_per_tile) * 4,
         shards=args.shards,
-        sticky=args.sticky,
     )
     verify = None if args.no_verify else "abft"
     failed = None
@@ -1270,9 +1246,7 @@ class _ClusterSetup(NamedTuple):
         from repro.stencil.reference import reference_iterate
 
         a = self.args
-        ref = reference_iterate(
-            self.x, self.kernel.weights, a.steps, boundary=a.boundary
-        )
+        ref = reference_iterate(self.x, self.kernel.weights, a.steps)
         matches_ref = bool(np.allclose(result.field, ref, atol=1e-6))
         text = "reference check: " + (
             "PASS" if matches_ref else "FAIL (diverged)"
@@ -1327,8 +1301,8 @@ def _cluster_setup(args: argparse.Namespace) -> _ClusterSetup | None:
         return None
     shape = profile_shape(ndim, args.size)
     plan = distribute(
-        k.weights, shape, mesh, boundary=args.boundary,
-        block_steps=args.block_steps, tiling=args.tiling, backend=args.backend,
+        k.weights, shape, mesh, block_steps=args.block_steps,
+        tiling=args.tiling, backend=args.backend,
     )
     runtime = ClusterRuntime(plan)
     runtime.checkpoint_meta = {
@@ -1405,8 +1379,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     k, plan = setup.kernel, setup.plan
     clean = setup.run(clean=True).field if setup.faults is not None else None
     ckpt_cfg = CheckpointConfig(
-        dir=args.checkpoint_dir, every=args.checkpoint_every,
-        halt_after=args.halt_after_round,
+        dir=args.checkpoint_dir, halt_after=args.halt_after_round,
     ) if args.checkpoint_dir else None
     try:
         with _observed(args):
@@ -1515,9 +1488,7 @@ def _cmd_cluster_resume(args: argparse.Namespace) -> int:
     # ``checkpoint.restored`` event lands in the exported log
     with telemetry.capture():
         try:
-            ckpt = load_checkpoint(
-                args.checkpoint_dir, round_index=args.round
-            )
+            ckpt = load_checkpoint(args.checkpoint_dir)
         except CheckpointError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -1699,7 +1670,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "precision":
         return _cmd_precision(args.kernel, args.steps)
     if args.command == "scaling":
-        return _cmd_scaling(args.kernel, args.size, args.devices)
+        return _cmd_scaling(args.size, args.devices)
     if args.command == "chaos":
         if args.chaos_command == "run":
             return _cmd_chaos_run(args)
