@@ -41,8 +41,6 @@ from repro.parallel.plan import (
 from repro.parallel.distributed import (
     advance_window,
     frame_regions,
-    interior_of,
-    strip_window,
 )
 from repro.parallel.checkpoint import (
     CHECKPOINT_SCHEMA,
@@ -74,8 +72,6 @@ __all__ = [
     "distribute",
     "advance_window",
     "frame_regions",
-    "interior_of",
-    "strip_window",
     "ClusterRuntime",
     "ClusterResult",
     "ClusterTimings",

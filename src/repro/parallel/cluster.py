@@ -13,10 +13,11 @@ mode:
 * temporal blocking (trapezoid/diamond rounds from the plan's
   :class:`~repro.parallel.plan.HaloSchedule`),
 * overlapped execution (``overlap=True``): the halo transfer is issued
-  asynchronously (``cp.async`` model) and each rank computes its
-  halo-independent interior *while the transfer is in flight*, then
-  finishes the boundary strips after arrival — bit-identical to the
-  synchronous exchange by the overlap-equivalence suite,
+  asynchronously (``cp.async`` model) and each rank waits for its
+  window, then advances it in one sweep — bit-identical to the
+  synchronous exchange by the overlap-equivalence suite.  How much of
+  the transfer the interior sweep hides is modeled, not executed: see
+  :class:`ClusterTimings` and the cluster observatory,
 * serial / thread / process executors; process ranks run in worker
   processes under the shared recovery ladder with their spans revived
   into the parent trace.
@@ -56,10 +57,8 @@ from repro.parallel.checkpoint import (
 from repro.parallel.decomposition import Partition
 from repro.parallel.distributed import (
     advance_window,
-    frame_regions,
-    interior_of,
+    interior_of,  # noqa: F401 - perfbench/ledger.py PATCHES wraps it here
     process_advance,
-    strip_window,
 )
 from repro.parallel.halo import AsyncHaloHandle, HaloExchanger
 from repro.parallel.plan import DistributedPlan, HaloSchedule, distribute
@@ -99,7 +98,10 @@ class ClusterTimings:
     The original fields model the synchronous pipeline (``step_s =
     compute_s + comm_s``); the defaulted extensions model the
     overlapped one, where the interior sweep hides the transfer:
-    ``step_s = max(comm_s, interior_s) + boundary_s``.  ``comm_s`` is
+    ``step_s = max(comm_s, interior_s) + boundary_s``.  The hiding is
+    modeled only: the runtime sweeps each whole window once its
+    transfer arrives, and the cluster observatory charges the same
+    interior share of each rank's measured compute.  ``comm_s`` is
     always the *per-step equivalent* interconnect time (a temporal
     round's deep exchange amortized over its ``block_steps``).
     """
@@ -330,10 +332,10 @@ class ClusterRuntime:
 
         ``block_steps`` / ``tiling`` override the plan's halo schedule
         for this run (temporal blocking); ``overlap=True`` issues each
-        exchange asynchronously and computes interiors while it is in
-        flight; ``executor`` picks how ranks run within a round
-        (``"serial"`` / ``"thread"`` / ``"process"``).  ``simulate=True``
-        runs the faithful TCU sweep per rank (merged
+        exchange asynchronously (the hiding is modeled, see
+        :class:`ClusterTimings`); ``executor`` picks how ranks run
+        within a round (``"serial"`` / ``"thread"`` / ``"process"``).
+        ``simulate=True`` runs the faithful TCU sweep per rank (merged
         :class:`~repro.tcu.counters.EventCounters` on the result) under
         ``backend=``; ``verify`` / ``faults`` / ``policy`` arm the
         fault-tolerance ladder — injected ``shard``/``rank`` faults
@@ -546,11 +548,12 @@ class ClusterRuntime:
         Overlapped runs commit it asynchronously (``cp.async``): the
         blocks are snapshotted into the staging buffer before this
         returns and the transfer materializes on the exchanger's
-        background lane while ranks compute their interiors.  Halo
-        verification needs the materialized windows before any rank
-        computes, so the halo guard forces the synchronous path.  The
-        round's bytes join ``st.round_bytes``, which keeps an aborted
-        elastic attempt's traffic in the round's ledger entry.
+        background lane while ranks are dispatched; each rank waits for
+        its own window.  Halo verification needs the materialized
+        windows before any rank is dispatched, so the halo guard forces
+        the synchronous path.  The round's bytes join
+        ``st.round_bytes``, which keeps an aborted elastic attempt's
+        traffic in the round's ledger entry.
         """
         k = st.phases[round_i]
         depth = st.schedule.depth(k)
@@ -673,10 +676,11 @@ class ClusterRuntime:
     def _rank(self, st: _Run, rnd: _Round, rank: int) -> tuple:
         """One rank's round: ``(block, counters | None, info | None)``.
 
-        Process ranks fire their shard/rank faults here in the
-        dispatcher, where the supervisor's timeout/retry can see them
-        (the context-attached span keeps the ``fault.inject`` child in
-        the run's trace), then advance whole windows in a worker.
+        Every rank waits for its window, then advances the whole window
+        once per step.  Process ranks fire their shard/rank faults here
+        in the dispatcher, where the supervisor's timeout/retry can see
+        them (the context-attached span keeps the ``fault.inject`` child
+        in the run's trace), then advance in a worker.
         """
         sub = self.part.subdomains[rank]
         injector = st.armed.injector if st.armed is not None else None
@@ -713,72 +717,37 @@ class ClusterRuntime:
                 injector.on_shard(rank)
                 injector.on_rank(rank)
             runtime = self.plan.compiled.runtime
-            if not st.simulate:
+            local = EventCounters() if st.simulate else None
+            if local is None:
                 # the input was checked at scatter/restore and each
                 # round's output at the fold: call the engine directly
-                engine_apply = runtime.plan.engine.apply
-                return self._advance(st, rnd, sub, engine_apply), None, None
-            local = EventCounters()
+                apply_fn = runtime.plan.engine.apply
+            else:
 
-            def apply_fn(win: np.ndarray) -> np.ndarray:
-                out, ev = runtime.apply_simulated(
-                    win, backend=st.backend, armed=st.armed
-                )
-                local.__iadd__(ev)
-                return out
+                def apply_fn(win: np.ndarray) -> np.ndarray:
+                    out, ev = runtime.apply_simulated(
+                        win, backend=st.backend, armed=st.armed
+                    )
+                    local.__iadd__(ev)
+                    return out
 
-            out = self._advance(st, rnd, sub, apply_fn)
-            span.add_events(local)
-            return out, local, None
-
-    def _advance(self, st: _Run, rnd: _Round, sub, apply_fn) -> np.ndarray:
-        """Advance one rank's block through the round in this process.
-
-        The one overlap decision: while the transfer is in flight, a
-        functional rank whose block holds a ``depth``-inset interior
-        computes that interior from its own block, waits, then stitches
-        the frame strips from the arrived window.  Every other case —
-        a synchronous exchange, a simulated sweep (its tiling of the
-        whole window is part of the bit/counter contract), or a block
-        too small for an interior — waits and advances the whole window.
-        """
-        rank, depth = sub.rank, rnd.depth
-        gshape, h = self.plan.global_shape, self.plan.radius
-        boundary = st.schedule.boundary
-        lane = dict(category="parallel", rank=rank, round=rnd.index)
-        interior = None
-        if rnd.handle is not None and not st.simulate:
-            interior, strips = frame_regions(st.blocks[rank].shape, depth)
-        if interior is None:
             win = self._window(rnd, rank, telemetry.span)
-            origin = tuple(s.start - depth for s in sub.slices)
-            with telemetry.span("cluster.compute", **lane):
-                return advance_window(
-                    apply_fn, win, origin, gshape, boundary, rnd.steps, h
-                )
-        with telemetry.span("cluster.interior", **lane):
-            core = interior_of(
-                apply_fn, st.blocks[rank], sub, gshape, boundary, rnd.steps, h
-            )
-        win = self._window(rnd, rank, telemetry.span)
-        out = np.empty(sub.shape, dtype=np.float64)
-        out[interior] = core
-        with telemetry.span("cluster.stitch", **lane):
-            for region in strips:
-                origin = tuple(
-                    s.start + r.start - depth
-                    for s, r in zip(sub.slices, region)
-                )
-                out[region] = advance_window(
+            with telemetry.span(
+                "cluster.compute", category="parallel", rank=rank,
+                round=rnd.index,
+            ):
+                out = advance_window(
                     apply_fn,
-                    strip_window(win, region, depth),
-                    origin,
-                    gshape,
-                    boundary,
+                    win,
+                    tuple(s.start - rnd.depth for s in sub.slices),
+                    self.plan.global_shape,
+                    st.schedule.boundary,
                     rnd.steps,
-                    h,
+                    self.plan.radius,
                 )
-        return out
+            if local is not None:
+                span.add_events(local)
+            return out, local, None
 
     @staticmethod
     def _window(rnd: _Round, rank: int, span) -> np.ndarray:
@@ -977,8 +946,8 @@ class ClusterRuntime:
         representative measured footprint scaled to the largest block.
         ``block_steps > 1`` amortizes one deep exchange over the round
         (the per-step-equivalent ``comm_s`` drops ~``block_steps``×);
-        ``overlap=True`` splits the sweep into the interior hidden
-        behind the transfer and the boundary strips that wait for it.
+        ``overlap=True`` models the sweep as the interior hidden behind
+        the transfer plus the boundary strips that wait for it.
         """
         from repro.baselines.lorastencil import LoRAStencilMethod
         from repro.stencil.kernels import BenchmarkKernel
@@ -1017,22 +986,21 @@ class ClusterRuntime:
         # the volume over the link, amortized over the round's steps —
         # the latency term is what temporal blocking actually cuts
         # (deep corner halos make the *volume* slightly superlinear).
-        # The transfer formula is shared with the cluster observatory
-        # so measured reports reconcile exactly with this model.
-        from repro.telemetry.cluster import modeled_transfer_s
+        # The transfer formula and the interior share are shared with
+        # the cluster observatory so measured reports reconcile exactly
+        # with this model.
+        from repro.telemetry.cluster import interior_share, modeled_transfer_s
 
         comm = modeled_transfer_s(comm_bytes) / block_steps
-        interior_points = int(
-            np.prod([max(0, n - 2 * depth) for n in biggest.shape])
-        )
+        interior = compute * interior_share(biggest.shape, depth)
         return ClusterTimings(
             num_devices=part.num_devices,
             compute_s=compute,
             comm_s=comm,
             steps=steps,
             overlap=overlap,
-            interior_s=per_point * interior_points,
-            boundary_s=per_point * (block_points - interior_points),
+            interior_s=interior,
+            boundary_s=compute - interior,
             points=int(np.prod(self.plan.global_shape)),
             block_steps=block_steps,
         )

@@ -1,4 +1,4 @@
-"""Distributed window advance: shrinking windows, overlap split, workers.
+"""Distributed window advance: shrinking windows, halo frames, workers.
 
 The numerical core the cluster runtime executes, shared by every
 dimension (1D/2D/3D), both boundaries, and all three executors
@@ -8,13 +8,9 @@ dimension (1D/2D/3D), both boundaries, and all three executors
   halo-deep window, re-imposing the global Dirichlet boundary on
   out-of-domain cells between steps (the exact trapezoid of
   temporal blocking, generalized to N dimensions);
-* :func:`frame_regions` — split a block's output region into a
-  ``depth``-inset interior and the boundary frame strips.  The interior
-  depends only on the rank's own block, so it computes *while the halo
-  transfer is in flight*; the strips compute after arrival from
-  sub-windows of the deep window.  Both routes evaluate the identical
-  per-point FP chains, so the stitched result is bit-identical to the
-  full-window advance (the overlap-equivalence suite asserts it);
+* :func:`frame_regions` — split a block into a ``depth``-inset
+  interior and the boundary frame strips: the strips a halo window's
+  checksums cover and its wire faults corrupt;
 * :func:`process_advance` / :func:`_process_worker` — one rank's round
   dispatched to a worker *process*: the child compiles the parent's
   rank plan from its inputs (weights, config, tile shape, dtype,
@@ -36,8 +32,6 @@ import numpy as np
 __all__ = [
     "advance_window",
     "frame_regions",
-    "interior_of",
-    "strip_window",
     "process_advance",
 ]
 
@@ -137,26 +131,16 @@ def interior_of(
     """The interior region advanced ``steps`` steps from the block alone.
 
     The dependency cone of output cells ``steps * h`` away from the
-    block edge never leaves the block, so this needs *no halo* — it is
-    the compute the overlapped pipeline performs while the exchange is
-    in flight.  Returns the advanced interior (shape shrunk by
-    ``steps * h`` per side).
+    block edge never leaves the block, so this needs *no halo*.
+    Returns the advanced interior (shape shrunk by ``steps * h`` per
+    side).  Nothing in the package calls it: the benchmark ledger
+    (``perfbench/ledger.py`` ``PATCHES``) still wraps it by name, so it
+    stays until that entry goes.
     """
     origin = tuple(s.start for s in sub.slices)
     return advance_window(
         apply_fn, block, origin, global_shape, boundary, steps, h
     )
-
-
-def strip_window(window: np.ndarray, region: Region, depth: int) -> np.ndarray:
-    """The deep-window sub-window whose advance yields ``region``.
-
-    ``window`` is the rank's ``depth``-deep exchanged window; the
-    returned view is the strip's output region expanded by ``depth``
-    per axis (block coordinate ``c`` maps to window coordinate
-    ``c + depth``, so the expanded slice starts at ``region.start``).
-    """
-    return window[tuple(slice(r.start, r.stop + 2 * depth) for r in region)]
 
 
 # ---------------------------------------------------------------------------

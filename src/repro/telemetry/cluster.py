@@ -11,8 +11,8 @@ the :class:`~repro.parallel.cluster.ClusterTimings` interconnect model.
 GStencil/s cannot:
 
 * **per-rank timelines** — every rank's wall time attributed to lanes
-  (``compute`` / ``interior`` / ``stitch`` / ``wait`` / ``retry`` /
-  ``other``), with Gantt segments for rendering
+  (``compute`` / ``wait`` / ``retry`` / ``other``), with Gantt segments
+  for rendering
   (:func:`render_gantt`, :func:`to_lane_trace`);
 * **critical path** — the rounds are global barriers, so the run's
   dependency DAG is rank×round; the critical path threads each round's
@@ -20,7 +20,10 @@ GStencil/s cannot:
 * **overlap efficiency** — hidden transfer time ÷ total modeled
   transfer time.  The transfer term is :func:`modeled_transfer_s`,
   the *same* formula ``ClusterTimings`` charges, so measured reports
-  reconcile exactly with the scaling model;
+  reconcile exactly with the scaling model.  The hiding is modeled the
+  way ``ClusterTimings`` models it: per round, the transfer hides
+  behind the shortest interior of any rank, i.e. that rank's measured
+  compute scaled by its block's depth-inset interior share;
 * **load imbalance** — max/mean and MAD across ranks per round (ragged
   temporal rounds included), plus run-level headline ratios the perf
   trend gate watches;
@@ -38,6 +41,7 @@ the shared transfer model would otherwise close an import cycle.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import Any
 
@@ -48,24 +52,20 @@ __all__ = [
     "CLUSTER_REPORT_SCHEMA",
     "LANE_NAMES",
     "modeled_transfer_s",
+    "interior_share",
     "build_cluster_report",
     "render_gantt",
     "to_lane_trace",
 ]
 
 #: schema identifier embedded in every emitted cluster report
-CLUSTER_REPORT_SCHEMA = "repro.telemetry.cluster-report/v2"
+CLUSTER_REPORT_SCHEMA = "repro.telemetry.cluster-report/v3"
 
 #: child-span name → report lane (everything else folds into ``other``)
-_SPAN_LANES = {
-    "cluster.compute": "compute",
-    "cluster.interior": "interior",
-    "cluster.stitch": "stitch",
-    "cluster.wait": "wait",
-}
+_SPAN_LANES = {"cluster.compute": "compute", "cluster.wait": "wait"}
 
 #: every lane a per-rank breakdown carries, in rendering order
-LANE_NAMES = ("compute", "interior", "stitch", "wait", "retry", "other")
+LANE_NAMES = ("compute", "wait", "retry", "other")
 
 def modeled_transfer_s(comm_bytes: int) -> float:
     """Modeled wall time of one halo exchange round, in seconds.
@@ -84,6 +84,19 @@ def modeled_transfer_s(comm_bytes: int) -> float:
     from repro.parallel.cluster import NVLINK_BANDWIDTH, NVLINK_LATENCY
 
     return NVLINK_LATENCY + comm_bytes / NVLINK_BANDWIDTH
+
+
+def interior_share(shape, depth: int) -> float:
+    """The share of a block's points at least ``depth`` from every edge:
+    the halo-independent interior an overlapped round hides its
+    transfer behind, in :meth:`ClusterRuntime.timings` and in the
+    report alike (0 for an unknown block)."""
+    if shape is None:
+        return 0.0
+    inner = 1
+    for n in shape:
+        inner *= max(0, n - 2 * depth)
+    return inner / math.prod(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +194,7 @@ def build_cluster_report(
         rank: {lane: 0 for lane in LANE_NAMES} for rank in ranks
     }
     round_rank_ns: dict[tuple[int, int], int] = {}
-    interior_ns: dict[tuple[int, int], int] = {}
+    compute_ns: dict[tuple[int, int], int] = {}
     segments: dict[int, list[dict[str, Any]]] = {rank: [] for rank in ranks}
     attempt_count: dict[int, int] = {rank: 0 for rank in ranks}
     for (rank, round_i), spans in attempts.items():
@@ -206,9 +219,9 @@ def build_cluster_report(
                 continue
             lane_ns[rank][lane] += child.duration_ns
             child_total += child.duration_ns
-            if lane == "interior":
-                interior_ns[(rank, round_i)] = (
-                    interior_ns.get((rank, round_i), 0) + child.duration_ns
+            if lane == "compute":
+                compute_ns[(rank, round_i)] = (
+                    compute_ns.get((rank, round_i), 0) + child.duration_ns
                 )
             segments[rank].append(
                 {
@@ -260,6 +273,12 @@ def build_cluster_report(
         )
 
     # -- overlap efficiency: hidden ÷ modeled transfer -------------------
+    plan = getattr(result, "plan", None)
+    shapes = (
+        {sub.rank: sub.shape for sub in plan.part.subdomains}
+        if plan is not None
+        else {}
+    )
     per_round_overlap: list[dict[str, Any]] = []
     hidden_total = 0.0
     transfer_total = 0.0
@@ -267,19 +286,22 @@ def build_cluster_report(
         round_i = entry["round"]
         transfer = modeled_transfer_s(entry["comm_bytes_max"])
         if result.overlap and ranks:
-            interior_min = min(
-                interior_ns.get((rank, round_i), 0) for rank in ranks
-            ) / 1e9
+            interior = min(
+                compute_ns.get((rank, round_i), 0)
+                / 1e9
+                * interior_share(shapes.get(rank), entry["depth"])
+                for rank in ranks
+            )
         else:
-            interior_min = 0.0
-        hidden = min(transfer, interior_min)
+            interior = 0.0
+        hidden = min(transfer, interior)
         hidden_total += hidden
         transfer_total += transfer
         per_round_overlap.append(
             {
                 "round": round_i,
                 "transfer_s": transfer,
-                "interior_min_s": interior_min,
+                "modeled_interior_s": interior,
                 "hidden_s": hidden,
             }
         )
@@ -332,7 +354,6 @@ def build_cluster_report(
     # manifest, so both ledgers span the whole run
     resumed = int(getattr(result, "resumed_halo_bytes", 0))
 
-    plan = getattr(result, "plan", None)
     name = f"cluster-{plan.key[:12]}" if plan is not None else "cluster"
     return {
         "schema": CLUSTER_REPORT_SCHEMA,
@@ -364,11 +385,7 @@ def build_cluster_report(
                 "wall_s": sum(
                     round_rank_ns.get((rank, r), 0) for r in rounds
                 ) / 1e9,
-                "busy_s": (
-                    lane_ns[rank]["compute"]
-                    + lane_ns[rank]["interior"]
-                    + lane_ns[rank]["stitch"]
-                ) / 1e9,
+                "busy_s": lane_ns[rank]["compute"] / 1e9,
                 "attempts": attempt_count[rank],
                 "segments": segments[rank],
             }
@@ -442,13 +459,7 @@ def _modeled_section(result) -> dict[str, Any] | None:
 # ---------------------------------------------------------------------------
 #: lane → (glyph, paint priority); higher priority overwrites lower when
 #: segments round onto the same terminal cell
-_LANE_GLYPHS = {
-    "compute": ("█", 1),
-    "interior": ("▓", 2),
-    "stitch": ("▒", 3),
-    "wait": ("░", 4),
-    "retry": ("x", 5),
-}
+_LANE_GLYPHS = {"compute": ("█", 1), "wait": ("░", 2), "retry": ("x", 3)}
 
 
 def render_gantt(report: dict[str, Any], width: int = 72) -> str:
@@ -477,7 +488,7 @@ def render_gantt(report: dict[str, Any], width: int = 72) -> str:
             f"wait {row['lanes']['wait_s'] * 1e3:.2f} ms"
         )
     lines.append(
-        "legend: █ compute  ▓ interior  ▒ stitch  ░ wait  x retry  · idle"
+        "legend: █ compute  ░ wait  x retry  · idle"
     )
     crit = report["critical_path"]
     stragglers = ", ".join(

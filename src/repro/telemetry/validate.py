@@ -229,7 +229,7 @@ def validate_run_record(record: Any) -> None:
 
 
 def validate_cluster_report(report: Any, path: str = "report") -> None:
-    """Validate a cluster observatory report (``repro.telemetry.cluster-report/v2``),
+    """Validate a cluster observatory report (``repro.telemetry.cluster-report/v3``),
     standalone or as the ``cluster`` section of a run-record."""
     _walk(report, _CLUSTER_REPORT, path)
 

@@ -148,15 +148,38 @@ class TestOverlapEquivalence:
         assert np.array_equal(over.field, sync.field)
         assert over.exchanged_bytes == sync.exchanged_bytes
 
-    def test_overlap_small_blocks_fall_back(self, rng):
-        # blocks too small to hold a depth-inset interior: the runtime
-        # waits and advances the full window — still bit-identical
+    def test_overlap_blocks_smaller_than_two_halos(self, rng):
+        # blocks too small to hold a depth-inset interior advance like
+        # any other: wait, then sweep the window — still bit-identical
         w = get_kernel("Box-2D49P").weights  # radius 3
         x = rng.normal(size=(10, 10))
         cluster = ClusterRuntime(distribute(w, x.shape, (2, 2)))
         assert np.array_equal(
             cluster.run(x, 2, overlap=True).field, cluster.run(x, 2).field
         )
+
+    def test_one_engine_call_per_rank_per_step(self, rng, monkeypatch):
+        # an overlapped rank waits for its window and sweeps it once per
+        # step: 4 ranks x 4 steps, whatever the round structure
+        from repro.core.engine2d import LoRAStencil2D
+
+        calls = []
+        apply = LoRAStencil2D.apply
+
+        def counted(self, x):
+            calls.append(x.shape)
+            return apply(self, x)
+
+        monkeypatch.setattr(LoRAStencil2D, "apply", counted)
+        w = get_kernel("Box-2D9P").weights
+        x = rng.normal(size=(32, 32))
+        cluster = ClusterRuntime(distribute(w, x.shape, (2, 2)))
+        over = cluster.run(
+            x, 4, block_steps=2, overlap=True, executor="thread"
+        )
+        assert len(calls) == 16
+        monkeypatch.undo()
+        assert np.array_equal(over.field, cluster.run(x, 4).field)
 
 
 class TestSimulatedEquivalence:

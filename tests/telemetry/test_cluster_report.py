@@ -139,8 +139,8 @@ class TestOverlapEfficiency:
         report = build_cluster_report(result, tracer=tracer)
         eff = report["overlap"]["efficiency"]
         assert 0.0 <= eff <= 1.0
-        # functional thread runs hide sub-microsecond modeled transfers
-        # behind millisecond interior sweeps: always some hiding
+        # the modeled interior share of each rank's millisecond sweep
+        # dwarfs the sub-microsecond modeled transfer: always some hiding
         assert eff > 0.0
         assert report["overlap"]["hidden_s"] <= (
             report["overlap"]["transfer_s"] + 1e-12
@@ -152,6 +152,45 @@ class TestOverlapEfficiency:
         assert report["overlap"]["enabled"] is False
         assert report["overlap"]["efficiency"] == 0.0
         assert report["overlap"]["hidden_s"] == 0.0
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_hidden_is_modeled_interior_of_measured_compute(
+        self, rng, overlap
+    ):
+        # per round: the transfer hides behind the shortest interior,
+        # each rank's compute lane scaled by its depth-inset share
+        result, tracer = _run(rng, overlap=overlap)
+        report = build_cluster_report(result, tracer=tracer)
+        compute_ns = {}
+        for root in tracer.roots():
+            for span in root.walk():
+                if span.name == "cluster.compute":
+                    key = (span.attrs["rank"], span.attrs["round"])
+                    compute_ns[key] = (
+                        compute_ns.get(key, 0) + span.duration_ns
+                    )
+        rows = report["overlap"]["per_round"]
+        assert len(rows) == len(result.round_log) == 2
+        for row, entry in zip(rows, result.round_log):
+            depth = entry["depth"]
+            interior = min(
+                compute_ns[(sub.rank, row["round"])] / 1e9
+                * (sub.shape[0] - 2 * depth) * (sub.shape[1] - 2 * depth)
+                / (sub.shape[0] * sub.shape[1])
+                for sub in result.plan.part.subdomains
+            )
+            if overlap:
+                assert row["modeled_interior_s"] == pytest.approx(
+                    interior, rel=1e-12
+                )
+                assert row["hidden_s"] == pytest.approx(
+                    min(row["transfer_s"], interior), rel=1e-12
+                )
+                assert row["hidden_s"] > 0.0
+            else:
+                assert row["modeled_interior_s"] == 0.0
+                assert row["hidden_s"] == 0.0
+        assert (report["overlap"]["hidden_s"] > 0.0) is overlap
 
     def test_modeled_section_matches_cluster_timings(self, rng):
         result, tracer = _run(rng, steps=4, block_steps=2)

@@ -315,7 +315,7 @@ class TestSweep:
         "kind, validate, root, table, at_least",
         [
             ("record", validate_run_record, "record", RECORD, 600),
-            ("cluster", validate_cluster_report, "report", CLUSTER, 200),
+            ("cluster", validate_cluster_report, "report", CLUSTER, 185),
             ("fidelity", validate_fidelity_report, "report", FIDELITY, 60),
             ("trace", validate_chrome_trace, "trace", CHROME, 40),
             ("event", validate_event, "event", {"": EVENT}, 18),
