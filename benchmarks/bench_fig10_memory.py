@@ -14,13 +14,9 @@ from repro.experiments.report import format_table
 def test_fig10_shared_memory_requests(benchmark, write_result):
     result = benchmark.pedantic(run_fig10, rounds=1, iterations=1)
 
-    rows = [["Kernel", "Method", "Loads/Mpt", "Stores/Mpt", "Total/Mpt"]]
-    for r in result.rows:
-        rows.append(
-            [r.kernel, r.method, f"{r.loads:.0f}", f"{r.stores:.0f}", f"{r.total:.0f}"]
-        )
     lines = [
-        format_table(rows, "Fig. 10 — shared-memory requests per million points"),
+        format_table(result.table_rows(),
+                     "Fig. 10 — shared-memory requests per million points"),
         "",
         "LoRAStencil / ConvStencil ratios (paper-reported in parentheses):",
     ]

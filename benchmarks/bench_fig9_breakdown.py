@@ -15,14 +15,9 @@ def test_fig9_breakdown(benchmark, write_result):
     )
 
     configs = result.configs()
-    rows = [["Size"] + configs]
-    for size in result.sizes():
-        rows.append(
-            [str(size)] + [f"{result.perf(c, size):8.2f}" for c in configs]
-        )
     big = max(result.sizes())
     lines = [
-        format_table(rows, "Fig. 9 — Box-2D9P breakdown (GStencil/s)"),
+        format_table(result.table_rows(), "Fig. 9 — Box-2D9P breakdown (GStencil/s)"),
         "",
         f"TensorCore gain: {result.gain(configs[1], configs[0], big):.2f}x"
         f"   (paper {PAPER['fig9_tcu_gain']}x)",

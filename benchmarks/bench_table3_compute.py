@@ -11,19 +11,9 @@ from repro.experiments.table3 import run_table3
 def test_table3_compute_comparison(benchmark, write_result):
     result = benchmark.pedantic(run_table3, rounds=1, iterations=1)
 
-    rows = [["Kernel", "Method", "CT% (paper)", "AI (paper)"]]
-    for r in result.rows:
-        paper = PAPER["table3"][r.kernel][r.method]
-        rows.append(
-            [
-                r.kernel,
-                r.method,
-                f"{r.ct_pct:6.2f} ({paper['ct_pct']})",
-                f"{r.ai:5.2f} ({paper['ai']})",
-            ]
-        )
     lines = [
-        format_table(rows, "Table III — compute throughput and arithmetic intensity"),
+        format_table(result.table_rows(),
+                     "Table III — CT% and AI (paper in parentheses)"),
         "",
         f"AI ratio LoRA/Conv, Box-2D49P: {result.ai_ratio('Box-2D49P'):.2f}"
         f"  (paper {PAPER['table3']['Box-2D49P']['LoRAStencil']['ai'] / PAPER['table3']['Box-2D49P']['ConvStencil']['ai']:.2f})",

@@ -10,7 +10,7 @@
     python -m repro profile Box-2D9P --per-instr  # per-opcode/term attribution
     python -m repro perf check --baseline BENCH_baseline.json  # regression gate
     python -m repro perf diff a.json b.json # compare two run-records
-    python -m repro perf fidelity Box-2D9P  # paper equations vs measured
+    python -m repro perf fidelity Box-2D9P  # paper equations vs measured (exit 1 on drift)
     python -m repro perf check --repeats 3 --record DIR  # measure + append
     python -m repro perf history --root DIR # list the run-record history
     python -m repro perf trend --root DIR   # rolling median/MAD timing gate
@@ -27,13 +27,19 @@
 ``run``/``fig8``/``fig9``/``fig10``/``table3`` accept ``--telemetry``
 to print a span-tree epilogue; ``run`` and ``plan`` accept ``--json``
 for machine-readable run-record output (schema
-``repro.telemetry.run-record/v6``, see docs/observability.md).
+``repro.telemetry.run-record/v6``, see docs/observability.md).  Every
+leaf parser carries its handler as the ``run`` default, and each
+handler takes the parsed ``args``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import json
 import os
+import pathlib
 import sys
 from typing import NamedTuple
 
@@ -50,12 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("kernels", help="list the Table II benchmark kernels")
+    _leaf(sub, "kernels", _cmd_kernels, help="list the Table II benchmark kernels")
 
-    p = sub.add_parser("decompose", help="show a kernel's PMA/SVD pyramid")
-    p.add_argument("kernel")
+    _leaf(sub, "decompose", _cmd_decompose,
+          help="show a kernel's PMA/SVD pyramid").add_argument("kernel")
 
-    p = sub.add_parser("plan", help="show a kernel's compiled execution plan")
+    p = _leaf(sub, "plan", _cmd_plan, help="show a kernel's compiled execution plan")
     p.add_argument("kernel")
     p.add_argument("--no-tensor-cores", action="store_true",
                    help="plan for the CUDA-core fallback path")
@@ -68,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable run-record instead of text")
 
-    p = sub.add_parser("run", help="simulated sweep of one kernel")
+    p = _leaf(sub, "run", _cmd_run, help="simulated sweep of one kernel")
     p.add_argument("kernel")
     p.add_argument("--size", type=int, default=64, help="grid edge (default 64)")
     p.add_argument("--seed", type=int, default=0)
@@ -77,10 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit a machine-readable run-record instead of text")
     _add_telemetry_flag(p)
 
-    p = sub.add_parser(
-        "profile",
-        help="run one kernel under tracing and print the span tree",
-    )
+    p = _leaf(sub, "profile", _cmd_profile,
+              help="run one kernel under tracing and print the span tree")
     p.add_argument("kernel")
     p.add_argument("--size", type=int, default=64, help="grid edge (default 64)")
     p.add_argument("--seed", type=int, default=0)
@@ -96,19 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "(opcode / rank-1 term tables; single shard only)")
     _add_backend_flag(p)
 
-    p = sub.add_parser(
-        "perf",
-        help="performance observatory: regression gate, record diffs, "
-             "model fidelity",
-    )
+    p = sub.add_parser("perf", help="performance observatory: regression gate, "
+                                    "record diffs, model fidelity")
     perf_sub = p.add_subparsers(dest="perf_command", required=True)
 
-    pc = perf_sub.add_parser(
-        "check",
-        help="run the reference workload and gate against a baseline "
-             "run-record (exit 1 on regression, 2 on a missing or "
-             "unreadable baseline)",
-    )
+    pc = _leaf(perf_sub, "check", _cmd_perf_check,
+               help="run the reference workload and gate against a baseline "
+                    "run-record (exit 1 on regression, 2 on a missing or "
+                    "unreadable baseline)")
     pc.add_argument("--baseline", default=None, metavar="PATH",
                     help="baseline run-record (default BENCH_baseline.json)")
     pc.add_argument("--update-baseline", action="store_true",
@@ -130,21 +129,17 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--json", action="store_true",
                     help="emit the comparison as JSON")
 
-    pd = perf_sub.add_parser(
-        "diff",
-        help="compare two run-record files (exit 1 when the second "
-             "regressed relative to the first)",
-    )
+    pd = _leaf(perf_sub, "diff", _cmd_perf_diff,
+               help="compare two run-record files (exit 1 when the second "
+                    "regressed relative to the first)")
     pd.add_argument("baseline", help="baseline .json record (or .jsonl history)")
     pd.add_argument("current", help="current .json record (or .jsonl history)")
     pd.add_argument("--json", action="store_true",
                     help="emit the comparison as JSON")
 
-    pf = perf_sub.add_parser(
-        "fidelity",
-        help="paper-model fidelity: Eq. 12/14/16 predictions vs "
-             "measured events",
-    )
+    pf = _leaf(perf_sub, "fidelity", _cmd_perf_fidelity,
+               help="paper-model fidelity: Eq. 12/14/16 predictions vs "
+                    "measured events (exit 1 when any prediction misses)")
     pf.add_argument("kernel")
     pf.add_argument("--size", type=int, default=64,
                     help="grid edge (default 64)")
@@ -154,20 +149,17 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--json", action="store_true",
                     help="print the report as JSON instead of a table")
 
-    ph = perf_sub.add_parser(
-        "history", help="list the run-record history store"
-    )
+    ph = _leaf(perf_sub, "history", _cmd_perf_history,
+               help="list the run-record history store")
     ph.add_argument("name", nargs="?", default=None,
                     help="show this record name's entries (default: list names)")
     ph.add_argument("--root", default="benchmarks/results/records/history",
                     metavar="DIR")
 
-    pt = perf_sub.add_parser(
-        "trend",
-        help="statistical timing gate: latest stored run vs the rolling "
-             "median/MAD of the record history (exit 1 regressed, "
-             "2 insufficient or unreadable history)",
-    )
+    pt = _leaf(perf_sub, "trend", _cmd_perf_trend,
+               help="statistical timing gate: latest stored run vs the rolling "
+                    "median/MAD of the record history (exit 1 regressed, "
+                    "2 insufficient or unreadable history)")
     pt.add_argument("name", nargs="?", default=None,
                     help="history record name (default: the reference "
                          "workload's perf-check record)")
@@ -183,36 +175,32 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--json", action="store_true",
                     help="emit the verdict as JSON")
 
-    p = sub.add_parser("fig8", help="state-of-the-art comparison")
+    p = _leaf(sub, "fig8", _cmd_fig8, help="state-of-the-art comparison")
     p.add_argument("--kernels", nargs="*", default=None)
     p.add_argument("--best", action="store_true",
                    help="include the rank-1 LoRAStencil-Best series")
     _add_telemetry_flag(p)
 
-    _add_telemetry_flag(sub.add_parser(
-        "fig9", help="optimization breakdown (Box-2D9P)"))
-    _add_telemetry_flag(sub.add_parser(
-        "fig10", help="shared-memory request comparison"))
-    _add_telemetry_flag(sub.add_parser(
-        "table3", help="compute throughput / arithmetic intensity"))
+    _add_telemetry_flag(_leaf(
+        sub, "fig9", _cmd_fig9, help="optimization breakdown (Box-2D9P)"))
+    _add_telemetry_flag(_leaf(
+        sub, "fig10", _cmd_fig10, help="shared-memory request comparison"))
+    _add_telemetry_flag(_leaf(
+        sub, "table3", _cmd_table3,
+        help="compute throughput / arithmetic intensity"))
 
-    p = sub.add_parser("precision", help="FP16 vs FP64 error growth")
+    p = _leaf(sub, "precision", _cmd_precision, help="FP16 vs FP64 error growth")
     p.add_argument("kernel")
     p.add_argument("--steps", type=int, nargs="*", default=[1, 2, 4, 8, 16])
 
-    p = sub.add_parser("scaling", help="multi-GPU scaling model (Box-2D9P)")
+    p = _leaf(sub, "scaling", _cmd_scaling, help="multi-GPU scaling model (Box-2D9P)")
     p.add_argument("--size", type=int, default=4096)
     p.add_argument("--devices", type=int, nargs="*", default=[1, 2, 4, 8])
 
-    p = sub.add_parser(
-        "chaos",
-        help="deterministic fault injection with ABFT detection/recovery",
-    )
+    p = sub.add_parser("chaos", help="deterministic fault injection with ABFT detection/recovery")
     chaos_sub = p.add_subparsers(dest="chaos_command", required=True)
-    cr = chaos_sub.add_parser(
-        "run",
-        help="inject a seeded fault campaign into one kernel's sweep",
-    )
+    cr = _leaf(chaos_sub, "run", _cmd_chaos_run,
+               help="inject a seeded fault campaign into one kernel's sweep")
     cr.add_argument("kernel")
     cr.add_argument("--size", type=int, default=64)
     cr.add_argument("--seed", type=int, default=0,
@@ -224,24 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="negative control: inject without ABFT verification")
     cr.add_argument("--json", action="store_true")
     _add_artifact_flags(cr, history=False)
-    cp = chaos_sub.add_parser(
-        "report",
-        help="print the faults sections of run-record files",
-    )
+    cp = _leaf(chaos_sub, "report", _cmd_chaos_report,
+               help="print the faults sections of run-record files")
     cp.add_argument("paths", nargs="+")
     cp.add_argument("--json", action="store_true")
 
-    p = sub.add_parser(
-        "cluster",
-        help="distributed sweep: partition, temporal rounds, overlap, "
-             "recovery, per-rank observatory",
-    )
+    p = sub.add_parser("cluster", help="distributed sweep: partition, temporal "
+                                       "rounds, overlap, recovery, per-rank observatory")
     cluster_sub = p.add_subparsers(dest="cluster_command", required=True)
-    clr = cluster_sub.add_parser(
-        "run",
-        help="execute one distributed sweep and check it against the "
-             "dense reference",
-    )
+    clr = _leaf(cluster_sub, "run", _cmd_cluster_run,
+                help="execute one distributed sweep and check it against the "
+                     "dense reference")
     _add_cluster_run_args(clr)
     clr.add_argument("--json", action="store_true")
     _add_artifact_flags(clr)
@@ -252,22 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="ROUND",
                      help="deterministic mid-run kill: checkpoint after "
                           "ROUND completes, then exit 3 (tests resume)")
-    crs = cluster_sub.add_parser(
-        "resume",
-        help="resume a checkpointed distributed sweep and prove the "
-             "completed trajectory bit-identical to an uninterrupted run",
-    )
+    crs = _leaf(cluster_sub, "resume", _cmd_cluster_resume,
+                help="resume a checkpointed distributed sweep and prove the "
+                     "completed trajectory bit-identical to an uninterrupted run")
     crs.add_argument("--checkpoint-dir", required=True, metavar="DIR",
                      help="directory written by `cluster run "
                           "--checkpoint-dir`")
     crs.add_argument("--json", action="store_true")
     _add_artifact_flags(crs)
-    crp = cluster_sub.add_parser(
-        "report",
-        help="run one traced distributed sweep and print the cluster "
-             "observatory report (per-rank Gantt, critical path, overlap "
-             "efficiency, imbalance, halo attribution)",
-    )
+    crp = _leaf(cluster_sub, "report", _cmd_cluster_report,
+                help="run one traced distributed sweep and print the cluster "
+                     "observatory report (per-rank Gantt, critical path, overlap "
+                     "efficiency, imbalance, halo attribution)")
     _add_cluster_run_args(crp)
     crp.add_argument("--json", action="store_true",
                      help="print the full ClusterReport JSON instead of "
@@ -281,12 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
                           "trace-event file")
     _add_artifact_flags(crp, events=False)
 
-    p = sub.add_parser("trace", help="print the warp-op trace of one tile")
+    p = _leaf(sub, "trace", _cmd_trace, help="print the warp-op trace of one tile")
     p.add_argument("kernel")
     p.add_argument("--limit", type=int, default=80)
 
-    sub.add_parser("verify", help="quick end-to-end self-check of all engines")
+    _leaf(sub, "verify", _cmd_verify, help="quick end-to-end self-check of all engines")
     return parser
+
+
+def _leaf(sub, name: str, run, **kwargs) -> argparse.ArgumentParser:
+    """Add the leaf subcommand ``name``; ``run(args)`` handles it."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(run=run)
+    return p
 
 
 def _add_telemetry_flag(parser: argparse.ArgumentParser) -> None:
@@ -374,7 +358,27 @@ def _add_cluster_run_args(parser: argparse.ArgumentParser) -> None:
                              "survivors (bit-identical output)")
 
 
-def _cmd_kernels() -> int:
+def _print_counters(counters, intensity: bool = True) -> None:
+    """The nonzero event counters, one per line, then (by default) the
+    arithmetic-intensity line."""
+    for name, value in counters.as_dict().items():
+        if value:
+            print(f"  {name:28s} {value:>12,}")
+    if intensity:
+        print(f"  arithmetic intensity          {counters.arithmetic_intensity():12.2f}")
+
+
+def _print_record(name: str, **sections) -> int:
+    """Build, validate and print the run-record of ``run``/``plan --json``."""
+    from repro import telemetry
+
+    record = telemetry.run_record(name, **sections)
+    telemetry.validate_run_record(record)
+    print(json.dumps(record, indent=1, sort_keys=True))
+    return 0
+
+
+def _cmd_kernels(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
     from repro.stencil.kernels import KERNELS
 
@@ -393,11 +397,11 @@ def _cmd_kernels() -> int:
     return 0
 
 
-def _cmd_decompose(kernel_name: str) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> int:
     from repro.core.lowrank import decompose
     from repro.stencil.kernels import get_kernel
 
-    k = get_kernel(kernel_name)
+    k = get_kernel(args.kernel)
     if k.weights.ndim == 1:
         print(f"{k.name} is 1D: a single banded matrix, no decomposition "
               "needed (Section IV-C)")
@@ -421,91 +425,62 @@ def _cmd_decompose(kernel_name: str) -> int:
     return 0
 
 
-def _cmd_run(
-    kernel_name: str,
-    size: int,
-    seed: int,
-    as_json: bool = False,
-    backend: str | None = None,
-) -> int:
-    import json
-
+def _cmd_run(args: argparse.Namespace) -> int:
     from repro.baselines.lorastencil import LoRAStencilMethod
     from repro.stencil.kernels import get_kernel
     from repro.telemetry.perf import profile_shape
 
-    k = get_kernel(kernel_name)
+    k = get_kernel(args.kernel)
     method = LoRAStencilMethod(k)
-    shape = profile_shape(k.weights.ndim, size)
-    out, events = method.simulated_sweep(shape, seed=seed, backend=backend)
-    used_backend = backend or method.plan.backend
-    if as_json:
-        from repro import telemetry
-
-        record = telemetry.run_record(
-            k.name,
-            counters=events,
-            extra={
-                "command": "run",
-                "size": size,
-                "seed": seed,
-                "shape": list(shape),
-                "plan_key": method.plan.key,
-                "method": method.plan.method,
-                "rank": method.plan.rank,
-                "backend": used_backend,
-                "arithmetic_intensity": events.arithmetic_intensity(),
-            },
-        )
-        telemetry.validate_run_record(record)
-        print(json.dumps(record, indent=1, sort_keys=True))
-        return 0
+    shape = profile_shape(k.weights.ndim, args.size)
+    out, events = method.simulated_sweep(shape, seed=args.seed, backend=args.backend)
+    plan = method.plan
+    backend = args.backend or plan.backend
+    if args.json:
+        return _print_record(k.name, counters=events, extra={
+            "command": "run",
+            "size": args.size,
+            "seed": args.seed,
+            "shape": list(shape),
+            "plan_key": plan.key,
+            "method": plan.method,
+            "rank": plan.rank,
+            "backend": backend,
+            "arithmetic_intensity": events.arithmetic_intensity(),
+        })
     print(f"{k.name}: simulated sweep over {shape} "
           f"({'fused 3x, ' if method.steps_per_sweep > 1 else ''}"
           f"engine radius {method._engine_radius()})")
-    print(f"  plan {method.plan.key[:16]}…  "
-          f"({method.plan.method}, rank {method.plan.rank}, "
-          f"backend {used_backend})")
-    for name, value in events.as_dict().items():
-        if value:
-            print(f"  {name:28s} {value:>12,}")
-    print(f"  arithmetic intensity          {events.arithmetic_intensity():12.2f}")
+    print(f"  plan {plan.key[:16]}…  "
+          f"({plan.method}, rank {plan.rank}, backend {backend})")
+    _print_counters(events)
     return 0
 
 
-def _cmd_profile(
-    kernel_name: str,
-    size: int,
-    seed: int,
-    shards: int,
-    emit: str | None,
-    record_path: str | None,
-    per_instr: bool = False,
-    backend: str | None = None,
-) -> int:
+def _cmd_profile(args: argparse.Namespace) -> int:
     from repro import telemetry
     from repro.runtime import DEFAULT_PLAN_CACHE
     from repro.runtime import compile as compile_stencil
     from repro.stencil.kernels import get_kernel
     from repro.telemetry.perf import profile_shape
 
-    if per_instr and shards > 1:
+    if args.per_instr and args.shards > 1:
         print("profile: --per-instr requires a single shard (the "
               "profiled sweep is checked against this one)", file=sys.stderr)
         return 2
-    k = get_kernel(kernel_name)
+    k = get_kernel(args.kernel)
     telemetry.reset()
     telemetry.enable()
     try:
         with telemetry.TRACER.span(
-            "profile", category="cli", kernel=k.name, size=size
+            "profile", category="cli", kernel=k.name, size=args.size
         ) as root:
             with telemetry.span("setup", category="cli"):
-                rng = np.random.default_rng(seed)
-                shape = profile_shape(k.weights.ndim, size)
+                rng = np.random.default_rng(args.seed)
+                shape = profile_shape(k.weights.ndim, args.size)
                 x = np.pad(rng.normal(size=shape), k.weights.radius)
-            compiled = compile_stencil(k.weights, backend=backend)
-            out, events = compiled.apply_simulated(x, shards=shards)
+            compiled = compile_stencil(k.weights, backend=args.backend)
+            out, events = compiled.apply_simulated(x, shards=args.shards)
     finally:
         telemetry.disable()
 
@@ -519,13 +494,10 @@ def _cmd_profile(
     print(root.render_tree())
     print()
     print("hardware events:")
-    for name, value in events.as_dict().items():
-        if value:
-            print(f"  {name:28s} {value:>12,}")
-    print(f"  arithmetic intensity          {events.arithmetic_intensity():12.2f}")
+    _print_counters(events)
     profile = None
     mismatch = False
-    if per_instr:
+    if args.per_instr:
         profile = compiled.profile(x)
         print()
         print(profile.render())
@@ -537,15 +509,15 @@ def _cmd_profile(
         else:
             print("per-instruction totals match the uninstrumented sweep "
                   "bit-exactly")
-    if emit:
-        path = telemetry.write_chrome_trace(emit)
+    if args.emit:
+        path = telemetry.write_chrome_trace(args.emit)
         print(f"\nchrome trace written to {path} "
               f"(open in chrome://tracing or Perfetto)")
-    if record_path:
+    if args.record:
         extra = {
             "command": "profile",
-            "size": size,
-            "shards": shards,
+            "size": args.size,
+            "shards": args.shards,
             "plan_key": compiled.key,
             "schedule": compiled.schedule,
             "backend": compiled.plan.backend,
@@ -558,39 +530,32 @@ def _cmd_profile(
             counters=events,
             extra=extra,
         )
-        path = telemetry.write_run_record(record_path, rec)
+        path = telemetry.write_run_record(args.record, rec)
         print(f"run record written to {path}")
     return 1 if mismatch else 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    """Run one ``perf`` subcommand.  A baseline, history or record that
-    cannot be read or does not validate exits 2 with one stderr line,
-    never 1 (the "regressed" code) and never a traceback."""
-    import json
+def _reads_records(handler):
+    """A ``perf`` leaf that reads run-records: a baseline, history or
+    record that cannot be read or does not validate exits 2 with one
+    stderr line, never 1 (the "regressed" code) and never a traceback."""
 
-    from repro.telemetry.validate import TelemetryError
+    @functools.wraps(handler)
+    def run(args: argparse.Namespace) -> int:
+        from repro.telemetry.validate import TelemetryError
 
-    if args.perf_command == "fidelity":  # reads no run-record
-        return _cmd_perf_fidelity(args)
-    handler = {
-        "check": _cmd_perf_check,
-        "diff": _cmd_perf_diff,
-        "history": _cmd_perf_history,
-        "trend": _cmd_perf_trend,
-    }[args.perf_command]
-    try:
-        return handler(args)
-    except (TelemetryError, OSError, json.JSONDecodeError) as exc:
-        print(f"perf {args.perf_command}: cannot read history or record: "
-              f"{exc}", file=sys.stderr)
-        return 2
+        try:
+            return handler(args)
+        except (TelemetryError, OSError, json.JSONDecodeError) as exc:
+            print(f"perf {args.perf_command}: cannot read history or record: "
+                  f"{exc}", file=sys.stderr)
+            return 2
+
+    return run
 
 
+@_reads_records
 def _cmd_perf_check(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
     from repro.telemetry.perf import (
         DEFAULT_BASELINE,
         RunRecordStore,
@@ -602,6 +567,10 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
 
     baseline_path = pathlib.Path(args.baseline or DEFAULT_BASELINE)
     baseline = load_record(baseline_path) if baseline_path.exists() else None
+    if baseline is None and not args.update_baseline:
+        print(f"perf check: baseline {baseline_path} not found "
+              f"(create it with --update-baseline)", file=sys.stderr)
+        return 2
     base_extra = (baseline or {}).get("extra") or {}
     kernel = base_extra.get("kernel", REFERENCE_WORKLOAD["kernel"])
     size = args.size or base_extra.get("size", REFERENCE_WORKLOAD["size"])
@@ -611,26 +580,17 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
         else base_extra.get("seed", REFERENCE_WORKLOAD["seed"])
     )
 
-    if args.update_baseline:
-        record = measure_reference(
-            kernel, size=size, seed=seed, backend=args.backend,
-            repeats=args.repeats,
-        )
-        baseline_path.parent.mkdir(parents=True, exist_ok=True)
-        baseline_path.write_text(json.dumps(record, indent=1, sort_keys=True))
-        print(f"baseline written to {baseline_path} "
-              f"({kernel}, {size}x{size}, seed {seed}, backend "
-              f"{record['extra']['backend']})")
-        return 0
-    if baseline is None:
-        print(f"perf check: baseline {baseline_path} not found "
-              f"(create it with --update-baseline)", file=sys.stderr)
-        return 2
-
     current = measure_reference(
         kernel, size=size, seed=seed, backend=args.backend,
         repeats=args.repeats,
     )
+    if args.update_baseline:
+        baseline_path.parent.mkdir(parents=True, exist_ok=True)
+        baseline_path.write_text(json.dumps(current, indent=1, sort_keys=True))
+        print(f"baseline written to {baseline_path} "
+              f"({kernel}, {size}x{size}, seed {seed}, backend "
+              f"{current['extra']['backend']})")
+        return 0
     if args.record:
         path = RunRecordStore(args.record).append(current)
         print(f"record appended to {path}")
@@ -684,9 +644,8 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@_reads_records
 def _cmd_perf_diff(args: argparse.Namespace) -> int:
-    import json
-
     from repro.telemetry.perf import compare_records, load_record
 
     comparison = compare_records(
@@ -700,9 +659,8 @@ def _cmd_perf_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf_fidelity(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
+    """Exit 1 when any prediction misses its measured counter; the
+    report is printed and written either way."""
     from repro.runtime import compile as compile_stencil
     from repro.stencil.kernels import get_kernel
     from repro.telemetry.perf import fidelity_report
@@ -714,13 +672,14 @@ def _cmd_perf_fidelity(args: argparse.Namespace) -> int:
         compiled.plan, size=args.size, seed=args.seed, name=f"fidelity-{k.name}"
     )
     validate_fidelity_report(report)
+    rc = 1 if report["max_rel_error"] > 0 else 0
     if args.output:
         path = pathlib.Path(args.output)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(report, indent=1, sort_keys=True))
     if args.json:
         print(json.dumps(report, indent=1, sort_keys=True))
-        return 0
+        return rc
     plan, work = report["plan"], report["workload"]
     print(f"{k.name}: model fidelity on "
           f"{'x'.join(map(str, work['shape']))} "
@@ -741,9 +700,10 @@ def _cmd_perf_fidelity(args: argparse.Namespace) -> int:
     print(f"  max relative error: {report['max_rel_error']:.2%}")
     if args.output:
         print(f"  report written to {args.output}")
-    return 0
+    return rc
 
 
+@_reads_records
 def _cmd_perf_history(args: argparse.Namespace) -> int:
     from repro.telemetry.perf import RunRecordStore
 
@@ -773,9 +733,8 @@ def _cmd_perf_history(args: argparse.Namespace) -> int:
     return 0
 
 
+@_reads_records
 def _cmd_perf_trend(args: argparse.Namespace) -> int:
-    import json
-
     from repro.telemetry.perf import RunRecordStore, trend_gate
     from repro.telemetry.perf.history import REFERENCE_WORKLOAD
 
@@ -798,12 +757,12 @@ def _cmd_perf_trend(args: argparse.Namespace) -> int:
     return 0 if stats.ok else 1
 
 
-def _cmd_fig8(kernels: list[str] | None, include_best: bool = False) -> int:
+def _cmd_fig8(args: argparse.Namespace) -> int:
     from repro.experiments import PAPER, format_table, run_fig8
 
-    res = run_fig8(kernels=kernels, include_best=include_best)
+    res = run_fig8(kernels=args.kernels, include_best=args.best)
     print(format_table(res.table_rows(), "Fig. 8 — modelled GStencil/s"))
-    if kernels is None:
+    if args.kernels is None:
         print("\nmean LoRAStencil speedups (paper in parentheses):")
         for method, paper in PAPER["fig8_mean_speedup"].items():
             print(f"  vs {method:12s} "
@@ -811,16 +770,12 @@ def _cmd_fig8(kernels: list[str] | None, include_best: bool = False) -> int:
     return 0
 
 
-def _cmd_fig9() -> int:
+def _cmd_fig9(args: argparse.Namespace) -> int:
     from repro.experiments import PAPER, format_table, run_fig9
 
     res = run_fig9()
-    cfgs = res.configs()
-    rows = [["size"] + cfgs]
-    for size in res.sizes():
-        rows.append([str(size)] + [f"{res.perf(c, size):.2f}" for c in cfgs])
-    print(format_table(rows, "Fig. 9 — Box-2D9P breakdown (GStencil/s)"))
-    big = max(res.sizes())
+    print(format_table(res.table_rows(), "Fig. 9 — Box-2D9P breakdown (GStencil/s)"))
+    cfgs, big = res.configs(), max(res.sizes())
     print(f"\nTCU {res.gain(cfgs[1], cfgs[0], big):.2f}x "
           f"(paper {PAPER['fig9_tcu_gain']}x) | "
           f"BVS {res.gain(cfgs[2], cfgs[1], big):.2f}x "
@@ -830,15 +785,11 @@ def _cmd_fig9() -> int:
     return 0
 
 
-def _cmd_fig10() -> int:
+def _cmd_fig10(args: argparse.Namespace) -> int:
     from repro.experiments import PAPER, format_table, run_fig10
 
     res = run_fig10()
-    rows = [["kernel", "method", "loads/Mpt", "stores/Mpt", "total/Mpt"]]
-    for r in res.rows:
-        rows.append([r.kernel, r.method, f"{r.loads:.0f}", f"{r.stores:.0f}",
-                     f"{r.total:.0f}"])
-    print(format_table(rows, "Fig. 10 — shared-memory requests"))
+    print(format_table(res.table_rows(), "Fig. 10 — shared-memory requests"))
     print(f"\nmean LoRA/Conv: loads {res.mean_ratio('loads'):.3f} "
           f"(paper {PAPER['fig10_load_ratio']}), "
           f"stores {res.mean_ratio('stores'):.3f} "
@@ -846,31 +797,25 @@ def _cmd_fig10() -> int:
     return 0
 
 
-def _cmd_table3() -> int:
-    from repro.experiments import PAPER, format_table, run_table3
+def _cmd_table3(args: argparse.Namespace) -> int:
+    from repro.experiments import format_table, run_table3
 
-    res = run_table3()
-    rows = [["kernel", "method", "CT%", "AI"]]
-    for r in res.rows:
-        p = PAPER["table3"][r.kernel][r.method]
-        rows.append([r.kernel, r.method,
-                     f"{r.ct_pct:.2f} ({p['ct_pct']})",
-                     f"{r.ai:.2f} ({p['ai']})"])
-    print(format_table(rows, "Table III — CT% and AI (paper in parentheses)"))
+    print(format_table(run_table3().table_rows(),
+                       "Table III — CT% and AI (paper in parentheses)"))
     return 0
 
 
-def _cmd_precision(kernel_name: str, steps: list[int]) -> int:
+def _cmd_precision(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
     from repro.precision import precision_sweep
     from repro.stencil.kernels import get_kernel
 
-    k = get_kernel(kernel_name)
+    k = get_kernel(args.kernel)
     if k.weights.ndim != 2:
         print(f"precision sweep supports 2D kernels, {k.name} is "
               f"{k.weights.ndim}D", file=sys.stderr)
         return 2
-    pts = precision_sweep(k.weights, steps=tuple(steps))
+    pts = precision_sweep(k.weights, steps=tuple(args.steps))
     rows = [["steps", "max |err|", "rel L2 err"]]
     for p in pts:
         rows.append([str(p.step), f"{p.max_abs_err:.3e}", f"{p.rel_l2_err:.3e}"])
@@ -878,7 +823,7 @@ def _cmd_precision(kernel_name: str, steps: list[int]) -> int:
     return 0
 
 
-def _cmd_scaling(size: int, devices: list[int]) -> int:
+def _cmd_scaling(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
     from repro.parallel import ClusterRuntime, distribute
     from repro.stencil.kernels import get_kernel
@@ -886,7 +831,8 @@ def _cmd_scaling(size: int, devices: list[int]) -> int:
     k = get_kernel("Box-2D9P")
     base = None
     rows = [["devices", "mesh", "step time", "comm %", "speedup", "efficiency"]]
-    for n in devices:
+    size = args.size
+    for n in args.devices:
         mesh = _best_mesh(n)
         plan = distribute(k.weights, (size, size), mesh)
         t = ClusterRuntime(plan).timings(steps=1)
@@ -907,67 +853,49 @@ def _cmd_scaling(size: int, devices: list[int]) -> int:
     return 0
 
 
-def _cmd_plan(
-    kernel_name: str,
-    no_tensor_cores: bool,
-    as_json: bool = False,
-    schedule: str | None = None,
-    show_ir: bool = False,
-    backend: str | None = None,
-) -> int:
+def _cmd_plan(args: argparse.Namespace) -> int:
     """Compile (or fetch) a kernel's plan and report plan-cache stats."""
-    import json
-
     from repro.core.config import OptimizationConfig
     from repro.runtime import DEFAULT_PLAN_CACHE
     from repro.runtime import compile as compile_stencil
     from repro.stencil.kernels import get_kernel
 
-    k = get_kernel(kernel_name)
+    k = get_kernel(args.kernel)
     config = (
         OptimizationConfig(
-            use_tensor_cores=not no_tensor_cores,
-            schedule=schedule or "eager",
+            use_tensor_cores=not args.no_tensor_cores,
+            schedule=args.schedule or "eager",
         )
-        if (no_tensor_cores or schedule)
+        if (args.no_tensor_cores or args.schedule)
         else None
     )
-    compiled = compile_stencil(k.weights, config=config, backend=backend)
-    if as_json:
-        from repro import telemetry
-
+    compiled = compile_stencil(k.weights, config=config, backend=args.backend)
+    if args.json:
         plan = compiled.plan
-        record = telemetry.run_record(
-            k.name,
-            cache_stats=DEFAULT_PLAN_CACHE.stats(),
-            extra={
-                "command": "plan",
-                "plan": {
-                    "key": plan.key,
-                    "ndim": plan.ndim,
-                    "radius": plan.radius,
-                    "method": plan.method,
-                    "rank": plan.rank,
-                    "config": plan.config.label(),
-                    "block": list(plan.block),
-                    "mma_per_tile": plan.mma_per_tile,
-                    "schedule": plan.schedule,
-                    "backend": plan.backend,
-                    "n_instrs": plan.lowered.n_instrs,
-                    "load_use_distance": plan.lowered.load_use_distance,
-                    "predicted_gstencil_per_s": plan.predicted_gstencil_per_s,
-                },
+        return _print_record(k.name, cache_stats=DEFAULT_PLAN_CACHE.stats(), extra={
+            "command": "plan",
+            "plan": {
+                "key": plan.key,
+                "ndim": plan.ndim,
+                "radius": plan.radius,
+                "method": plan.method,
+                "rank": plan.rank,
+                "config": plan.config.label(),
+                "block": list(plan.block),
+                "mma_per_tile": plan.mma_per_tile,
+                "schedule": plan.schedule,
+                "backend": plan.backend,
+                "n_instrs": plan.lowered.n_instrs,
+                "load_use_distance": plan.lowered.load_use_distance,
+                "predicted_gstencil_per_s": plan.predicted_gstencil_per_s,
             },
-        )
-        telemetry.validate_run_record(record)
-        print(json.dumps(record, indent=1, sort_keys=True))
-        return 0
+        })
     print(f"{k.name}:")
     print(compiled.describe())
-    if show_ir:
+    if args.ir:
         print()
         print(compiled.lowered.render_ir())
-    again = compile_stencil(k.weights, config=config, backend=backend)
+    again = compile_stencil(k.weights, config=config, backend=args.backend)
     shared = "hit (same plan object)" if again.plan is compiled.plan else "MISS"
     print()
     print(f"cache      {DEFAULT_PLAN_CACHE.stats().summary()}")
@@ -975,12 +903,12 @@ def _cmd_plan(
     return 0
 
 
-def _cmd_trace(kernel_name: str, limit: int) -> int:
+def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.runtime import compile as compile_stencil
     from repro.stencil.kernels import get_kernel
     from repro.tcu import Device, trace
 
-    k = get_kernel(kernel_name)
+    k = get_kernel(args.kernel)
     if k.weights.ndim != 2:
         print("trace supports 2D kernels", file=sys.stderr)
         return 2
@@ -992,11 +920,11 @@ def _cmd_trace(kernel_name: str, limit: int) -> int:
     eng.apply_simulated(x, device=device)
     trace.uninstall(device.counters)
     print(f"{k.name}: one 8x8 output tile, {len(recorder.events)} warp ops")
-    print(recorder.render(limit=limit))
+    print(recorder.render(limit=args.limit))
     return 0
 
 
-def _cmd_verify() -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     """Run a fast correctness pass of every engine on every zoo kernel."""
     from repro.baselines.registry import all_methods
     from repro.runtime import compile as compile_stencil
@@ -1050,8 +978,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     recovery claimed success but the output differs (never expected);
     3 — recovery exhausted (:class:`~repro.errors.FaultError`).
     """
-    import json
-
+    from repro.core.lowering import checksum_footprint
     from repro.errors import FaultError
     from repro.faults import FaultPlan
     from repro.runtime import compile as compile_stencil
@@ -1120,7 +1047,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
         print(report.describe())
         print()
         if k.weights.ndim == 2:
-            foot = _lowering_checksum_footprint(compiled)
+            foot = checksum_footprint(compiled.lowered)
             print(f"hardware ABFT footprint: {foot['checksum_rows']} checksum "
                   f"rows over {foot['baseline_rows']} accumulator rows "
                   f"({foot['overhead_fraction']:.1%} of MMA work)")
@@ -1162,22 +1089,13 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     return rc
 
 
-def _lowering_checksum_footprint(compiled) -> dict:
-    from repro.core.lowering import checksum_footprint
-
-    return checksum_footprint(compiled.lowered)
-
-
-def _cmd_chaos_report(paths: list[str], as_json: bool) -> int:
+def _cmd_chaos_report(args: argparse.Namespace) -> int:
     """Print the ``faults`` sections of run-record files."""
-    import json
-    import pathlib
-
     from repro import telemetry
 
     rc = 0
     docs = []
-    for path in paths:
+    for path in args.paths:
         try:
             record = json.loads(pathlib.Path(path).read_text())
             telemetry.validate_run_record(record)
@@ -1188,7 +1106,7 @@ def _cmd_chaos_report(paths: list[str], as_json: bool) -> int:
         faults = record.get("faults")
         docs.append({"path": path, "name": record.get("name"),
                      "faults": faults})
-        if as_json:
+        if args.json:
             continue
         print(f"{path}: {record.get('name')}")
         if faults is None:
@@ -1204,7 +1122,7 @@ def _cmd_chaos_report(paths: list[str], as_json: bool) -> int:
         of = f" of {len(planned)} planned" if injected == 0 and planned else ""
         print(f"  {'total':<12} injected={injected}{of}  "
               f"unrecovered={faults.get('unrecovered', 0)}")
-    if as_json:
+    if args.json:
         print(json.dumps(docs, indent=1, sort_keys=True))
     return rc
 
@@ -1325,8 +1243,6 @@ def _cluster_setup(args: argparse.Namespace) -> _ClusterSetup | None:
 def _observed(args: argparse.Namespace):
     """A telemetry capture when the command writes artifacts (the
     record then carries one merged trace), else a no-op context."""
-    import contextlib
-
     from repro import telemetry
 
     if args.record or args.events or args.record_history:
@@ -1359,7 +1275,23 @@ def _write_artifacts(args: argparse.Namespace, name: str, **record) -> None:
         say(f"run record appended to {path}")
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
+def _print_cluster_result(result, resumed: bool = False) -> None:
+    """The text body of ``cluster run`` and ``cluster resume``: rounds,
+    halo bytes, counters and the fault report.  A resumed run's counters
+    cover only the replayed rounds, so ``resumed`` leaves them out."""
+    print(f"  {result.steps} step(s) in {result.rounds} round(s) "
+          f"{result.phases}")
+    before = (f" ({result.resumed_halo_bytes:,} before the checkpoint)"
+              if resumed else "")
+    print(f"  halo bytes exchanged: {result.exchanged_bytes:,}{before}")
+    if result.counters is not None and not resumed:
+        _print_counters(result.counters, intensity=False)
+    if result.fault_report is not None:
+        print()
+        print(result.fault_report.describe())
+
+
+def _cmd_cluster_run(args: argparse.Namespace) -> int:
     """Distributed sweep through the DistributedPlan pipeline.
 
     Exit codes: 0 — the run matched the dense reference (and, with
@@ -1367,9 +1299,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     unrecovered); 1 — mismatch or unrecovered fault; 3 — halted at
     ``--halt-after-round`` (resumable).
     """
-    import contextlib
-    import json
-
     from repro import telemetry
     from repro.parallel.checkpoint import CheckpointConfig, CheckpointHalt
 
@@ -1439,16 +1368,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(f"  {plan.schedule.describe()}")
         print(f"  executor={result.executor} overlap={result.overlap} "
               f"backend={doc['backend']}")
-        print(f"  {result.steps} step(s) in {result.rounds} round(s) "
-              f"{result.phases}")
-        print(f"  halo bytes exchanged: {result.exchanged_bytes:,}")
-        if result.counters is not None:
-            for name, value in result.counters.as_dict().items():
-                if value:
-                    print(f"  {name:28s} {value:>12,}")
-        if report is not None:
-            print()
-            print(report.describe())
+        _print_cluster_result(result)
         print()
         print(verdict.text)
 
@@ -1479,8 +1399,6 @@ def _cmd_cluster_resume(args: argparse.Namespace) -> int:
     bit-identical to an uninterrupted fault-free run; 1 — mismatch;
     2 — unusable checkpoint directory/manifest.
     """
-    import json
-
     from repro import telemetry
     from repro.parallel.checkpoint import CheckpointError, load_checkpoint
 
@@ -1545,13 +1463,7 @@ def _cmd_cluster_resume(args: argparse.Namespace) -> int:
     else:
         print(f"{setup.kernel.name}: resumed from round {ckpt.round_index} "
               f"({ckpt.path})")
-        print(f"  {result.steps} step(s) in {result.rounds} round(s) "
-              f"{result.phases}")
-        print(f"  halo bytes exchanged: {result.exchanged_bytes:,} "
-              f"({result.resumed_halo_bytes:,} before the checkpoint)")
-        if report is not None:
-            print()
-            print(report.describe())
+        _print_cluster_result(result, resumed=True)
         print()
         print("bit-identity check: "
               + ("PASS — identical to the uninterrupted run" if identical
@@ -1576,9 +1488,6 @@ def _cmd_cluster_report(args: argparse.Namespace) -> int:
     unrecovered fault.  The report itself is always printed/written on
     either exit code.
     """
-    import json
-    import pathlib
-
     from repro import telemetry
     from repro.telemetry.cluster import render_gantt, to_lane_trace
     from repro.telemetry.validate import validate_cluster_report
@@ -1636,52 +1545,6 @@ def _cmd_cluster_report(args: argparse.Namespace) -> int:
     return verdict.rc
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "kernels":
-        return _cmd_kernels()
-    if args.command == "decompose":
-        return _cmd_decompose(args.kernel)
-    if args.command == "plan":
-        return _cmd_plan(args.kernel, args.no_tensor_cores, args.json,
-                         args.schedule, args.ir, args.backend)
-    if args.command == "run":
-        return _cmd_run(args.kernel, args.size, args.seed, args.json,
-                        args.backend)
-    if args.command == "profile":
-        return _cmd_profile(args.kernel, args.size, args.seed, args.shards,
-                            args.emit, args.record, args.per_instr,
-                            args.backend)
-    if args.command == "perf":
-        return _cmd_perf(args)
-    if args.command == "cluster":
-        if args.cluster_command == "report":
-            return _cmd_cluster_report(args)
-        if args.cluster_command == "resume":
-            return _cmd_cluster_resume(args)
-        return _cmd_cluster(args)
-    if args.command == "fig8":
-        return _cmd_fig8(args.kernels, args.best)
-    if args.command == "fig9":
-        return _cmd_fig9()
-    if args.command == "fig10":
-        return _cmd_fig10()
-    if args.command == "table3":
-        return _cmd_table3()
-    if args.command == "precision":
-        return _cmd_precision(args.kernel, args.steps)
-    if args.command == "scaling":
-        return _cmd_scaling(args.size, args.devices)
-    if args.command == "chaos":
-        if args.chaos_command == "run":
-            return _cmd_chaos_run(args)
-        return _cmd_chaos_report(args.paths, args.json)
-    if args.command == "trace":
-        return _cmd_trace(args.kernel, args.limit)
-    if args.command == "verify":
-        return _cmd_verify()
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
-
-
 def main(argv: list[str] | None = None) -> int:
     """Parse ``argv`` (default ``sys.argv``) and dispatch one command.
 
@@ -1709,7 +1572,7 @@ def main(argv: list[str] | None = None) -> int:
 def _run(args: argparse.Namespace) -> int:
     """Dispatch ``args``, tracing the command under ``--telemetry``."""
     if not getattr(args, "telemetry", False):
-        return _dispatch(args)
+        return args.run(args)
 
     # --telemetry: trace the whole command, then append the span tree
     # (skipped under --json so stdout stays parseable).
@@ -1719,7 +1582,7 @@ def _run(args: argparse.Namespace) -> int:
     telemetry.enable()
     try:
         with telemetry.TRACER.span(f"cli.{args.command}", category="cli"):
-            rc = _dispatch(args)
+            rc = args.run(args)
     finally:
         telemetry.disable()
     if not getattr(args, "json", False):

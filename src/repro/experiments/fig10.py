@@ -58,6 +58,13 @@ class Fig10Result:
         vals = [self.ratio(k, what) for k in kernels]
         return sum(vals) / len(vals)
 
+    def table_rows(self) -> list[list[str]]:
+        """Per-(kernel, method) request rows for table rendering."""
+        return [["kernel", "method", "loads/Mpt", "stores/Mpt", "total/Mpt"]] + [
+            [r.kernel, r.method, f"{r.loads:.0f}", f"{r.stores:.0f}", f"{r.total:.0f}"]
+            for r in self.rows
+        ]
+
 
 def run_fig10(kernels: tuple[str, ...] = FIG10_KERNELS) -> Fig10Result:
     """Measure shared-memory request counts for both methods."""

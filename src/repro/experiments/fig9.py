@@ -61,6 +61,14 @@ class Fig9Result:
         """Swept grid side lengths, ascending."""
         return sorted({r.size for r in self.rows})
 
+    def table_rows(self) -> list[list[str]]:
+        """Size-by-configuration GStencil/s rows for table rendering."""
+        configs = self.configs()
+        return [["size"] + configs] + [
+            [str(size)] + [f"{self.perf(c, size):.2f}" for c in configs]
+            for size in self.sizes()
+        ]
+
 
 def _utilization(points: int, shared_bytes_per_block: int, machine: MachineSpec) -> float:
     """Fraction of the GPU kept busy by ``points / block`` thread blocks."""

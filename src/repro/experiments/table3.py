@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from repro.baselines.convstencil import ConvStencilMethod
 from repro.baselines.lorastencil import LoRAStencilMethod
 from repro.experiments.footprints import cached_footprint
+from repro.experiments.paper import PAPER
 from repro.perf.machine import A100, MachineSpec
 from repro.perf.metrics import arithmetic_intensity, compute_throughput_pct
 from repro.stencil.kernels import get_kernel
@@ -43,6 +44,16 @@ class Table3Result:
     def ai_ratio(self, kernel: str) -> float:
         """LoRAStencil AI over ConvStencil AI (the shape claim)."""
         return self.row(kernel, "LoRAStencil").ai / self.row(kernel, "ConvStencil").ai
+
+    def table_rows(self) -> list[list[str]]:
+        """Per-(kernel, method) CT% and AI rows, the paper's value in
+        parentheses, for table rendering."""
+        out = [["kernel", "method", "CT%", "AI"]]
+        for r in self.rows:
+            paper = PAPER["table3"][r.kernel][r.method]
+            out.append([r.kernel, r.method, f"{r.ct_pct:.2f} ({paper['ct_pct']})",
+                        f"{r.ai:.2f} ({paper['ai']})"])
+        return out
 
 
 def run_table3(

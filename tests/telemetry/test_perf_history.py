@@ -145,6 +145,19 @@ class TestPerfCheckCli:
         assert main(["perf", "check", "--baseline", str(baseline)]) == 0
         assert "no regressions" in capsys.readouterr().out
 
+    def test_unreachable_min_speedup_exits_1(self, tmp_path, capsys):
+        baseline = tmp_path / "BENCH_baseline.json"
+        assert main([
+            "perf", "check", "--baseline", str(baseline),
+            "--size", "64", "--update-baseline",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "perf", "check", "--baseline", str(baseline),
+            "--min-speedup", "1e9",
+        ]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
     def test_doctored_baseline_exits_nonzero(self, tmp_path, record, capsys):
         doctored = copy.deepcopy(record)
         doctored["events"]["mma_ops"] = int(

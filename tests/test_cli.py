@@ -21,6 +21,33 @@ class TestParser:
         for cmd in ("kernels", "fig9", "fig10", "table3"):
             assert parser.parse_args([cmd]).command == cmd
 
+    def test_every_leaf_dispatches(self):
+        """Each leaf parses a minimal argv into its own handler."""
+        import argparse
+
+        def leaves(parser, path=()):
+            subs = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield path, parser
+                return
+            for name, child in subs[0].choices.items():
+                yield from leaves(child, path + (name,))
+
+        found = []
+        for path, leaf in leaves(build_parser()):
+            argv = list(path)
+            for action in leaf._actions:
+                if not action.option_strings and action.nargs != "?":
+                    argv.append("X")
+                elif action.required:
+                    argv += [action.option_strings[0], "X"]
+            args = build_parser().parse_args(argv)
+            assert callable(args.run), path
+            assert args.run.__name__ == "_cmd_" + "_".join(path), path
+            found.append(path)
+        assert len(found) == 23
+
     def test_run_args(self):
         args = build_parser().parse_args(["run", "Box-2D9P", "--size", "32"])
         assert args.kernel == "Box-2D9P"
@@ -60,6 +87,24 @@ class TestCommands:
     def test_fig8_best_flag(self, capsys):
         assert main(["fig8", "--kernels", "Box-2D9P", "--best"]) == 0
         assert "LoRAStencil-Best" in capsys.readouterr().out
+
+    def test_fig9(self, capsys):
+        assert main(["fig9"]) == 0
+        out = capsys.readouterr().out
+        assert "Fig. 9 — Box-2D9P breakdown" in out
+        assert "TCU 2.14x (paper 2.14x)" in out
+
+    def test_fig10(self, capsys):
+        assert main(["fig10"]) == 0
+        out = capsys.readouterr().out
+        assert "Fig. 10 — shared-memory requests" in out
+        assert "mean LoRA/Conv: loads" in out and "(paper 0.47)" in out
+
+    def test_table3(self, capsys):
+        assert main(["table3"]) == 0
+        out = capsys.readouterr().out
+        assert "(paper in parentheses)" in out
+        assert "Box-2D49P" in out and "Box-3D27P" in out
 
     def test_precision(self, capsys):
         assert main(["precision", "Heat-2D", "--steps", "1", "2"]) == 0
@@ -318,6 +363,28 @@ class TestPerfObservatoryCommands:
         assert report["max_rel_error"] == 0.0
         assert validate_file(out_file) == "repro.telemetry.fidelity-report/v1"
 
+    def test_perf_fidelity_drift_exits_1(self, capsys, tmp_path, monkeypatch):
+        import repro.telemetry.perf as perf
+
+        exact = perf.fidelity_report
+
+        def drifted(*args, **kwargs):
+            report = exact(*args, **kwargs)
+            report["components"][0]["rel_error"] = 0.5
+            report["max_rel_error"] = 0.5
+            return report
+
+        monkeypatch.setattr(perf, "fidelity_report", drifted)
+        out_file = tmp_path / "fid.json"
+        assert main(["perf", "fidelity", "Box-2D9P", "--size", "16",
+                     "--output", str(out_file)]) == 1
+        out = capsys.readouterr().out
+        assert "max relative error: 50.00%" in out
+        assert json.loads(out_file.read_text())["max_rel_error"] == 0.5
+        assert main(["perf", "fidelity", "Box-2D9P", "--size", "16",
+                     "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["max_rel_error"] == 0.5
+
     def test_perf_history_empty_root(self, capsys, tmp_path):
         assert main(["perf", "history", "--root", str(tmp_path)]) == 0
         assert "no history" in capsys.readouterr().out
@@ -417,6 +484,12 @@ class TestObservabilityCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
         assert doc["metric"] == "timing_s"
+
+    def test_chaos_negative_control_output_differs(self, capsys):
+        assert main(["chaos", "run", "Box-2D9P", "--size", "48",
+                     "--seed", "1", "--faults", "4", "--no-verify"]) == 0
+        out = capsys.readouterr().out
+        assert "negative control: output DIFFERS" in out
 
     def test_chaos_events_writes_a_validated_jsonl(self, capsys, tmp_path):
         from repro.telemetry.log import EVENT_SCHEMA
@@ -612,6 +685,36 @@ class TestClusterCommand:
         # one trace: the resumed spans continue the snapshot's trace id
         trace_ids = {s["trace_id"] for s in rec["spans"]}
         assert trace_ids == {rec["extra"]["trace_id"]}
+
+    @pytest.mark.parametrize("damage,message", [
+        ("empty", "no checkpoints found"),
+        ("no-meta", "missing run metadata"),
+        ("other-plan", "does not match the checkpointed plan"),
+    ])
+    def test_cluster_resume_unusable_checkpoint_is_exit_2(
+        self, capsys, tmp_path, damage, message
+    ):
+        ckdir = tmp_path / "ckpt"
+        ckdir.mkdir()
+        if damage != "empty":
+            assert main(["cluster", "run", "Heat-2D", "--size", "16",
+                         "--steps", "6", "--block-steps", "2",
+                         "--checkpoint-dir", str(ckdir),
+                         "--halt-after-round", "1"]) == 3
+            # the run metadata is not part of the content hash, so the
+            # edited manifest still loads
+            for manifest in ckdir.glob("ckpt-*.json"):
+                doc = json.loads(manifest.read_text())
+                if damage == "no-meta":
+                    del doc["meta"]
+                else:
+                    doc["meta"]["block_steps"] = 3
+                manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["cluster", "resume", "--checkpoint-dir", str(ckdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_cluster_elastic_resume_uses_the_snapshot_mesh(
         self, capsys, tmp_path
