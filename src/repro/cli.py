@@ -327,8 +327,9 @@ def _add_cluster_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tiling", choices=["trapezoid", "diamond"],
                         default="trapezoid")
     parser.add_argument("--overlap", action="store_true",
-                        help="overlap the halo transfer with the interior "
-                             "sweep (cp.async-modeled double buffering)")
+                        help="issue each halo exchange asynchronously "
+                             "(cp.async-modeled; its hiding behind the "
+                             "interior sweep is modeled)")
     parser.add_argument("--executor",
                         choices=["serial", "thread", "process"],
                         default="serial")
@@ -564,9 +565,15 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
         measure_reference,
     )
     from repro.telemetry.perf.history import REFERENCE_WORKLOAD
+    from repro.telemetry.validate import TelemetryError
 
     baseline_path = pathlib.Path(args.baseline or DEFAULT_BASELINE)
-    baseline = load_record(baseline_path) if baseline_path.exists() else None
+    try:
+        baseline = load_record(baseline_path) if baseline_path.exists() else None
+    except (TelemetryError, json.JSONDecodeError):
+        if not args.update_baseline:
+            raise
+        baseline = None  # a baseline being replaced only lends defaults
     if baseline is None and not args.update_baseline:
         print(f"perf check: baseline {baseline_path} not found "
               f"(create it with --update-baseline)", file=sys.stderr)

@@ -27,20 +27,98 @@ nothing is retried, logged or counted; the first failure in task order
 propagates, a :class:`~repro.errors.ReproError` as is and anything else
 wrapped in a typed :class:`~repro.errors.ExecutionError` naming the
 task.
+
+Every call runs on one process-wide thread pool, built on first use
+and kept for the life of the process (a forked child builds its own).
+A call's tasks queue in call order and at most ``max_workers`` of them
+run at once, as on a private pool of that size.  A call made from
+inside a pool task runs its tasks in the calling thread instead, one
+at a time, so a nested fan-out never waits on workers its caller
+occupies; such a call's timeouts cannot fire, since a task it runs
+itself has finished by the time it is awaited.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import wait as futures_wait
 from typing import Any, Callable, Mapping
 
 from repro.errors import ExecutionError, FaultError, ReproError
 from repro.telemetry.log import emit as emit_event
 
 __all__ = ["supervise_tasks", "backoff_delay"]
+
+
+#: workers of the process's one pool: one per core.  Every worker that
+#: runs a task keeps its own malloc arena, so a larger pool that rotates
+#: a call's few tasks over more threads only holds more memory.
+_POOL_SIZE = os.cpu_count() or 1
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+_IN_POOL = threading.local()
+
+
+def _mark_worker() -> None:
+    _IN_POOL.worker = True
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The process-wide worker pool every fan-out shares.
+
+    Built on first use with all :data:`_POOL_SIZE` workers started at
+    once, so the worker set is fixed from the first call on: a later
+    submit never finds every worker busy-but-finishing and starts
+    another.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            pool = ThreadPoolExecutor(
+                _POOL_SIZE, thread_name_prefix="repro-worker",
+                initializer=_mark_worker,
+            )
+            gate = threading.Barrier(_POOL_SIZE + 1)
+            for _ in range(_POOL_SIZE):
+                pool.submit(gate.wait)
+            gate.wait()
+            _POOL = pool
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the parent's worker threads."""
+    global _POOL, _POOL_LOCK, _IN_POOL
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+    _IN_POOL = threading.local()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _call(gate: threading.Semaphore, fn: Callable, args: tuple):
+    """One task, run once its call's ``gate`` admits it."""
+    with gate:
+        return fn(*args)
+
+
+def _fan_out(gate: threading.Semaphore, fn: Callable, *args) -> Future:
+    """Submit one task to the pool, or run it here on a pool worker."""
+    if not getattr(_IN_POOL, "worker", False):
+        return _pool().submit(_call, gate, fn, args)
+    future: Future = Future()
+    try:
+        future.set_result(_call(gate, fn, args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 def _default_describe(args: tuple) -> str:
@@ -88,7 +166,7 @@ def supervise_tasks(
     describe: Callable[[tuple], str] | None = None,
     title: str = "shard {i} of {n} (rows {label})",
 ) -> dict[int, Any]:
-    """Run ``worker(i, *tasks[i])`` for every task on a thread pool.
+    """Run ``worker(i, *tasks[i])`` for every task on the shared pool.
 
     Returns ``{i: result}`` for every task or raises — never a partial
     result set; under a ladder, a typed
@@ -101,12 +179,29 @@ def supervise_tasks(
     :class:`~repro.errors.ExecutionError` whose message starts with
     ``title`` formatted with the task index ``i``, the task count ``n``
     and the ``describe`` label.
+
+    At most ``max_workers`` (default: the pool's size) of the call's
+    tasks run at once, and the call returns only once every task it
+    submitted has finished — a timed-out task included.
     """
     describe = describe or _default_describe
-    if policy is None:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {i: pool.submit(worker, i, *tasks[i]) for i in tasks}
-            results = {}
+    if max_workers is not None and max_workers <= 0:
+        raise ValueError("max_workers must be greater than 0")
+    gate = threading.Semaphore(max_workers or _POOL_SIZE)
+    submitted: list[Future] = []
+
+    def submit(i: int, args: tuple) -> Future:
+        submitted.append(_fan_out(gate, worker, i, *args))
+        return submitted[-1]
+
+    results: dict[int, Any] = {}
+    pending = dict(tasks)
+    failed_ever: set[int] = set()
+    stagger: dict[int, float] = {}
+    attempt = 0
+    try:
+        if policy is None:
+            futures = {i: submit(i, tasks[i]) for i in tasks}
             for i in sorted(futures):
                 try:
                     results[i] = futures[i].result()
@@ -115,13 +210,7 @@ def supervise_tasks(
                 except Exception as exc:
                     label = describe(tasks[i])
                     raise _failed(title, i, len(tasks), label, exc) from exc
-        return results
-    results: dict[int, Any] = {}
-    pending = dict(tasks)
-    failed_ever: set[int] = set()
-    stagger: dict[int, float] = {}
-    attempt = 0
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            return results
         while pending:
             # resubmissions are staggered: each task waits out its own
             # jittered delay before entering the pool, so retries fan
@@ -135,7 +224,7 @@ def supervise_tasks(
                 if delay > waited:
                     time.sleep(delay - waited)
                     waited = delay
-                futures[i] = pool.submit(worker, i, *pending[i])
+                futures[i] = submit(i, pending[i])
             stagger = {}
             failed: dict[int, tuple] = {}
             for i, future in sorted(futures.items()):
@@ -187,9 +276,7 @@ def supervise_tasks(
                     raise _failed(title, i, len(tasks), label, exc) from exc
             failed_ever.update(failed)
             pending = failed
-            if not pending:
-                break
-            if attempt >= policy.shard_retries:
+            if not pending or attempt >= policy.shard_retries:
                 break
             stagger = {
                 i: backoff_delay(policy, attempt, i) for i in pending
@@ -208,39 +295,28 @@ def supervise_tasks(
             )
             report.bump("shard_retries", len(pending))
             attempt += 1
+    finally:
+        futures_wait(submitted)
     for i in sorted(pending):
         label = describe(pending[i])
+        how, cause = "(inline fallback disabled)", None
         if policy.inline_fallback:
+            emit_event(
+                "shard.inline_recovery",
+                level="warning",
+                message=(
+                    f"recomputing shard {i} inline after "
+                    f"{policy.shard_retries} backoff retries"
+                ),
+                shard=i,
+                rows=label,
+            )
             try:
-                emit_event(
-                    "shard.inline_recovery",
-                    level="warning",
-                    message=(
-                        f"recomputing shard {i} inline after "
-                        f"{policy.shard_retries} backoff retries"
-                    ),
-                    shard=i,
-                    rows=label,
-                )
                 results[i] = worker(i, *pending[i])
                 report.bump("shard_inline_recoveries")
                 continue
             except Exception as exc:
-                report.bump("unrecovered")
-                emit_event(
-                    "shard.unrecovered",
-                    level="error",
-                    message=f"shard {i} exhausted the recovery ladder",
-                    shard=i,
-                    rows=label,
-                )
-                error = FaultError(
-                    f"shard {i} ({label}) failed after "
-                    f"{policy.shard_retries} backoff retries and "
-                    f"inline recomputation: {exc}"
-                )
-                error.failed_task = i
-                raise error from exc
+                how, cause = f"and inline recomputation: {exc}", exc
         report.bump("unrecovered")
         emit_event(
             "shard.unrecovered",
@@ -251,9 +327,8 @@ def supervise_tasks(
         )
         error = FaultError(
             f"shard {i} ({label}) failed after "
-            f"{policy.shard_retries} backoff retries "
-            "(inline fallback disabled)"
+            f"{policy.shard_retries} backoff retries {how}"
         )
         error.failed_task = i
-        raise error
+        raise error from cause
     return results

@@ -16,8 +16,8 @@ sweep.
   that plan's own inputs), yielding a
   :class:`~repro.parallel.plan.DistributedPlan`;
 * :class:`repro.parallel.halo.HaloExchanger` — halo exchange
-  (synchronous or ``cp.async``-modeled double-buffered) with exact
-  per-device byte accounting;
+  (synchronous or ``cp.async``-modeled) building each window straight
+  from its owners' blocks, with exact per-device byte accounting;
 * :class:`repro.parallel.cluster.ClusterRuntime` — executes a
   distributed plan: per-step / temporal rounds, overlapped transfers,
   serial/thread/process executors, fault tolerance, scaling model;

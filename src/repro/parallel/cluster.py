@@ -12,9 +12,9 @@ mode:
 * per-step exchange (``block_steps=1``, the classic halo pipeline),
 * temporal blocking (trapezoid/diamond rounds from the plan's
   :class:`~repro.parallel.plan.HaloSchedule`),
-* overlapped execution (``overlap=True``): the halo transfer is issued
-  asynchronously (``cp.async`` model) and each rank waits for its
-  window, then advances it in one sweep — bit-identical to the
+* overlapped execution (``overlap=True``): the halo exchange is issued
+  asynchronously (``cp.async`` model, resolved at issue) and each rank
+  takes its window, then advances it in one sweep — bit-identical to the
   synchronous exchange by the overlap-equivalence suite.  How much of
   the transfer the interior sweep hides is modeled, not executed: see
   :class:`ClusterTimings` and the cluster observatory,
@@ -247,7 +247,7 @@ class _Round:
     depth: int
     exchanger: HaloExchanger
     windows: dict[int, np.ndarray] | None = None  # synchronous exchange
-    handle: AsyncHaloHandle | None = None  # overlapped, still in flight
+    handle: AsyncHaloHandle | None = None  # overlapped exchange
 
 
 class ClusterRuntime:
@@ -545,12 +545,12 @@ class ClusterRuntime:
     def _exchange(self, st: _Run, round_i: int) -> _Round:
         """Issue one round's halo exchange.
 
-        Overlapped runs commit it asynchronously (``cp.async``): the
-        blocks are snapshotted into the staging buffer before this
-        returns and the transfer materializes on the exchanger's
-        background lane while ranks are dispatched; each rank waits for
-        its own window.  Halo verification needs the materialized
-        windows before any rank is dispatched, so the halo guard forces
+        Either way the exchanger builds every rank's window from the
+        blocks before this returns.  Overlapped runs issue it through
+        ``exchange_async`` (``cp.async``), whose handle is resolved at
+        issue: each rank's wait returns at once, and how much of the
+        transfer the interior would hide is modeled.  The halo guard
+        verifies the windows before any rank is dispatched, so it takes
         the synchronous path.  The round's bytes join
         ``st.round_bytes``, which keeps an aborted elastic attempt's
         traffic in the round's ledger entry.
@@ -751,8 +751,9 @@ class ClusterRuntime:
 
     @staticmethod
     def _window(rnd: _Round, rank: int, span) -> np.ndarray:
-        """A rank's exchanged window, waiting (under a ``cluster.wait``
-        span opened by ``span``) when the transfer is still in flight."""
+        """A rank's exchanged window; an overlapped round takes it from
+        the handle's wait, under a ``cluster.wait`` span opened by
+        ``span``."""
         if rnd.handle is None:
             return rnd.windows[rank]
         with span(

@@ -40,12 +40,6 @@ class Subdomain:
         """Second-axis slice (2D convention kept for existing callers)."""
         return self.slices[1]
 
-    def window_slices(self, depth: int) -> tuple[slice, ...]:
-        """Slices of this block extended by ``depth`` into a *padded*
-        global array (padded by ``depth`` per side, so the window starts
-        at the unpadded ``start`` coordinate)."""
-        return tuple(slice(s.start, s.stop + 2 * depth) for s in self.slices)
-
 
 @dataclass(frozen=True)
 class Partition:

@@ -51,10 +51,12 @@ def _impose_dirichlet(
     so this is not an approximation).
     """
     for ax, n in enumerate(global_shape):
-        idx = origin[ax] + np.arange(cur.shape[ax])
-        outside = (idx < 0) | (idx >= n)
-        if outside.any():
-            cur[(slice(None),) * ax + (outside,)] = 0.0
+        lead = min(max(-origin[ax], 0), cur.shape[ax])
+        if lead:
+            cur[(slice(None),) * ax + (slice(0, lead),)] = 0.0
+        end = max(n - origin[ax], 0)  # the first cell past the domain
+        if end < cur.shape[ax]:
+            cur[(slice(None),) * ax + (slice(end, None),)] = 0.0
 
 
 def advance_window(

@@ -2,42 +2,39 @@
 
 Each timestep, every device needs its block padded by the stencil
 radius; the pad cells live on neighbouring devices (or on the global
-boundary).  :class:`HaloExchanger` materializes those padded windows —
-for 1D, 2D and 3D partitions — and counts every FP64 value that crosses
-a device boundary, the quantity the cluster timing model charges to the
-interconnect.
+boundary).  :class:`HaloExchanger` builds those padded windows — for
+1D, 2D and 3D partitions — straight from the owners' blocks, as §IV-B
+gathers a halo from the neighbouring data with no intermediate copy:
+each window is the rank's own block plus the intersecting pieces of
+its neighbours' blocks, zero outside the domain under ``constant`` and
+wrapped under ``periodic``.  No global grid is ever assembled.  Every
+exchange returns fresh windows, so a caller still holding round N's
+windows is safe while round N+1 is issued.
 
-Two execution paths share one byte count:
+:meth:`HaloExchanger.exchange` is the synchronous path;
+:meth:`HaloExchanger.exchange_async` the ``cp.async``-modeled one,
+whose *commit* builds the windows at issue (snapshotting the blocks)
+and whose :meth:`AsyncHaloHandle.wait` barrier is resolved at issue.
+How much of the transfer the interior sweep would hide is modeled, not
+executed (see :class:`~repro.parallel.cluster.ClusterTimings`).
 
-* :meth:`HaloExchanger.exchange` — the synchronous path: assemble,
-  pad, slice, return windows.
-* :meth:`HaloExchanger.exchange_async` — the ``cp.async``-modeled path:
-  boundary data is committed into one of two alternating staging
-  buffers at issue time (the async-copy *commit*), the pad + window
-  materialization (the *transfer*) runs on a background lane, and
-  :meth:`AsyncHaloHandle.wait` is the ``cp.async.wait_group`` barrier.
-  The caller computes interior work between issue and wait; the
-  windows returned are bit-identical to the synchronous path because
-  the staging buffer snapshots the blocks before ``issue`` returns.
-
-The data movement is performed through a global assembly (simulation
-convenience); the byte accounting is computed per device from exact
-ownership of every halo cell, which is what a point-to-point
-implementation would transfer.  Every exchange moves
-:meth:`HaloExchanger.total_bytes_per_exchange` bytes and every
-retransmission :meth:`HaloExchanger.bytes_per_exchange` of its rank;
-:attr:`HaloExchanger.exchanged_bytes` is the exchanger's lifetime total,
-and a cluster run keeps its own per-run ledger from the same figures.
+Every exchange moves :meth:`HaloExchanger.total_bytes_per_exchange`
+bytes and every retransmission :meth:`HaloExchanger.bytes_per_exchange`
+of its rank: the cells a window copies from another rank's block, which
+is what a point-to-point implementation would transfer.
+:attr:`HaloExchanger.exchanged_bytes` is the exchanger's lifetime
+total, and a cluster run keeps its own per-run ledger from the same
+figures.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 
-from repro.parallel.decomposition import Partition, Subdomain
+from repro.parallel.decomposition import Partition, Subdomain, _split
+from repro.parallel.distributed import _impose_dirichlet
 
 __all__ = ["HaloExchanger", "AsyncHaloHandle"]
 
@@ -45,27 +42,49 @@ _FP64 = 8
 
 
 class AsyncHaloHandle:
-    """An in-flight halo exchange (the ``cp.async`` commit → wait pair).
+    """An issued halo exchange (the ``cp.async`` commit → wait pair),
+    resolved at issue: :meth:`wait` returns the same windows however
+    often it is called, without re-accounting anything."""
 
-    Returned by :meth:`HaloExchanger.exchange_async`; :meth:`wait`
-    blocks until the windows are materialized and returns them.  The
-    handle resolves exactly one exchange — waiting twice returns the
-    same windows without re-transferring (or re-accounting) anything.
-    """
-
-    def __init__(self, future: Future, bytes_issued: int) -> None:
-        self._future = future
+    def __init__(self, windows: dict[int, np.ndarray], bytes_issued: int) -> None:
+        self._windows = windows
         #: interconnect bytes this exchange moved (already accounted)
         self.bytes_issued = bytes_issued
 
     @property
     def done(self) -> bool:
-        """Whether the transfer has completed (non-blocking probe)."""
-        return self._future.done()
+        """Whether the transfer has completed: always, at issue."""
+        return True
 
     def wait(self) -> dict[int, np.ndarray]:
-        """Block until arrival; returns every rank's padded window."""
-        return self._future.result()
+        """The ``cp.async.wait_group`` barrier: every rank's window."""
+        return self._windows
+
+
+def _axis_pieces(
+    bounds: list[slice], lo: int, hi: int, periodic: bool
+) -> list[tuple[slice, int | None, slice | None]]:
+    """Cover global coordinates ``[lo, hi)`` of one axis with owners:
+    ``(window slice, mesh index, block slice)`` pieces in order, where
+    ``bounds`` holds each mesh index's range and the mesh index is
+    ``None`` outside a non-periodic domain."""
+    n = bounds[-1].stop
+    pieces = []
+    g = lo
+    while g < hi:
+        q = g % n if periodic else g
+        if not 0 <= q < n:
+            end = min(hi, 0) if q < 0 else hi
+            pieces.append((slice(g - lo, end - lo), None, None))
+        else:
+            p = next(i for i, s in enumerate(bounds) if q < s.stop)
+            end = min(hi, g + bounds[p].stop - q)
+            off = q - bounds[p].start
+            pieces.append(
+                (slice(g - lo, end - lo), p, slice(off, off + end - g))
+            )
+        g = end
+    return pieces
 
 
 class HaloExchanger:
@@ -89,17 +108,17 @@ class HaloExchanger:
         #: total interconnect bytes this exchanger has moved, over every
         #: exchange and retransmission it served
         self.exchanged_bytes = 0
+        self._copies = {sub.rank: self._plan(sub) for sub in part.subdomains}
         self._remote_cells = {
-            sub.rank: self._count_remote_cells(sub) for sub in part.subdomains
+            rank: sum(
+                int(np.prod([s.stop - s.start for s in dst]))
+                for dst, owner, _ in copies
+                if owner != rank
+            )
+            for rank, copies in self._copies.items()
         }
-        # cp.async double buffer: two staging buffers alternate between
-        # consecutive exchanges, so issue N+1 never overwrites the data
-        # transfer N is still reading
-        self._buffers: list[np.ndarray | None] = [None, None]
-        self._buf_idx = 0
-        self._lane: ThreadPoolExecutor | None = None
-        self._in_flight: AsyncHaloHandle | None = None
-        self._lock = threading.Lock()
+        # the senders' blocks of the last exchange, for retransmission
+        self._sent: dict[int, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     def bytes_per_exchange(self, rank: int) -> int:
@@ -112,42 +131,65 @@ class HaloExchanger:
             self.bytes_per_exchange(s.rank) for s in self.part.subdomains
         )
 
-    def _count_remote_cells(self, sub: Subdomain) -> int:
-        """Halo cells of ``sub`` owned by a *different* device.
+    def _plan(self, sub: Subdomain) -> list[tuple]:
+        """The pieces ``sub``'s window copies: ``(window slices, owner
+        rank, block slices)``, one per intersecting owner block (more
+        where a periodic window wraps)."""
+        h, part = self.radius, self.part
+        axes = [
+            _axis_pieces(
+                _split(n, m), s.start - h, s.stop + h,
+                self.boundary == "periodic",
+            )
+            for n, m, s in zip(part.global_shape, part.mesh, sub.slices)
+        ]
+        return [
+            (
+                tuple(dst for dst, _, _ in combo),
+                part.at(*(p for _, p, _ in combo)).rank,
+                tuple(src for _, _, src in combo),
+            )
+            for combo in product(*axes)
+            if all(p is not None for _, p, _ in combo)
+        ]
 
-        Both the valid-cell and the locally-owned-cell masks are outer
-        products of per-axis masks, so the 2D ``(valid & ~local).sum()``
-        generalizes to any dimension as a difference of products of the
-        per-axis sums.
+    def _build(self, sub: Subdomain) -> np.ndarray:
+        """``sub``'s padded window, copied from the last exchange's
+        blocks piece by piece."""
+        out = np.empty(tuple(n + 2 * self.radius for n in sub.shape))
+        for dst, owner, src in self._copies[sub.rank]:
+            out[dst] = self._sent[owner][src]
+        if self.boundary == "constant":
+            _impose_dirichlet(
+                out,
+                [s.start - self.radius for s in sub.slices],
+                self.part.global_shape,
+            )
+        return out
+
+    def retransmit(self, rank: int) -> np.ndarray:
+        """Re-send one rank's window from the last exchange's blocks.
+
+        Models the receiver-driven retransmission of a halo transfer
+        that failed strip-checksum verification: the senders keep the
+        round's blocks until its windows verify, so the replacement
+        window is rebuilt from identical bits.  The re-sent bytes are
+        real interconnect traffic — they fold into
+        :attr:`exchanged_bytes` like any first transmission.
         """
-        h = self.radius
-        n_valid = 1
-        n_local = 1
-        for ax, n in enumerate(self.part.global_shape):
-            idx = np.arange(sub.slices[ax].start - h, sub.slices[ax].stop + h)
-            if self.boundary == "periodic":
-                src = idx % n
-                valid = np.ones_like(idx, dtype=bool)
-            else:
-                valid = (idx >= 0) & (idx < n)
-                src = np.clip(idx, 0, n - 1)
-            local = (src >= sub.slices[ax].start) & (src < sub.slices[ax].stop)
-            n_valid *= int(valid.sum())
-            n_local *= int((valid & local).sum())
-        return n_valid - n_local
+        if self._sent is None:
+            raise RuntimeError("no exchange to retransmit from")
+        self.exchanged_bytes += self.bytes_per_exchange(rank)
+        return self._build(self.part.subdomains[rank])
 
     # ------------------------------------------------------------------
-    def _assemble(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
-        """Copy every rank's block into the current staging buffer.
+    def exchange(self, blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        """One synchronous halo exchange: every rank's padded window.
 
-        This is the ``cp.async`` *commit*: after it returns, the source
-        blocks may be overwritten — the exchange reads the snapshot.
+        The blocks are only read: once this returns, the caller may
+        overwrite them.
         """
-        buf = self._buffers[self._buf_idx]
-        if buf is None or buf.shape != self.part.global_shape:
-            buf = np.empty(self.part.global_shape, dtype=np.float64)
-            self._buffers[self._buf_idx] = buf
-        self._buf_idx = 1 - self._buf_idx
+        sent = {}
         for sub in self.part.subdomains:
             block = np.asarray(blocks[sub.rank], dtype=np.float64)
             if block.shape != sub.shape:
@@ -155,80 +197,16 @@ class HaloExchanger:
                     f"rank {sub.rank} block has shape {block.shape}, "
                     f"expected {sub.shape}"
                 )
-            buf[sub.slices] = block
-        return buf
-
-    def _materialize(self, global_arr: np.ndarray) -> dict[int, np.ndarray]:
-        """Pad the assembled grid and slice out every rank's window."""
-        h = self.radius
-        mode = "wrap" if self.boundary == "periodic" else "constant"
-        padded_global = np.pad(global_arr, h, mode=mode)
-        # kept for retransmission: a receiver that detects a corrupted
-        # window re-requests it from this (sender-side) padded snapshot
-        self._last_padded = padded_global
-        return {
-            sub.rank: padded_global[sub.window_slices(h)].copy()
-            for sub in self.part.subdomains
-        }
-
-    def retransmit(self, rank: int) -> np.ndarray:
-        """Re-send one rank's window from the last exchange's snapshot.
-
-        Models the receiver-driven retransmission of a halo transfer
-        that failed strip-checksum verification: the sender still holds
-        the padded snapshot, so the replacement window is sliced from
-        identical bits.  The re-sent bytes are real interconnect
-        traffic — they fold into :attr:`exchanged_bytes` like any
-        first transmission.
-        """
-        padded = getattr(self, "_last_padded", None)
-        if padded is None:
-            raise RuntimeError("no exchange to retransmit from")
-        sub = next(s for s in self.part.subdomains if s.rank == rank)
-        moved = self.bytes_per_exchange(rank)
-        with self._lock:
-            self.exchanged_bytes += moved
-        return padded[sub.window_slices(self.radius)].copy()
-
-    def _account(self) -> int:
-        """Fold one full exchange into the byte ledger; returns bytes."""
-        moved = self.total_bytes_per_exchange()
-        with self._lock:
-            self.exchanged_bytes += moved
-        return moved
-
-    # ------------------------------------------------------------------
-    def exchange(self, blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        """One synchronous halo exchange: every rank's padded window."""
-        global_arr = self._assemble(blocks)
-        self._account()
-        return self._materialize(global_arr)
+            sent[sub.rank] = block
+        self._sent = sent
+        self.exchanged_bytes += self.total_bytes_per_exchange()
+        return {sub.rank: self._build(sub) for sub in self.part.subdomains}
 
     def exchange_async(
         self, blocks: dict[int, np.ndarray]
     ) -> AsyncHaloHandle:
-        """Issue a halo exchange; returns a waitable handle.
-
-        The commit (block snapshot into the staging buffer) happens
-        before this returns; the transfer (pad + window materialization)
-        proceeds on the exchanger's background lane while the caller
-        computes interior work.  At most one exchange may be in flight —
-        the two staging buffers back one transfer and one commit.
-        """
-        with self._lock:
-            if self._in_flight is not None and not self._in_flight.done:
-                raise RuntimeError(
-                    "an async halo exchange is already in flight; wait() "
-                    "on its handle before issuing another (double buffer)"
-                )
-        global_arr = self._assemble(blocks)
-        moved = self._account()
-        if self._lane is None:
-            self._lane = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="halo-dma"
-            )
-        future = self._lane.submit(self._materialize, global_arr)
-        handle = AsyncHaloHandle(future, moved)
-        with self._lock:
-            self._in_flight = handle
-        return handle
+        """Issue a halo exchange; returns its handle, resolved at issue
+        (the commit snapshots the blocks into the windows)."""
+        return AsyncHaloHandle(
+            self.exchange(blocks), self.total_bytes_per_exchange()
+        )

@@ -195,6 +195,35 @@ class TestPerfCheckCli:
             assert err.startswith("perf check: cannot read")
             assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("text", ["{not json", '{"schema": "nonsense"}'])
+    def test_update_baseline_replaces_unreadable_baseline(
+        self, tmp_path, capsys, text
+    ):
+        baseline = tmp_path / "b.json"
+        baseline.write_text(text)
+        assert main([
+            "perf", "check", "--baseline", str(baseline),
+            "--size", "32", "--update-baseline",
+        ]) == 0
+        # the old file's workload defaults are gone: the reference
+        # workload's kernel and seed fill in
+        out = capsys.readouterr().out
+        assert f"({REFERENCE_WORKLOAD['kernel']}, 32x32, seed " \
+            f"{REFERENCE_WORKLOAD['seed']}," in out
+        assert main(["perf", "check", "--baseline", str(baseline)]) == 0
+
+    @pytest.mark.parametrize("text", ["{not json", '{"schema": "nonsense"}'])
+    def test_unreadable_baseline_without_update_exits_2(
+        self, tmp_path, capsys, text
+    ):
+        baseline = tmp_path / "b.json"
+        baseline.write_text(text)
+        assert main(["perf", "check", "--baseline", str(baseline)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("perf check: cannot read")
+        assert len(err.strip().splitlines()) == 1
+        assert baseline.read_text() == text
+
     def test_check_repeats_record_feeds_trend(self, tmp_path, capsys):
         import pathlib
 
