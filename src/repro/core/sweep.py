@@ -166,7 +166,7 @@ def run_block_sweep(
     provider's ``mma_sync`` calls) — and, under ``verify="abft"``,
     builds the :class:`repro.faults.abft.SweepGuard` that scrubs each
     staged block against its DRAM source and ABFT-verifies each
-    computed tile against a batched vector walk of its block (the
+    computed tile against one batched vector walk of the sweep (the
     tile's slice of the walk's grid), recovering per the armed policy.
     A CUDA-core engine has no program to walk and no MMA to fault, so
     its tiles go unchecked and the guard only scrubs staging.

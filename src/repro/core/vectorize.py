@@ -52,7 +52,7 @@ vectorized path skips, so the sweep driver
 armed run or a device with an attached injector, through
 :func:`repro.runtime.backends.check_fault_support`.  The walk does
 serve a guarded interpreter sweep as its ABFT reference: one
-:func:`walk_tiles` pass per block gives every tile's expected output.
+:func:`walk_tiles` pass over the sweep gives every tile's expected output.
 """
 
 from __future__ import annotations

@@ -16,12 +16,11 @@ do better: the schedule-equivalence guarantee (the eager oracle path,
 the lowered-program interpretation and the batched vector walk are
 bit-identical — pinned by
 ``tests/properties/test_schedule_equivalence.py``) means every tile's
-reference comes from a batched vector walk — one pass per thread block
-over the block's window of the sweep's padded input
-(:func:`repro.core.vectorize.walk_tiles`) — and the checksums compare
-at **tolerance 0** — a fault-free sweep never false-
-positives, and any corruption that alters a row/column sum is caught
-with certainty.  CUDA-core configurations have no tensor-core program
+reference comes from a batched vector walk — one pass over the
+sweep's padded input (:func:`repro.core.vectorize.walk_tiles`) — and
+the checksums compare at **tolerance 0** — a fault-free sweep never
+false-positives, and any corruption that alters a row/column sum is
+caught with certainty.  CUDA-core configurations have no tensor-core program
 and issue no ``mma.sync`` for an MMA fault to hit, so their guard only
 scrubs staging.
 
@@ -186,13 +185,13 @@ _NO_OVERFLOW = 2.0**1000
 class SweepGuard:
     """Verification + recovery hooks for one guarded block sweep.
 
-    ``walk`` is the sweep's batched vector-walk reference: ``walk(br,
-    bc)`` returns the untrimmed full-tile output grid of the block at
-    global origin ``(br, bc)`` (:func:`repro.core.vectorize.walk_tiles`
-    over the block's window of the padded input), and each computed
-    tile's checksums are compared against its slice at the tile's
-    block-local origin.  Only the current block's grid is kept, so the
-    reference never holds more than one block.  The walk books no
+    ``walk`` is the sweep's batched vector-walk reference: ``walk()``
+    returns the untrimmed full-tile output grid of the whole sweep
+    (:func:`repro.core.vectorize.walk_tiles` over the padded input),
+    run once, when the first tile is checked.  Each computed tile's
+    checksums are compared against the grid's slice at the tile's
+    global origin, its block's origin plus its block-local one.  The
+    reference holds one grid, the sweep's.  The walk books no
     events, so a clean verified sweep has the unverified sweep's event
     footprint, and it is immune to warp-level injection.  ``oracle``
     is the engine's oracle tile provider (``tile_source(oracle=True)``),
@@ -204,7 +203,7 @@ class SweepGuard:
     def __init__(
         self,
         oracle: Callable[..., np.ndarray],
-        walk: Callable[[int, int], np.ndarray] | None = None,
+        walk: Callable[[], np.ndarray] | None = None,
         policy: RecoveryPolicy | None = None,
         report: FaultReport | None = None,
     ) -> None:
@@ -212,7 +211,6 @@ class SweepGuard:
         self.walk = walk
         self.policy = policy or RecoveryPolicy()
         self.report = report if report is not None else FaultReport()
-        self._block: tuple[int, int] | None = None
         self._grid: np.ndarray | None = None
         self._bounded = False
 
@@ -286,13 +284,14 @@ class SweepGuard:
         shape: tuple[int, int],
     ) -> np.ndarray:
         """The expected ``shape`` tile at block-local ``(tr, tc)`` of
-        the block at global origin ``block``: a slice of the block's
-        batched walk (walked on the block's first tile)."""
-        if self._block != block:
-            self._block, self._grid = block, self.walk(*block)
+        the block at global origin ``block``: a slice of the sweep's
+        batched walk (walked on the sweep's first checked tile)."""
+        if self._grid is None:
+            self._grid = self.walk()
             # NaN and Inf fail the comparison, so they are not bounded
             self._bounded = bool(np.abs(self._grid).max() < _NO_OVERFLOW)
-        return self._grid[tr : tr + shape[0], tc : tc + shape[1]]
+        r, c = block[0] + tr, block[1] + tc
+        return self._grid[r : r + shape[0], c : c + shape[1]]
 
     def check_tile(
         self,
@@ -395,11 +394,11 @@ def make_guard(engine, armed, padded2d: np.ndarray, spec) -> SweepGuard | None:
 
     ``armed`` is the run's :class:`repro.faults.ArmedFaults`; the guard
     verifies under its verify mode, recovers under its policy and counts
-    into its report.  Its reference is a batched walk of the engine's
-    :class:`~repro.core.vectorize.VectorProgram`, one per thread block
-    of the sweep (geometry ``spec``) over the block's window of the
-    padded input ``padded2d``; a CUDA-core engine's guard has none and
-    scrubs staging only.  ``None`` when the run does not verify.
+    into its report.  Its reference is one batched walk of the engine's
+    :class:`~repro.core.vectorize.VectorProgram` over the whole sweep
+    (geometry ``spec``, padded input ``padded2d``); a CUDA-core
+    engine's guard has none and scrubs staging only.  ``None`` when the
+    run does not verify.
     """
     if armed.verify is None:
         return None
@@ -408,14 +407,8 @@ def make_guard(engine, armed, padded2d: np.ndarray, spec) -> SweepGuard | None:
     if lowered is not None and lowered.vector is not None:
         from repro.core.vectorize import walk_tiles
 
-        rows, cols = spec.interior
-        block_r, block_c = spec.blocked()
-
-        def walk(br: int, bc: int) -> np.ndarray:
-            extent = (min(block_r, rows - br), min(block_c, cols - bc))
-            return walk_tiles(
-                padded2d[br:, bc:], extent, spec.tile, lowered.vector
-            )
+        def walk() -> np.ndarray:
+            return walk_tiles(padded2d, spec.interior, spec.tile, lowered.vector)
 
     return SweepGuard(
         engine.tile_source(oracle=True),

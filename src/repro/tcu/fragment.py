@@ -1,11 +1,16 @@
 """Fragments: warp-distributed matrix tiles.
 
-A :class:`Fragment` stores its elements *as the hardware does* — in a
-``(32, registers_per_thread)`` per-thread register file — and converts
-to/from the dense matrix view through the PTX ownership maps in
-:mod:`repro.tcu.layouts`.  Keeping the register file as the primary
-representation is what lets the simulator demonstrate (rather than merely
-assert) that Butterfly Vector Swapping moves no data between threads.
+A :class:`Fragment`'s value is its ``(32, registers_per_thread)``
+per-thread register file, laid out *as the hardware does* by the PTX
+ownership maps in :mod:`repro.tcu.layouts`; that is what lets the
+simulator demonstrate (rather than merely assert) that Butterfly Vector
+Swapping moves no data between threads.  A fragment holds the register
+file, its dense matrix view, or both: each producer stores the form it
+has (a load or an MMA has the matrix, a register split the file), and
+the other form is derived through the conversion tables on first read
+and kept.  An MMA chain therefore multiplies dense matrices without a
+conversion per link, and a weight fragment is converted at most once
+for its lifetime.  Neither form is written after construction.
 """
 
 from __future__ import annotations
@@ -64,10 +69,12 @@ class Fragment:
         The fragment's role (:class:`FragmentKind`).
     registers:
         ``(32, registers_per_thread(kind))`` float64 register file;
-        ``registers[t, r]`` is thread ``t``'s register ``r``.
+        ``registers[t, r]`` is thread ``t``'s register ``r``.  Derived
+        from the dense view on first read when the fragment was built
+        from a matrix.
     """
 
-    __slots__ = ("kind", "registers")
+    __slots__ = ("kind", "_regs", "_mat")
 
     def __init__(self, kind: FragmentKind, registers: np.ndarray | None = None):
         self.kind = kind
@@ -81,26 +88,55 @@ class Fragment:
                     f"register file for {kind.name} must be "
                     f"{file_shape}, got {registers.shape}"
                 )
-        self.registers = registers
+        self._regs = registers
+        self._mat = None
 
     # -- construction -------------------------------------------------------
     @classmethod
     def from_matrix(cls, kind: FragmentKind, matrix: np.ndarray) -> "Fragment":
-        """Distribute a dense matrix into the per-thread register file."""
+        """A fragment holding a copy of ``matrix``; the per-thread
+        register file is derived from it on first read."""
         matrix = np.asarray(matrix, dtype=np.float64)
-        expected, file_shape, _, scatter = _LAYOUTS[kind]
+        expected = _LAYOUTS[kind].shape
         if matrix.shape != expected:
             raise ValueError(
                 f"{kind.name} fragment expects shape {expected}, got {matrix.shape}"
             )
-        # indexing by an array copies: the fragment never aliases ``matrix``
-        return cls(kind, matrix.reshape(-1)[scatter].reshape(file_shape))
+        # the fragment never aliases ``matrix``
+        return cls._own(kind, matrix.copy())
+
+    @classmethod
+    def _own(cls, kind: FragmentKind, matrix: np.ndarray) -> "Fragment":
+        """Wrap a fresh C-contiguous ``kind``-shaped float64 matrix that
+        the caller hands over (no copy, no check)."""
+        frag = object.__new__(cls)
+        frag.kind = kind
+        frag._regs = None
+        frag._mat = matrix
+        return frag
 
     # -- views ---------------------------------------------------------------
+    @property
+    def registers(self) -> np.ndarray:
+        """The register file (see the class docstring)."""
+        regs = self._regs
+        if regs is None:
+            _, file_shape, _, scatter = _LAYOUTS[self.kind]
+            # indexing by an array copies: the file never aliases the view
+            regs = self._regs = self._mat.reshape(-1)[scatter].reshape(file_shape)
+        return regs
+
+    def _matrix(self) -> np.ndarray:
+        """The cached dense view; callers read it and never write it."""
+        mat = self._mat
+        if mat is None:
+            shape, _, gather, _ = _LAYOUTS[self.kind]
+            mat = self._mat = self._regs.reshape(-1)[gather].reshape(shape)
+        return mat
+
     def to_matrix(self) -> np.ndarray:
-        """Materialize the dense matrix from the register file."""
-        shape, _, gather, _ = _LAYOUTS[self.kind]
-        return self.registers.reshape(-1)[gather].reshape(shape)
+        """The dense matrix, as a fresh array."""
+        return self._matrix().copy()
 
     @property
     def shape(self) -> tuple[int, int]:

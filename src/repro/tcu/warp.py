@@ -69,7 +69,7 @@ class Warp:
         shape = FP64_FRAGMENT_SHAPES[kind]
         tile = shared.read_fragment(row, col, shape)
         maybe_trace(self.counters, "load_matrix", "{0.name}@({1},{2})", kind, row, col)
-        return Fragment.from_matrix(kind, tile)
+        return Fragment._own(kind, tile)
 
     def fill_fragment(self, kind: FragmentKind, matrix: np.ndarray) -> Fragment:
         """Build a fragment from register-resident values (no memory event).
@@ -107,7 +107,8 @@ class Warp:
         b: Fragment,
         acc: Fragment | None = None,
     ) -> Fragment:
-        """``D = A @ B + C`` on the tensor core (one MMA instruction)."""
+        """``D = A @ B + C`` on the tensor core (one MMA instruction),
+        over the operands' cached dense views; the result owns ``D``."""
         if a.kind is not FragmentKind.A:
             raise TypeError(f"left operand must be an A fragment, got {a.kind}")
         if b.kind is not FragmentKind.B:
@@ -118,10 +119,10 @@ class Warp:
             a, b, acc = self.injector.on_mma(a, b, acc)
         self.counters.mma_ops += 1
         maybe_trace(self.counters, "mma")
-        d = a.to_matrix() @ b.to_matrix()
+        d = a._matrix() @ b._matrix()
         if acc is not None:
-            d = d + acc.to_matrix()
-        return Fragment.from_matrix(FragmentKind.ACC, d)
+            d += acc._matrix()
+        return Fragment._own(FragmentKind.ACC, d)
 
     def cuda_core_axpy(self, out: np.ndarray, alpha: float, x: np.ndarray) -> None:
         """``out += alpha * x`` on the CUDA cores (2 FLOPs per element)."""
@@ -176,16 +177,17 @@ class Warp:
         all moves that share a source register and a lane delta execute as
         one instruction.
         """
-        frag = Fragment(FragmentKind.A)
+        src = acc.registers
+        regs = np.zeros((WARP_SIZE, 1), dtype=np.float64)
         groups: set[tuple[int, int]] = set()
         for i in range(8):
             for j in range(4):
                 src_t, src_r = owner_of(FragmentKind.ACC, i, col_offset + j)
                 dst_t, dst_r = owner_of(FragmentKind.A, i, j)
-                frag.registers[dst_t, dst_r] = acc.registers[src_t, src_r]
+                regs[dst_t, dst_r] = src[src_t, src_r]
                 if src_t != dst_t:
                     delta = (dst_t - src_t) % WARP_SIZE
                     groups.add((src_r, delta))
                     self.counters.register_moves += 1
         self.counters.shuffle_ops += len(groups)
-        return frag
+        return Fragment(FragmentKind.A, regs)

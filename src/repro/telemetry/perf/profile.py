@@ -110,7 +110,7 @@ class InstrProfiler:
     def record(
         self, ins, ns: int, delta: EventCounters, count: int = 1
     ) -> None:
-        """Charge one executed instruction (called by ``_run_instrs``).
+        """Charge one executed instruction (called by the interpreter loop).
 
         The vectorized backend passes ``count=n_tiles``: one batched
         execution stands for that many per-tile instruction instances,

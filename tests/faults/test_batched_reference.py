@@ -1,9 +1,8 @@
 """The ABFT guard's batched vector-walk reference.
 
-A guarded tensor-core sweep takes every tile's reference from a
-batched walk of the engine's ``VectorProgram``, one per thread block
-over the block's window of the sweep's padded input
-(``repro.core.vectorize.walk_tiles``), not from a per-tile oracle
+A guarded tensor-core sweep takes every tile's reference from one
+batched walk of the engine's ``VectorProgram`` over the sweep's padded
+input (``repro.core.vectorize.walk_tiles``), not from a per-tile oracle
 replay.  Tolerance-0 verification rests on the two being bitwise equal
 on every *full* tile, grid-overhanging outputs included.  CUDA-core
 configs have no program to batch and no MMA to fault: their guard only
@@ -45,7 +44,7 @@ CASES = [
 @pytest.fixture
 def recorded_references(monkeypatch):
     """Record, for every checked tile, the guard's reference (a slice
-    of its block's walk) and the per-tile oracle replay of the same
+    of the sweep's walk) and the per-tile oracle replay of the same
     tile."""
     pairs = []
     original = SweepGuard.check_tile
@@ -109,14 +108,12 @@ def test_batched_reference_rectangular_tiles(shape, recorded_references):
 
 
 @pytest.mark.parametrize(
-    "kernel_name,shape,n_blocks,block",
-    [("Box-2D9P", (70, 140), 9, (32, 64)), ("1D5P", (2100,), 3, (1, 1024))],
+    "kernel_name,shape,grid_shape",
+    [("Box-2D9P", (70, 140), (72, 144)), ("1D5P", (2100,), (1, 2112))],
 )
-def test_guard_walks_one_block_at_a_time(
-    kernel_name, shape, n_blocks, block, monkeypatch
-):
-    """The reference never holds more than one block's grid: one walk
-    per block, each of at most one block of full tiles."""
+def test_guard_walks_the_sweep_once(kernel_name, shape, grid_shape, monkeypatch):
+    """A sweep of several blocks (9 in 2D, 3 in 1D) walks once: one
+    grid of the whole sweep's full tiles, which every block slices."""
     grids = []
     original = vectorize.walk_tiles
 
@@ -130,8 +127,7 @@ def test_guard_walks_one_block_at_a_time(
     x = _padded(shape, compiled.radius, seed=11)
     out, _ = compiled.apply_simulated(x, verify="abft", backend="interpreter")
     assert np.array_equal(out, compiled.apply_simulated(x, backend="interpreter")[0])
-    assert len(grids) == n_blocks
-    assert all(r <= block[0] and c <= block[1] for r, c in grids)
+    assert grids == [grid_shape]
 
 
 @pytest.fixture
@@ -211,7 +207,7 @@ class TestTileComparisonDecidesAsChecksums:
         def oracle(warp, smem, tr, tc):
             return grid[tr : tr + 8, tc : tc + 8].copy()
 
-        return SweepGuard(oracle, walk=lambda br, bc: grid)
+        return SweepGuard(oracle, walk=lambda: grid)
 
     def _check(self, guard, tile, recompute):
         return guard.check_tile(

@@ -50,17 +50,21 @@ class TestAsyncHalo:
         for rank, win in expected.items():
             assert np.array_equal(windows[rank], win)
 
-    def test_single_exchange_in_flight(self, rng):
+    def test_handle_resolves_at_issue_and_second_exchange_succeeds(self, rng):
         part = partition((8, 8), (2, 1))
         ex = HaloExchanger(part, 1)
         blocks = _blocks(part, rng.normal(size=(8, 8)))
         handle = ex.exchange_async(blocks)
-        if not handle.done:
-            with pytest.raises(RuntimeError):
-                ex.exchange_async(blocks)
-        handle.wait()
-        # after the wait the double buffer frees a slot
-        ex.exchange_async(blocks).wait()
+        assert handle.done
+        # a second exchange issued before the first ``wait`` succeeds,
+        # resolved at issue too, and both are accounted
+        second = ex.exchange_async(blocks)
+        assert second.done
+        first_windows, second_windows = handle.wait(), second.wait()
+        assert first_windows.keys() == second_windows.keys()
+        for rank, win in first_windows.items():
+            assert np.array_equal(second_windows[rank], win)
+        assert ex.exchanged_bytes == 2 * ex.total_bytes_per_exchange() > 0
 
     def test_wait_is_idempotent_and_accounts_once(self, rng):
         part = partition((8, 8), (2, 1))

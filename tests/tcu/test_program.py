@@ -8,6 +8,7 @@ from repro.core.lowrank import decompose
 from repro.core.rdg import RDGTileCompute
 from repro.stencil.reference import reference_apply
 from repro.stencil.weights import radially_symmetric_weights
+from repro.tcu.counters import EventCounters
 from repro.tcu.device import Device
 from repro.tcu.program import (
     build_tile_program,
@@ -16,6 +17,7 @@ from repro.tcu.program import (
     schedule_prefetch,
     validate_schedule,
 )
+from repro.tcu.warp import Warp
 
 
 def _setup(rng, h=3, config=None, tile_shape=(8, 8)):
@@ -252,3 +254,113 @@ class TestProgram1D:
         )
         with pytest.raises(ValueError, match="tensor-core"):
             build_tile_program_1d(engine)
+
+
+class _Recorder:
+    """A profiler stand-in: keeps every ``record`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def record(self, ins, ns, delta):
+        self.calls.append((ins, ns, delta))
+
+
+class TestDecode:
+    """Each program is decoded once, on first execution, and the decode
+    belongs to that program."""
+
+    def test_decode_is_cached_on_the_program(self, rng):
+        _, tile, _, warp, smem, _ = _setup(rng)
+        program = build_tile_program(tile)
+        assert program._decoded is None
+        first = execute_program(program, warp, smem, 0, 0)
+        decoded = program._decoded
+        assert decoded is not None
+        assert [d[1] for d in decoded.instrs] == program.instrs
+        assert np.array_equal(execute_program(program, warp, smem, 0, 0), first)
+        assert program._decoded is decoded
+
+    def test_prefetch_schedule_gets_its_own_decode(self, rng):
+        _, tile, _, warp, smem, _ = _setup(rng)
+        base = build_tile_program(tile)
+        execute_program(base, warp, smem, 0, 0)
+        pre = schedule_prefetch(base)
+        assert pre._decoded is None
+        execute_program(pre, warp, smem, 0, 0)
+        assert pre._decoded is not base._decoded
+        assert [d[1] for d in pre._decoded.instrs] == pre.instrs
+        assert [d[1] for d in base._decoded.instrs] == base.instrs
+
+    @pytest.mark.parametrize("use_bvs", [True, False], ids=["bvs", "naive"])
+    def test_permuted_schedules_identical_bits_and_counters(self, rng, use_bvs):
+        w, tile, _, _, _, window = _setup(
+            rng, h=2, config=OptimizationConfig(use_bvs=use_bvs), tile_shape=(16, 16)
+        )
+        base = build_tile_program(tile)
+
+        def run(program):
+            device = Device()
+            smem = device.shared((tile.k_rows, tile.w_cols))
+            smem.data[:] = window
+            out = execute_program(program, device.warp(), smem, 0, 0)
+            return out, device.counters.as_dict()
+
+        expected, counters = run(base)
+        for seed in range(4):
+            shuffled = _random_topological(base, np.random.default_rng(seed))
+            assert [i.op for i in shuffled.instrs] != [i.op for i in base.instrs]
+            out, got = run(shuffled)
+            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+            assert got == counters
+
+    @pytest.mark.parametrize("use_bvs", [True, False], ids=["bvs", "naive"])
+    def test_profiler_records_each_instr_in_schedule_order(self, rng, use_bvs):
+        _, tile, device, _, smem, _ = _setup(
+            rng, config=OptimizationConfig(use_bvs=use_bvs)
+        )
+        program = _random_topological(
+            build_tile_program(tile), np.random.default_rng(1)
+        )
+        recorder = _Recorder()
+        warp = Warp(device.counters, profiler=recorder)
+        execute_program(program, warp, smem, 0, 0)
+        assert len(recorder.calls) == len(program.instrs)
+        assert all(c[0] is ins for c, ins in zip(recorder.calls, program.instrs))
+        total = EventCounters()
+        for ins, ns, delta in recorder.calls:
+            assert ns >= 0
+            total += delta
+            if ins.op in ("mma", "mma2"):
+                assert delta == EventCounters(mma_ops=1)
+            elif ins.op == "load_x":
+                assert delta.shared_load_requests == 1
+                assert delta.mma_ops == delta.cuda_core_flops == 0
+            elif ins.op == "split" and use_bvs:
+                assert delta == EventCounters()
+            elif ins.op == "split":
+                assert delta == EventCounters(shuffle_ops=6, register_moves=48)
+            else:
+                assert ins.op == "apex"
+                assert delta == EventCounters(
+                    shared_load_requests=2, cuda_core_flops=2 * 64
+                )
+        assert total == device.counters
+
+    def test_profiler_records_1d_program(self, rng):
+        from repro.core.engine1d import LoRAStencil1D
+        from repro.tcu.program import build_tile_program_1d, execute_program_1d
+
+        engine = LoRAStencil1D(rng.normal(size=5))
+        device = Device()
+        smem = device.shared((engine.k_rows + 56,))
+        smem.data[:] = rng.normal(size=smem.shape)
+        program = build_tile_program_1d(engine)
+        recorder = _Recorder()
+        warp = Warp(device.counters, profiler=recorder)
+        out = execute_program_1d(program, warp, smem, 0)
+        assert np.array_equal(out, engine._compute_tile(Device().warp(), smem, 0))
+        assert [c[0] for c in recorder.calls] == program.instrs
+        assert [c[2].mma_ops for c in recorder.calls] == [
+            int(i.op == "mma") for i in program.instrs
+        ]
