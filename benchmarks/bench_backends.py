@@ -23,7 +23,7 @@ import numpy as np
 from repro.experiments.report import format_table
 from repro.runtime import compile as compile_stencil
 from repro.stencil.kernels import get_kernel
-from repro.telemetry.perf.history import measure_reference
+from repro.telemetry.perf.baseline import measure_reference
 from repro.telemetry.perf.profile import profile_shape
 
 #: kernel -> grid edge; big enough that per-tile interpretation

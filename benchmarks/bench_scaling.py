@@ -140,9 +140,9 @@ def test_overlap_observatory(benchmark, write_result):
     """Measured overlap efficiency and imbalance from the observatory.
 
     Runs one overlapped 2x2 thread-executor sweep under capture and
-    folds the trace into a :mod:`repro.telemetry.cluster` report: the
-    stamped ``overlap_efficiency`` / ``imbalance_max_over_mean`` extras
-    feed the same rolling trend gates CI watches.  The hiding is
+    folds the trace into a :mod:`repro.telemetry.cluster` report, whose
+    ``overlap_efficiency`` / ``imbalance_max_over_mean`` headline numbers
+    are stamped into the artifact's run-record.  The hiding is
     modeled: each round's transfer against the interior share of every
     rank's measured compute, so a regression that stops timing rank
     compute, or loses the overlap flag, shows up here first.

@@ -13,24 +13,14 @@ Alongside each artifact, :func:`write_result` stamps a structured
 telemetry **run-record** (``benchmarks/results/records/<name>.json``,
 schema ``repro.telemetry.run-record/v6``) carrying the plan-cache
 stats at write time — the machine-readable sibling of the printed
-figure.  Benchmarks may pass
-``extra={...}`` to fold measured headline numbers (e.g. the cluster
-observatory's ``overlap_efficiency``) into the record, where the
-rolling ``repro perf trend`` gates pick them up from the history
-store.  The structured event log
-(``repro.telemetry.event/v1``) folds in automatically whenever the
-benchmark produced events (see
+figure.  Benchmarks may pass ``extra={...}`` to fold measured headline
+numbers (e.g. the cluster observatory's ``overlap_efficiency``) into
+the record.  The structured event log (``repro.telemetry.event/v1``)
+folds in automatically whenever the benchmark produced events (see
 :func:`repro.telemetry.export.run_record`).  Records are
-schema-validated on write; ``tests/telemetry/test_run_records.py``
-holds the contract.
-
-Each record is *also* appended to the run-record history store
-(``benchmarks/results/records/history/<name>.jsonl``), which is what
-``repro perf history`` lists, ``repro perf diff`` compares (a ``.jsonl``
-path reads its newest record) and ``repro perf trend`` gates: the
-per-run snapshot is overwritten each run, the history accumulates.
-Histories hold v6 records only; an older or malformed line makes those
-commands exit 2.
+schema-validated on write and overwritten on each run;
+``tests/telemetry/test_run_records.py`` holds the contract, and
+``repro perf diff`` compares two of them.
 """
 
 from __future__ import annotations
@@ -76,8 +66,6 @@ def _stamp_run_record(
     from repro import telemetry
     from repro.runtime import DEFAULT_PLAN_CACHE
 
-    from repro.telemetry.perf import RunRecordStore
-
     record = telemetry.run_record(
         name,
         cache_stats=DEFAULT_PLAN_CACHE.stats(),
@@ -87,7 +75,6 @@ def _stamp_run_record(
             **(extra or {}),
         },
     )
-    RunRecordStore(results_dir / "records" / "history").append(record)
     return telemetry.write_run_record(
         results_dir / "records" / f"{name}.json", record
     )

@@ -11,9 +11,6 @@
     python -m repro perf check --baseline BENCH_baseline.json  # regression gate
     python -m repro perf diff a.json b.json # compare two run-records
     python -m repro perf fidelity Box-2D9P  # paper equations vs measured (exit 1 on drift)
-    python -m repro perf check --repeats 3 --record DIR  # measure + append
-    python -m repro perf history --root DIR # list the run-record history
-    python -m repro perf trend --root DIR   # rolling median/MAD timing gate
     python -m repro fig8 [--kernels ...]    # figure/table drivers
     python -m repro fig9 / fig10 / table3
     python -m repro precision Heat-2D       # FP16 vs FP64 error growth
@@ -117,23 +114,20 @@ def build_parser() -> argparse.ArgumentParser:
                     help="grid edge (default: the baseline's)")
     pc.add_argument("--seed", type=int, default=None,
                     help="input seed (default: the baseline's)")
-    pc.add_argument("--repeats", type=int, default=1,
-                    help="sweep repetitions; the median timing is stamped "
-                         "(default 1)")
     _add_backend_flag(pc)
     pc.add_argument("--min-speedup", type=float, default=None, metavar="X",
                     help="require baseline_time / current_time >= X "
                          "(e.g. 10 to pin the vectorized backend's win)")
-    pc.add_argument("--record", default=None, metavar="DIR",
-                    help="append the measured record to this history dir")
+    pc.add_argument("--record", default=None, metavar="PATH",
+                    help="also write the measured run-record to PATH")
     pc.add_argument("--json", action="store_true",
                     help="emit the comparison as JSON")
 
     pd = _leaf(perf_sub, "diff", _cmd_perf_diff,
                help="compare two run-record files (exit 1 when the second "
                     "regressed relative to the first)")
-    pd.add_argument("baseline", help="baseline .json record (or .jsonl history)")
-    pd.add_argument("current", help="current .json record (or .jsonl history)")
+    pd.add_argument("baseline", help="baseline .json run-record")
+    pd.add_argument("current", help="current .json run-record")
     pd.add_argument("--json", action="store_true",
                     help="emit the comparison as JSON")
 
@@ -148,32 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write the fidelity report as JSON")
     pf.add_argument("--json", action="store_true",
                     help="print the report as JSON instead of a table")
-
-    ph = _leaf(perf_sub, "history", _cmd_perf_history,
-               help="list the run-record history store")
-    ph.add_argument("name", nargs="?", default=None,
-                    help="show this record name's entries (default: list names)")
-    ph.add_argument("--root", default="benchmarks/results/records/history",
-                    metavar="DIR")
-
-    pt = _leaf(perf_sub, "trend", _cmd_perf_trend,
-               help="statistical timing gate: latest stored run vs the rolling "
-                    "median/MAD of the record history (exit 1 regressed, "
-                    "2 insufficient or unreadable history)")
-    pt.add_argument("name", nargs="?", default=None,
-                    help="history record name (default: the reference "
-                         "workload's perf-check record)")
-    pt.add_argument("--root", default="benchmarks/results/records/history",
-                    metavar="DIR", help="history store directory")
-    pt.add_argument("--metric", default="timing_s",
-                    help="extra.<metric> to gate (default timing_s)")
-    pt.add_argument("--direction", choices=["above", "below"],
-                    default="above",
-                    help="'above' flags values rising past the gate "
-                         "(timings, imbalance); 'below' flags values "
-                         "falling under it (overlap efficiency)")
-    pt.add_argument("--json", action="store_true",
-                    help="emit the verdict as JSON")
 
     p = _leaf(sub, "fig8", _cmd_fig8, help="state-of-the-art comparison")
     p.add_argument("--kernels", nargs="*", default=None)
@@ -211,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--no-verify", action="store_true",
                     help="negative control: inject without ABFT verification")
     cr.add_argument("--json", action="store_true")
-    _add_artifact_flags(cr, history=False)
+    _add_artifact_flags(cr)
     cp = _leaf(chaos_sub, "report", _cmd_chaos_report,
                help="print the faults sections of run-record files")
     cp.add_argument("paths", nargs="+")
@@ -292,18 +260,14 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_artifact_flags(
-    parser: argparse.ArgumentParser, events: bool = True, history: bool = True
+    parser: argparse.ArgumentParser, events: bool = True
 ) -> None:
     """The artifact flags :func:`_write_artifacts` reads; an omitted one
     still defaults to ``None`` on the namespace."""
-    parser.set_defaults(events=None, record_history=None)
+    parser.set_defaults(events=None)
     parser.add_argument("--record", default=None, metavar="PATH",
                         help="write a validated run-record (counters, "
                              "faults, trace, events) to PATH")
-    if history:
-        parser.add_argument("--record-history", default=None, metavar="DIR",
-                            help="also append the run-record to this "
-                                 "history store (repro perf trend input)")
     if events:
         parser.add_argument("--events", default=None, metavar="PATH",
                             help="write the structured event log as JSONL "
@@ -537,9 +501,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _reads_records(handler):
-    """A ``perf`` leaf that reads run-records: a baseline, history or
-    record that cannot be read or does not validate exits 2 with one
-    stderr line, never 1 (the "regressed" code) and never a traceback."""
+    """A ``perf`` leaf that reads run-records: a baseline or record that
+    cannot be read or does not validate exits 2 with one stderr line,
+    never 1 (the "regressed" code) and never a traceback."""
 
     @functools.wraps(handler)
     def run(args: argparse.Namespace) -> int:
@@ -548,8 +512,8 @@ def _reads_records(handler):
         try:
             return handler(args)
         except (TelemetryError, OSError, json.JSONDecodeError) as exc:
-            print(f"perf {args.perf_command}: cannot read history or record: "
-                  f"{exc}", file=sys.stderr)
+            print(f"perf {args.perf_command}: cannot read record: {exc}",
+                  file=sys.stderr)
             return 2
 
     return run
@@ -559,12 +523,11 @@ def _reads_records(handler):
 def _cmd_perf_check(args: argparse.Namespace) -> int:
     from repro.telemetry.perf import (
         DEFAULT_BASELINE,
-        RunRecordStore,
         compare_records,
         load_record,
         measure_reference,
     )
-    from repro.telemetry.perf.history import REFERENCE_WORKLOAD
+    from repro.telemetry.perf.baseline import REFERENCE_WORKLOAD
     from repro.telemetry.validate import TelemetryError
 
     baseline_path = pathlib.Path(args.baseline or DEFAULT_BASELINE)
@@ -587,10 +550,14 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
         else base_extra.get("seed", REFERENCE_WORKLOAD["seed"])
     )
 
-    current = measure_reference(
-        kernel, size=size, seed=seed, backend=args.backend,
-        repeats=args.repeats,
-    )
+    current = measure_reference(kernel, size=size, seed=seed,
+                                backend=args.backend)
+    if args.record:
+        from repro import telemetry
+
+        path = telemetry.write_run_record(args.record, current)
+        if not args.json:
+            print(f"run record written to {path}")
     if args.update_baseline:
         baseline_path.parent.mkdir(parents=True, exist_ok=True)
         baseline_path.write_text(json.dumps(current, indent=1, sort_keys=True))
@@ -598,9 +565,6 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
               f"({kernel}, {size}x{size}, seed {seed}, backend "
               f"{current['extra']['backend']})")
         return 0
-    if args.record:
-        path = RunRecordStore(args.record).append(current)
-        print(f"record appended to {path}")
     comparison = compare_records(baseline, current)
     # optional speedup gate: counters must already be bit-stable across
     # backends, so a vectorized run may additionally pin its wall-clock
@@ -708,60 +672,6 @@ def _cmd_perf_fidelity(args: argparse.Namespace) -> int:
     if args.output:
         print(f"  report written to {args.output}")
     return rc
-
-
-@_reads_records
-def _cmd_perf_history(args: argparse.Namespace) -> int:
-    from repro.telemetry.perf import RunRecordStore
-
-    store = RunRecordStore(args.root)
-    if args.name is None:
-        names = store.names()
-        if not names:
-            print(f"no history under {store.root}")
-            return 0
-        for name in names:
-            print(f"  {name:<32} {len(store.load(name))} record(s)")
-        return 0
-    records = store.load(args.name)
-    if not records:
-        print(f"no history for {args.name!r} under {store.root}",
-              file=sys.stderr)
-        return 2
-    for rec in records:
-        events = rec.get("events") or {}
-        extra = rec.get("extra") or {}
-        timing = extra.get("timing_s")
-        timing_s = f"  {timing:.3f}s" if isinstance(timing, (int, float)) else ""
-        print(f"  {rec['timestamp']}  mma={events.get('mma_ops', 0):,} "
-              f"sh.ld={events.get('shared_load_requests', 0):,} "
-              f"dram={events.get('global_load_bytes', 0) + events.get('global_store_bytes', 0):,}B"
-              f"{timing_s}")
-    return 0
-
-
-@_reads_records
-def _cmd_perf_trend(args: argparse.Namespace) -> int:
-    from repro.telemetry.perf import RunRecordStore, trend_gate
-    from repro.telemetry.perf.history import REFERENCE_WORKLOAD
-
-    store = RunRecordStore(args.root)
-    name = args.name or f"perf-check-{REFERENCE_WORKLOAD['kernel']}"
-    stats = trend_gate(store, name, metric=args.metric,
-                       direction=args.direction)
-    if stats.latest is None:
-        print(f"perf trend: no history for {name!r} under {store.root} — "
-              f"append records first (repro perf check --record, "
-              f"benchmarks, or repro cluster ... --record-history)",
-              file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(stats.as_dict(), indent=1, sort_keys=True))
-    else:
-        print(stats.render())
-    if stats.insufficient:
-        return 2
-    return 0 if stats.ok else 1
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
@@ -1252,7 +1162,7 @@ def _observed(args: argparse.Namespace):
     record then carries one merged trace), else a no-op context."""
     from repro import telemetry
 
-    if args.record or args.events or args.record_history:
+    if args.record or args.events:
         return telemetry.capture()
     return contextlib.nullcontext()
 
@@ -1260,8 +1170,7 @@ def _observed(args: argparse.Namespace):
 def _write_artifacts(args: argparse.Namespace, name: str, **record) -> None:
     """The artifact epilogue of ``cluster run|report|resume`` and ``chaos
     run``: the ``--events`` log, then one run-record (``record`` holds
-    its sections) written to ``--record`` and appended to
-    ``--record-history``, both of which validate it."""
+    its sections) validated and written to ``--record``."""
     from repro import telemetry
 
     say = (lambda line: None) if args.json else print
@@ -1269,17 +1178,10 @@ def _write_artifacts(args: argparse.Namespace, name: str, **record) -> None:
         path = telemetry.write_event_log(args.events)
         say(f"event log written to {path} "
             f"({len(telemetry.EVENT_LOG)} event(s))")
-    if not (args.record or args.record_history):
-        return
-    rec = telemetry.run_record(name, **record)
     if args.record:
-        path = telemetry.write_run_record(args.record, rec)
+        path = telemetry.write_run_record(
+            args.record, telemetry.run_record(name, **record))
         say(f"run record written to {path}")
-    if args.record_history:
-        from repro.telemetry.perf import RunRecordStore
-
-        path = RunRecordStore(args.record_history).append(rec)
-        say(f"run record appended to {path}")
 
 
 def _print_cluster_result(result, resumed: bool = False) -> None:
@@ -1380,7 +1282,7 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
         print(verdict.text)
 
     cluster_section = None
-    if args.record or args.record_history:
+    if args.record:
         with contextlib.suppress(telemetry.TelemetryError):
             cluster_section = result.report()
     _write_artifacts(
@@ -1539,14 +1441,6 @@ def _cmd_cluster_report(args: argparse.Namespace) -> int:
             "executor": result.executor,
             "overlap": result.overlap,
             "exit_code": verdict.rc,
-            # the trend-gated series: imbalance regresses upward,
-            # overlap efficiency regresses downward
-            "overlap_efficiency": report["overlap"]["efficiency"],
-            "imbalance_max_over_mean": (
-                report["imbalance"]["max_over_mean"]
-            ),
-            "critical_path_s": report["critical_path"]["s"],
-            "halo_bytes": report["halo"]["total_bytes"],
         },
     )
     return verdict.rc

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ExecutionError
 from repro.tcu.counters import EventCounters
 from repro.tcu.fragment import Fragment
 from repro.tcu.trace import maybe_trace
@@ -164,9 +165,13 @@ class Warp:
         mat = acc.to_matrix()
         left = self._shuffle_into_a(acc, col_offset=0)
         right = self._shuffle_into_a(acc, col_offset=4)
-        # functional result identical to a direct slice
-        assert np.array_equal(left.to_matrix(), mat[:, 0:4])
-        assert np.array_equal(right.to_matrix(), mat[:, 4:8])
+        # functional result identical to a direct slice; NaN-aware, so a
+        # poisoned accumulator reaches the ABFT guard instead of failing here
+        for half, cols in ((left, slice(0, 4)), (right, slice(4, 8))):
+            if not np.array_equal(half.to_matrix(), mat[:, cols], equal_nan=True):
+                raise ExecutionError(
+                    f"naive split: shuffled columns {cols.start}..{cols.stop - 1} "
+                    f"differ from the accumulator's")
         return left, right
 
     def _shuffle_into_a(self, acc: Fragment, col_offset: int) -> Fragment:

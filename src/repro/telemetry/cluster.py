@@ -25,8 +25,7 @@ GStencil/s cannot:
   behind the shortest interior of any rank, i.e. that rank's measured
   compute scaled by its block's depth-inset interior share;
 * **load imbalance** — max/mean and MAD across ranks per round (ragged
-  temporal rounds included), plus run-level headline ratios the perf
-  trend gate watches;
+  temporal rounds included), plus run-level headline ratios;
 * **halo attribution** — per-round byte volumes, reconciled when the
   per-round log sums bit-exactly to ``ClusterResult.exchanged_bytes``.
 

@@ -1,5 +1,5 @@
 """Performance observatory: per-instruction IR profiling, model-fidelity
-attribution, and run-record history with regression gating.
+attribution, and a counter regression gate on a committed baseline.
 
 Three modules, one pipeline:
 
@@ -9,15 +9,12 @@ Three modules, one pipeline:
 * :mod:`repro.telemetry.perf.fidelity` — compare the paper's analytical
   predictions (Eq. 12/14/16, Sec. III-B/III-C) against measured events
   (``repro perf fidelity``);
-* :mod:`repro.telemetry.perf.history` — measure the reference workload,
-  append run-records to a JSONL history and gate counters on a
-  committed baseline (``repro perf check/diff``);
-* :mod:`repro.telemetry.perf.trend` — statistical gating of wall
-  timings against the rolling median/MAD of that history
-  (``repro perf trend``; it reads the history and never measures).
+* :mod:`repro.telemetry.perf.baseline` — measure the reference
+  workload and gate its event counters on a committed baseline, or
+  compare two run-record files (``repro perf check/diff``).
 
 This package is imported lazily by the runtime (``CompiledStencil.profile``)
-and never eagerly from :mod:`repro.telemetry` — its history module
+and never eagerly from :mod:`repro.telemetry` — its baseline module
 reaches back into the runtime, and an eager import would cycle.
 """
 
@@ -27,12 +24,11 @@ from repro.telemetry.perf.fidelity import (
     fidelity_report,
     predicted_components,
 )
-from repro.telemetry.perf.history import (
+from repro.telemetry.perf.baseline import (
     DEFAULT_BASELINE,
     DEFAULT_THRESHOLD,
     CounterDelta,
     RecordComparison,
-    RunRecordStore,
     compare_records,
     load_record,
     measure_reference,
@@ -46,15 +42,6 @@ from repro.telemetry.perf.profile import (
     profile_plan,
     profile_shape,
 )
-from repro.telemetry.perf.trend import (
-    DEFAULT_MAD_SCALE,
-    DEFAULT_REL_FLOOR,
-    DEFAULT_WINDOW,
-    MIN_HISTORY,
-    TrendStats,
-    trend_gate,
-)
-
 __all__ = [
     "PLAN_PROFILE_SCHEMA",
     "SHARED_BUCKET",
@@ -69,16 +56,9 @@ __all__ = [
     "fidelity_report",
     "DEFAULT_BASELINE",
     "DEFAULT_THRESHOLD",
-    "RunRecordStore",
     "CounterDelta",
     "RecordComparison",
     "compare_records",
     "load_record",
     "measure_reference",
-    "DEFAULT_WINDOW",
-    "DEFAULT_MAD_SCALE",
-    "DEFAULT_REL_FLOOR",
-    "MIN_HISTORY",
-    "TrendStats",
-    "trend_gate",
 ]

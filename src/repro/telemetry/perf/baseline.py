@@ -1,35 +1,25 @@
-"""Run-record history and regression detection.
+"""Run-record regression gate against a committed baseline.
 
-The missing third leg of the observatory: run-records
-(``repro.telemetry.run-record/v6``) are stamped next to every benchmark
-artifact, but nothing compared them across runs, so the performance
-trajectory was write-only.  Three pieces close the loop:
+Run-records (``repro.telemetry.run-record/v6``) are stamped next to
+every benchmark artifact; two pieces compare them across commits:
 
-* :class:`RunRecordStore` — an append-only history of validated
-  run-records, one JSON-Lines file per record name under
-  ``benchmarks/results/records/history/`` (``benchmarks/conftest``
-  appends on every artifact write);
 * :func:`compare_records` — event-counter deltas between two records
   at the :data:`DEFAULT_THRESHOLD` relative tolerance.  Counters are
   **deterministic** on the simulator, so the tolerance is tight and any
   growth is a real algorithmic regression, not noise.  Wall time is
   never gated here: ``repro perf check --min-speedup`` gates it as a
-  ratio, and :mod:`repro.telemetry.perf.trend` against the rolling
-  median/MAD of the history;
+  ratio;
 * :func:`measure_reference` — runs the reference workload (256x256
   Box-2D9P by default) and produces the joinable run-record that
   ``repro perf check --baseline BENCH_baseline.json`` gates on, exiting
-  non-zero on regression (the CI ``perf-regression`` job).  It is the
-  only measuring code path: ``perf check --repeats N --record DIR``
-  appends the median-timed record that ``repro perf trend`` gates.
+  non-zero on regression.  It is the only measuring code path;
+  ``perf check --record PATH`` writes the measured record to one file.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import re
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -39,7 +29,6 @@ from repro.telemetry.validate import TelemetryError, validate_run_record
 __all__ = [
     "DEFAULT_BASELINE",
     "DEFAULT_THRESHOLD",
-    "RunRecordStore",
     "CounterDelta",
     "RecordComparison",
     "compare_records",
@@ -56,73 +45,6 @@ DEFAULT_THRESHOLD = 0.01
 
 #: reference workload of the committed baseline (paper Fig. 9 kernel)
 REFERENCE_WORKLOAD = {"kernel": "Box-2D9P", "size": 256, "seed": 0}
-
-
-def _slug(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "-", name).strip("-") or "record"
-
-
-def _parse_record(text: str, where: str) -> dict[str, Any]:
-    """One validated run-record from JSON text; any defect raises a
-    :class:`TelemetryError` naming ``where`` (file or file:line)."""
-    try:
-        record = json.loads(text)
-        validate_run_record(record)
-    except (json.JSONDecodeError, TelemetryError) as exc:
-        raise TelemetryError(f"{where}: {exc}") from exc
-    return record
-
-
-class RunRecordStore:
-    """Append-only JSONL history of validated run-records.
-
-    One ``<name>.jsonl`` file per record name under ``root``; every
-    line is a complete ``repro.telemetry.run-record/v6`` document,
-    validated on the way in and again on the way out, so a hand-edited
-    or foreign line surfaces as a :class:`TelemetryError` rather than a
-    crash in whatever reads the history.
-    """
-
-    def __init__(self, root: str | pathlib.Path) -> None:
-        self.root = pathlib.Path(root)
-
-    def path_for(self, name: str) -> pathlib.Path:
-        """History file that ``name``'s records append to."""
-        return self.root / f"{_slug(name)}.jsonl"
-
-    def append(self, record: dict[str, Any]) -> pathlib.Path:
-        """Validate and append one record; returns the history file."""
-        validate_run_record(record)
-        path = self.path_for(record["name"])
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-        return path
-
-    def load(self, name: str) -> list[dict[str, Any]]:
-        """Every stored record for ``name``, oldest first (validated)."""
-        path = self.path_for(name)
-        if not path.exists():
-            return []
-        return [
-            _parse_record(line, f"{path}:{i}")
-            for i, line in enumerate(path.read_text().splitlines(), 1)
-            if line.strip()
-        ]
-
-    def latest(self, name: str) -> dict[str, Any] | None:
-        """Most recent record for ``name``, or None."""
-        records = self.load(name)
-        return records[-1] if records else None
-
-    def names(self) -> list[str]:
-        """Record names with history, sorted."""
-        if not self.root.is_dir():
-            return []
-        return sorted(p.stem for p in self.root.glob("*.jsonl"))
-
-    def __len__(self) -> int:
-        return len(self.names())
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +154,15 @@ def compare_records(
 
 
 def load_record(path: str | pathlib.Path) -> dict[str, Any]:
-    """Load one run-record from a ``.json`` file (or the most recent
-    entry of a ``.jsonl`` history file) and validate it; a malformed or
-    invalid record raises :class:`TelemetryError`."""
+    """Load one run-record from a ``.json`` file and validate it; a
+    malformed or invalid record raises :class:`TelemetryError`."""
     path = pathlib.Path(path)
-    text = path.read_text()
-    if path.suffix == ".jsonl":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise TelemetryError(f"{path}: empty history file")
-        text = lines[-1]
-    return _parse_record(text, str(path))
+    try:
+        record = json.loads(path.read_text())
+        validate_run_record(record)
+    except (json.JSONDecodeError, TelemetryError) as exc:
+        raise TelemetryError(f"{path}: {exc}") from exc
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +173,6 @@ def measure_reference(
     size: int = REFERENCE_WORKLOAD["size"],
     seed: int = REFERENCE_WORKLOAD["seed"],
     backend: str | None = None,
-    repeats: int = 1,
 ) -> dict[str, Any]:
     """Run the reference workload; returns its joinable run-record.
 
@@ -268,10 +187,6 @@ def measure_reference(
     The compile + sweep runs under :func:`repro.telemetry.capture`, so
     the record's ``spans``/``tracer`` sections carry the measured
     trace (``finished_spans > 0``) instead of an empty forest.
-    ``repeats > 1`` re-applies the sweep and stamps the **median**
-    timing (one scheduler hiccup does not poison trend history);
-    event counters come from the first application and are identical
-    across repeats.
     """
     import numpy as np
 
@@ -281,20 +196,16 @@ def measure_reference(
     from repro.telemetry.export import run_record
     from repro.telemetry.perf.profile import profile_shape
 
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
     k = get_kernel(kernel)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=profile_shape(k.weights.ndim, size))
     padded = np.pad(x, k.weights.radius)
 
-    timings: list[float] = []
     with telemetry.capture():
         compiled = compile_stencil(k.weights, backend=backend)
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            _, events = compiled.apply_simulated(padded)
-            timings.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        _, events = compiled.apply_simulated(padded)
+        timing = time.perf_counter() - t0
 
     extra = {
         "command": "perf-check",
@@ -304,8 +215,6 @@ def measure_reference(
         "plan_key": compiled.key,
         "schedule": compiled.schedule,
         "backend": compiled.plan.backend,
-        "timing_s": statistics.median(timings),
+        "timing_s": timing,
     }
-    if repeats > 1:
-        extra["timing_repeats"] = repeats
     return run_record(f"perf-check-{k.name}", counters=events, extra=extra)

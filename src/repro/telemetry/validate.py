@@ -262,8 +262,8 @@ def _validate_document(document: Any, path: str | pathlib.Path) -> str:
 def validate_file(path: str | pathlib.Path) -> str:
     """Validate a telemetry file as whatever it declares itself to be.
 
-    ``.jsonl`` files (event-log exports, run-record histories) are validated line by
-    line; plain JSON files as one document.  Returns the matched schema identifier
+    ``.jsonl`` files (event-log exports) are validated line by line; plain
+    JSON files as one document.  Returns the matched schema identifier
     (of the last line for JSONL)."""
     path = pathlib.Path(path)
     if path.suffix != ".jsonl":

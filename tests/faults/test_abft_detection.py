@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.core.config import OptimizationConfig
+from repro.faults import MMA_KINDS, FaultInjector, FaultPlan, FaultSpec
 from tests.faults.conftest import padded_grid
 
 pytestmark = [
@@ -47,9 +48,14 @@ SPECS = [
 ]
 
 
-def _clean(kernel_name):
+#: the MMA-fault rows again under the naive accumulator split, whose
+#: shuffled halves carry a poisoned or flipped accumulator to the guard
+NAIVE_SPECS = [spec for spec in SPECS if spec.kind in MMA_KINDS]
+
+
+def _clean(kernel_name, config=None):
     k, x = padded_grid(kernel_name, size=SIZES[kernel_name])
-    compiled = repro.compile(k.weights)
+    compiled = repro.compile(k.weights, config=config)
     out, _ = compiled.apply_simulated(x)
     return compiled, x, out
 
@@ -60,7 +66,16 @@ class TestChaosMatrix:
     def test_injected_fault_never_corrupts_verified_output(
         self, kernel_name, spec
     ):
-        compiled, x, clean = _clean(kernel_name)
+        self._check(kernel_name, spec)
+
+    @pytest.mark.parametrize("spec", NAIVE_SPECS, ids=lambda s: s.describe())
+    def test_naive_split_fault_never_corrupts_verified_output(
+        self, kernel_name, spec
+    ):
+        self._check(kernel_name, spec, OptimizationConfig(use_bvs=False))
+
+    def _check(self, kernel_name, spec, config=None):
+        compiled, x, clean = _clean(kernel_name, config)
         plan = FaultPlan(specs=(spec,))
 
         # negative control: does this fault, unverified, reach the output?

@@ -139,6 +139,34 @@ class TestAccumulatorSplitting:
         assert device.counters.shuffle_ops == 6
         assert device.counters.register_moves == 48
 
+    def test_naive_split_passes_nan_through(self, warp, rng):
+        # a poisoned accumulator is the ABFT guard's to catch, not the
+        # shuffle self-check's
+        _, _, c, _, _, _ = _frags(rng)
+        c[3, 5] = np.nan
+        left, right = warp.split_accumulator_naive(
+            Fragment.from_matrix(FragmentKind.ACC, c)
+        )
+        assert np.array_equal(left.to_matrix(), c[:, 0:4])
+        assert np.array_equal(right.to_matrix(), c[:, 4:8], equal_nan=True)
+
+    def test_naive_split_shuffle_mismatch_is_typed(
+        self, warp, rng, monkeypatch
+    ):
+        from repro.errors import ExecutionError
+
+        _, _, _, _, _, fc = _frags(rng)
+        shuffle = type(warp)._shuffle_into_a
+
+        def misrouted(self, acc, col_offset):
+            frag = shuffle(self, acc, col_offset)
+            frag.registers[0, 0] += 1.0
+            return frag
+
+        monkeypatch.setattr(type(warp), "_shuffle_into_a", misrouted)
+        with pytest.raises(ExecutionError, match="naive split"):
+            warp.split_accumulator_naive(fc)
+
     def test_naive_requires_accumulator(self, warp, rng):
         _, _, _, _, fb, _ = _frags(rng)
         with pytest.raises(TypeError):

@@ -1,4 +1,4 @@
-"""Run-record history and the regression gate.
+"""The run-record regression gate on a committed baseline.
 
 Counters on the simulator are deterministic, so the gate's contract is
 sharp: identical records pass, any counter growth beyond the threshold
@@ -15,13 +15,11 @@ import pytest
 from repro import telemetry
 from repro.cli import main
 from repro.telemetry.perf import (
-    RunRecordStore,
     compare_records,
     load_record,
     measure_reference,
 )
-from repro.telemetry.perf.history import REFERENCE_WORKLOAD
-from repro.telemetry.validate import TelemetryError
+from repro.telemetry.perf.baseline import REFERENCE_WORKLOAD
 
 
 @pytest.fixture(scope="module")
@@ -33,34 +31,6 @@ def reference_record():
 @pytest.fixture()
 def record(reference_record):
     return copy.deepcopy(reference_record)
-
-
-class TestRunRecordStore:
-    def test_append_load_latest_roundtrip(self, tmp_path, record):
-        store = RunRecordStore(tmp_path)
-        store.append(record)
-        record2 = copy.deepcopy(record)
-        record2["extra"]["timing_s"] = 1.0
-        store.append(record2)
-        loaded = store.load(record["name"])
-        assert len(loaded) == 2
-        assert loaded[0] == json.loads(json.dumps(record))
-        assert store.latest(record["name"])["extra"]["timing_s"] == 1.0
-
-    def test_names_and_len(self, tmp_path, record):
-        store = RunRecordStore(tmp_path)
-        assert store.names() == [] and len(store) == 0
-        store.append(record)
-        assert store.names() == [record["name"]] and len(store) == 1
-
-    def test_invalid_record_rejected(self, tmp_path):
-        with pytest.raises(TelemetryError):
-            RunRecordStore(tmp_path).append({"schema": "nonsense"})
-
-    def test_slug_keeps_filenames_safe(self, tmp_path, record):
-        record["name"] = "weird name/with:stuff"
-        path = RunRecordStore(tmp_path).append(record)
-        assert path.name == "weird-name-with-stuff.jsonl"
 
 
 class TestCompareRecords:
@@ -88,7 +58,7 @@ class TestCompareRecords:
 
     def test_timing_is_advisory_unless_gated(self, record):
         # counters only: wall time is gated as a ratio (perf check
-        # --min-speedup) or against the rolling trend, never here
+        # --min-speedup), never here
         slow = copy.deepcopy(record)
         slow["extra"]["timing_s"] = record["extra"]["timing_s"] * 100
         comparison = compare_records(record, slow)
@@ -104,27 +74,10 @@ class TestCompareRecords:
 
 
 class TestLoadRecord:
-    def test_json_and_jsonl_sources(self, tmp_path, record):
+    def test_json_source(self, tmp_path, record):
         json_path = tmp_path / "rec.json"
         json_path.write_text(json.dumps(record))
-        assert load_record(json_path)["name"] == record["name"]
-        store = RunRecordStore(tmp_path)
-        jsonl_path = store.append(record)
-        assert load_record(jsonl_path)["name"] == record["name"]
-
-    def test_empty_history_rejected(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
-            load_record(path)
-
-    def test_non_record_history_line_rejected(self, tmp_path, record):
-        store = RunRecordStore(tmp_path)
-        path = store.append(record)
-        with path.open("a") as fh:
-            fh.write("[1, 2]\n")
-        with pytest.raises(TelemetryError, match=r"\.jsonl:2: record"):
-            store.load(record["name"])
+        assert load_record(json_path) == json.loads(json.dumps(record))
 
 
 class TestPerfCheckCli:
@@ -137,11 +90,13 @@ class TestPerfCheckCli:
 
     def test_update_then_check_passes(self, tmp_path, capsys):
         baseline = tmp_path / "BENCH_baseline.json"
+        record = tmp_path / "measured.json"
         assert main([
             "perf", "check", "--baseline", str(baseline),
-            "--size", "64", "--update-baseline",
+            "--size", "64", "--update-baseline", "--record", str(record),
         ]) == 0
         assert baseline.exists()
+        assert load_record(record)["events"] == load_record(baseline)["events"]
         assert main(["perf", "check", "--baseline", str(baseline)]) == 0
         assert "no regressions" in capsys.readouterr().out
 
@@ -224,31 +179,6 @@ class TestPerfCheckCli:
         assert len(err.strip().splitlines()) == 1
         assert baseline.read_text() == text
 
-    def test_check_repeats_record_feeds_trend(self, tmp_path, capsys):
-        import pathlib
-
-        from repro.telemetry.export import run_record
-
-        name = f"perf-check-{REFERENCE_WORKLOAD['kernel']}"
-        hist = tmp_path / "history"
-        store = RunRecordStore(hist)
-        for _ in range(4):  # a slow history the fresh point beats
-            store.append(run_record(name, log=False, extra={"timing_s": 10.0}))
-        baseline = pathlib.Path(__file__).parents[2] / "BENCH_baseline.json"
-        assert main([
-            "perf", "check", "--baseline", str(baseline), "--size", "32",
-            "--repeats", "3", "--record", str(hist),
-        ]) == 0
-        latest = store.latest(name)
-        assert latest["extra"]["timing_repeats"] == 3
-        assert latest["extra"]["size"] == 32
-        capsys.readouterr()
-        assert main(["perf", "trend", "--root", str(hist), "--json"]) == 0
-        verdict = json.loads(capsys.readouterr().out)
-        assert verdict["name"] == name
-        assert verdict["n_history"] == 4
-        assert verdict["latest"] == latest["extra"]["timing_s"]
-
     def test_check_reruns_the_baselines_workload(self, tmp_path, record):
         baseline = tmp_path / "b.json"
         baseline.write_text(json.dumps(record))
@@ -257,16 +187,30 @@ class TestPerfCheckCli:
         rc = main(["perf", "check", "--baseline", str(baseline)])
         assert rc == 0
 
-    def test_check_appends_history(self, tmp_path, record):
+    def test_check_record_writes_one_validated_record(
+        self, tmp_path, record, capsys
+    ):
+        from repro.telemetry.export import RUN_RECORD_SCHEMA
+        from repro.telemetry.validate import validate_file
+
         baseline = tmp_path / "b.json"
         baseline.write_text(json.dumps(record))
-        hist = tmp_path / "history"
+        out = tmp_path / "out" / "current.json"
         assert main([
             "perf", "check", "--baseline", str(baseline),
-            "--record", str(hist),
+            "--record", str(out),
         ]) == 0
-        store = RunRecordStore(hist)
-        assert store.names() == [record["name"]]
+        assert f"run record written to {out}" in capsys.readouterr().out
+        assert validate_file(out) == RUN_RECORD_SCHEMA
+        written = load_record(out)
+        assert written["name"] == record["name"]
+        assert written["events"] == record["events"]
+        # under --json, stdout stays one parseable document
+        assert main([
+            "perf", "check", "--baseline", str(baseline),
+            "--record", str(out), "--json",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
     def test_diff_cli_exit_codes(self, tmp_path, record, capsys):
         a = tmp_path / "a.json"
@@ -321,3 +265,7 @@ class TestMeasureReference:
         assert key in DEFAULT_PLAN_CACHE
         assert record["extra"]["schedule"]
         telemetry.validate_run_record(record)
+
+    def test_record_carries_the_measured_trace(self, record):
+        assert record["tracer"]["finished_spans"] > 0
+        assert record["spans"]

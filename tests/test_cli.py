@@ -46,7 +46,22 @@ class TestParser:
             assert callable(args.run), path
             assert args.run.__name__ == "_cmd_" + "_".join(path), path
             found.append(path)
-        assert len(found) == 23
+        assert len(found) == 21
+
+    @pytest.mark.parametrize("argv", [
+        ["perf", "trend"],
+        ["perf", "history"],
+        ["perf", "check", "--repeats", "3"],
+        ["cluster", "run", "Heat-2D", "--record-history", "h"],
+        ["cluster", "resume", "--checkpoint-dir", "c",
+         "--record-history", "h"],
+        ["cluster", "report", "Heat-2D", "--record-history", "h"],
+    ], ids=" ".join)
+    def test_retired_history_surface_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_run_args(self):
         args = build_parser().parse_args(["run", "Box-2D9P", "--size", "32"])
@@ -385,106 +400,8 @@ class TestPerfObservatoryCommands:
                      "--json"]) == 1
         assert json.loads(capsys.readouterr().out)["max_rel_error"] == 0.5
 
-    def test_perf_history_empty_root(self, capsys, tmp_path):
-        assert main(["perf", "history", "--root", str(tmp_path)]) == 0
-        assert "no history" in capsys.readouterr().out
-        rc = main(["perf", "history", "nope", "--root", str(tmp_path)])
-        assert rc == 2
-
 
 class TestObservabilityCommands:
-    def _stamp(self, store, timing, name="w"):
-        from repro.telemetry.export import run_record
-
-        store.append(
-            run_record(
-                name, log=False, extra={"timing_s": timing}
-            )
-        )
-
-    def test_perf_trend_empty_history_is_exit_2(self, capsys, tmp_path):
-        from repro.telemetry.perf import RunRecordStore
-
-        RunRecordStore(tmp_path)
-        assert main(["perf", "trend", "w", "--root", str(tmp_path)]) == 2
-        assert "no history for 'w'" in capsys.readouterr().err
-
-    def test_perf_trend_corrupt_history_is_exit_2(self, capsys, tmp_path):
-        from repro.telemetry.perf import RunRecordStore
-
-        store = RunRecordStore(tmp_path)
-        store.path_for("w").parent.mkdir(parents=True, exist_ok=True)
-        store.path_for("w").write_text("{not json\n")
-        assert main(["perf", "trend", "w", "--root", str(tmp_path)]) == 2
-        assert "cannot read history" in capsys.readouterr().err
-
-    def _non_record_history(self, tmp_path):
-        from repro.telemetry.perf import RunRecordStore
-
-        store = RunRecordStore(tmp_path)
-        for t in (1.0, 1.0, 1.0):
-            self._stamp(store, t)
-        with store.path_for("w").open("a") as fh:
-            fh.write("[1, 2]\n")  # valid JSON, but not a run-record
-
-    def test_perf_trend_non_record_line_is_exit_2(self, capsys, tmp_path):
-        self._non_record_history(tmp_path)
-        assert main(["perf", "trend", "w", "--root", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "w.jsonl:4" in err
-        assert len(err.strip().splitlines()) == 1
-
-    def test_perf_history_non_record_line_is_exit_2(self, capsys, tmp_path):
-        self._non_record_history(tmp_path)
-        assert main(["perf", "history", "w", "--root", str(tmp_path)]) == 2
-        assert main(["perf", "history", "--root", str(tmp_path)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 2
-        assert all(line.startswith("perf history: ") for line in err)
-
-    def test_perf_trend_direction_below_flags_drops(self, capsys, tmp_path):
-        from repro.telemetry.perf import RunRecordStore
-
-        store = RunRecordStore(tmp_path)
-        for eff in (0.9, 0.92, 0.91, 0.9):
-            self._stamp(store, eff)
-        self._stamp(store, 0.2)
-        rc = main(["perf", "trend", "w", "--root", str(tmp_path),
-                   "--direction", "below"])
-        assert rc == 1
-        assert "falls below" in capsys.readouterr().out
-
-    def test_perf_trend_steady_history_passes(self, capsys, tmp_path):
-        from repro.telemetry.perf import RunRecordStore
-
-        store = RunRecordStore(tmp_path)
-        for t in (1.0, 1.02, 0.98, 1.0, 1.01):
-            self._stamp(store, t)
-        assert main(["perf", "trend", "w", "--root", str(tmp_path)]) == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_perf_trend_regression_is_exit_1(self, capsys, tmp_path):
-        from repro.telemetry.perf import RunRecordStore
-
-        store = RunRecordStore(tmp_path)
-        for t in (1.0, 1.0, 1.0, 1.0):
-            self._stamp(store, t)
-        self._stamp(store, 2.5)
-        assert main(["perf", "trend", "w", "--root", str(tmp_path)]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_perf_trend_json_roundtrips(self, capsys, tmp_path):
-        from repro.telemetry.perf import RunRecordStore
-
-        store = RunRecordStore(tmp_path)
-        for t in (1.0, 1.0, 1.0, 1.0):
-            self._stamp(store, t)
-        assert main(["perf", "trend", "w", "--root", str(tmp_path),
-                     "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is True
-        assert doc["metric"] == "timing_s"
-
     def test_chaos_negative_control_output_differs(self, capsys):
         assert main(["chaos", "run", "Box-2D9P", "--size", "48",
                      "--seed", "1", "--faults", "4", "--no-verify"]) == 0
@@ -740,14 +657,12 @@ class TestClusterCommand:
         report_file = tmp_path / "report.json"
         lanes_file = tmp_path / "lanes.json"
         record_file = tmp_path / "rec.json"
-        history = tmp_path / "history"
         assert main(["cluster", "report", "Heat-2D", "--size", "32",
                      "--steps", "4", "--block-steps", "2", "--overlap",
                      "--executor", "thread",
                      "--output", str(report_file),
                      "--chrome-trace", str(lanes_file),
-                     "--record", str(record_file),
-                     "--record-history", str(history)]) == 0
+                     "--record", str(record_file)]) == 0
         out = capsys.readouterr().out
         assert "legend:" in out
         assert "critical path" in out
@@ -764,13 +679,11 @@ class TestClusterCommand:
         # share covers the sub-microsecond modeled transfer
         assert report["overlap"]["efficiency"] > 0
         assert report["halo"]["reconciled"] is True
-        # the history point carries the trend-gated metrics
-        line = json.loads(
-            (history / "cluster-report-Heat-2D.jsonl").read_text()
-            .splitlines()[0]
-        )
-        assert "overlap_efficiency" in line["extra"]
-        assert "imbalance_max_over_mean" in line["extra"]
+        # the record carries the report's headline numbers in its
+        # cluster section
+        cluster = json.loads(record_file.read_text())["cluster"]
+        assert cluster["overlap"]["efficiency"] == report["overlap"]["efficiency"]
+        assert "max_over_mean" in cluster["imbalance"]
 
     def test_cluster_report_json_is_the_report(self, capsys):
         assert main(["cluster", "report", "Heat-1D", "--size", "16",
